@@ -20,18 +20,12 @@ from .experiments import (
     ExperimentConfig,
     NotBracketedError,
     ResultTable,
-    SearchSettings,
     build_channel_config,
     curve_points,
     emit_results,
     rate_bits_to_nats,
     read_results,
-    run_asymptotic_scan,
-    run_b_sweep,
-    run_b_vs_snr,
     run_experiment,
-    run_gmi_histogram,
-    run_outage_curve,
     snr_gain,
 )
 from .gmi import GmiResult, GridSpec, gmi_grid_oracle, k_ls, theta_star
@@ -71,17 +65,11 @@ __all__ = [
     "optimize_b",
     "b_sweep",
     "ExperimentConfig",
-    "SearchSettings",
     "ResultTable",
     "ConfigError",
     "NotBracketedError",
     "build_channel_config",
     "rate_bits_to_nats",
-    "run_outage_curve",
-    "run_b_vs_snr",
-    "run_gmi_histogram",
-    "run_b_sweep",
-    "run_asymptotic_scan",
     "run_experiment",
     "curve_points",
     "snr_gain",

@@ -15,26 +15,18 @@ import json
 import sys
 
 from .experiments import (
+    KINDS,
     ConfigError,
     ExperimentConfig,
     NotBracketedError,
     curve_points,
     emit_results,
     run_experiment,
-    run_outage_curve,
     snr_gain,
 )
 
-_COMMANDS = {
-    "outage-curve": "outage_curve",
-    "b-vs-snr": "b_vs_snr",
-    "gmi-hist": "gmi_histogram",
-    "b-sweep": "b_sweep",
-    "asymptotic-scan": "asymptotic_scan",
-}
-
-# below ~10 expected failures an estimate is too noisy to trust
-_UNRELIABLE_P = 1e-4
+# below 10 failures an outage estimate is too noisy to trust
+_MIN_FAILURES = 10
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,15 +36,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "on SIMO block-fading channels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=f"run a {_COMMANDS[name]} experiment")
+    for kind, spec in KINDS.items():
+        p = sub.add_parser(spec.command, help=f"run a {kind} experiment")
+        p.set_defaults(kind=kind, gain_target=None, lmmse_only=False)
         p.add_argument("--config", required=True, help="JSON experiment config file")
         p.add_argument("--seed", required=True, type=int, help="master 64-bit seed")
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--trials", type=int, default=None, help="override config trials")
         p.add_argument("--workers", type=int, default=1, help="worker threads")
-        if name == "outage-curve":
+        if kind == "outage_curve":
             p.add_argument(
                 "--gain-target",
                 type=float,
@@ -68,7 +61,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"workers: must be a positive integer, got {args.workers}")
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -85,7 +81,7 @@ def main(argv=None) -> int:
         print("error: config must be a JSON object", file=sys.stderr)
         return 2
 
-    kind = _COMMANDS[args.command]
+    kind = args.kind
     if "kind" in data and data["kind"] != kind:
         print(
             f"error: kind: config says {data['kind']!r} but command is {kind!r}",
@@ -103,24 +99,19 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if kind == "outage_curve":
-        table = run_outage_curve(
-            cfg, include_lsr=not args.lmmse_only, workers=args.workers
-        )
-    else:
-        table = run_experiment(cfg, workers=args.workers)
+    table = run_experiment(cfg, include_lsr=not args.lmmse_only, workers=args.workers)
 
     for row in table.rows:
         for col in ("p_lmmse", "p_lsr", "p_hat"):
-            if 0 < row.get(col, 1.0) < _UNRELIABLE_P:
+            if col in row and (failures := round(row[col] * row["trials"])) < _MIN_FAILURES:
                 print(
-                    f"warning: {col}={row[col]:.3g} at snr_db={row['snr_db']} is "
-                    f"below {_UNRELIABLE_P}; increase --trials for a reliable tail",
+                    f"warning: {col}={row[col]:.3g} at snr_db={row['snr_db']} rests on "
+                    f"{failures} failures; increase --trials for a reliable estimate",
                     file=sys.stderr,
                 )
 
     status = 0
-    if kind == "outage_curve" and args.gain_target is not None and not args.lmmse_only:
+    if args.gain_target is not None and not args.lmmse_only:
         try:
             gain = snr_gain(
                 curve_points(table, "p_lmmse"),

@@ -19,29 +19,26 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .channel import ChannelConfig, lmmse_coefficient
 from .outage import estimate_outage, gmi_histogram, gmi_samples_multi_b
-from .shrinkage import SearchSpec, b_sweep, optimize_b
+from .shrinkage import (
+    ConfigError, SearchSpec, _check, _check_int, _check_real, b_sweep, optimize_b,
+)
 
 __all__ = [
     "ConfigError",
     "NotBracketedError",
     "ExperimentConfig",
-    "SearchSettings",
+    "ExperimentKind",
+    "KINDS",
     "ResultTable",
-    "EXPERIMENT_KINDS",
     "build_channel_config",
     "rate_bits_to_nats",
-    "run_outage_curve",
-    "run_b_vs_snr",
-    "run_gmi_histogram",
-    "run_b_sweep",
-    "run_asymptotic_scan",
     "run_experiment",
     "curve_points",
     "snr_gain",
@@ -49,37 +46,18 @@ __all__ = [
     "read_results",
 ]
 
-EXPERIMENT_KINDS = (
-    "outage_curve",
-    "b_vs_snr",
-    "gmi_histogram",
-    "asymptotic_scan",
-    "b_sweep",
-)
-
 LN2 = math.log(2.0)
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; carries the offending field path."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
 
 
 class NotBracketedError(RuntimeError):
     """A curve does not cross the requested target outage within its range."""
 
 
-@dataclass
-class SearchSettings:
-    """Shrinkage-search knobs carried by an experiment config."""
-
-    ratio_low: float = 0.0
-    ratio_high: float = 2.0
-    coarse_points: int = 41
-    refine_iters: int = 3
+def _check_list(path: str, values, low: float | None = None) -> None:
+    if not (isinstance(values, (list, tuple)) and len(values) > 0):
+        raise ConfigError(path, f"must be a nonempty list, got {values!r}")
+    for i, value in enumerate(values):
+        _check_real(f"{path}[{i}]", value, low)
 
 
 @dataclass
@@ -87,7 +65,8 @@ class ExperimentConfig:
     """Declarative description of one experiment run.
 
     ``rate_bits`` may be a single rate applied to every antenna count or a
-    list paired elementwise with ``n_r_list``.
+    list paired elementwise with ``n_r_list``.  Validation rejects bools,
+    non-finite numbers and wrong types, and names the offending field path.
     """
 
     kind: str
@@ -97,7 +76,7 @@ class ExperimentConfig:
     trials: int = 100_000
     seed: int = 0
     bins: int = 50
-    search: SearchSettings = field(default_factory=SearchSettings)
+    search: SearchSpec = SearchSpec()
     b_over_a: list[float] | None = None  # b_sweep only: ratios relative to a
     b_scale: float = 2.0  # asymptotic_scan only: the mismatched-rule factor
 
@@ -105,48 +84,43 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ConfigError("kind", f"must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
-        if not self.snr_db:
-            raise ConfigError("snr_db", "must be a nonempty list of SNR values in dB")
-        if not self.n_r_list:
-            raise ConfigError("n_r_list", "must be a nonempty list of antenna counts")
+        _check(
+            isinstance(self.kind, str) and self.kind in KINDS,
+            "kind",
+            f"must be one of {tuple(KINDS)}, got {self.kind!r}",
+        )
+        _check_list("snr_db", self.snr_db)
+        for i, snr in enumerate(self.snr_db):
+            try:
+                power = 10.0 ** (snr / 10.0)
+            except OverflowError:
+                power = math.inf
+            _check(0 < power < math.inf, f"snr_db[{i}]",
+                   f"10**(snr_db/10) must be a finite positive float, got snr_db = {snr}")
+        _check_list("n_r_list", self.n_r_list, 1)
         for i, n in enumerate(self.n_r_list):
-            if int(n) != n or n < 1:
-                raise ConfigError(f"n_r_list[{i}]", f"must be a positive integer, got {n}")
-        for i, r in enumerate(self._rates()):
-            if r < 0:
-                raise ConfigError(f"rate_bits[{i}]", f"must be nonnegative, got {r}")
-        if isinstance(self.rate_bits, list) and len(self.rate_bits) != len(self.n_r_list):
-            raise ConfigError(
-                "rate_bits", "list form must have the same length as n_r_list"
+            _check(n == int(n), f"n_r_list[{i}]", f"must be an integer, got {n!r}")
+        if isinstance(self.rate_bits, list):
+            _check(
+                len(self.rate_bits) == len(self.n_r_list),
+                "rate_bits", "list form must have the same length as n_r_list",
             )
-        if self.trials < 1:
-            raise ConfigError("trials", f"must be positive, got {self.trials}")
-        if not (0 <= self.seed < 2**64):
-            raise ConfigError("seed", f"must be a 64-bit unsigned integer, got {self.seed}")
-        if self.bins < 2:
-            raise ConfigError("bins", f"must be at least 2, got {self.bins}")
-        s = self.search
-        if not (0 <= s.ratio_low < s.ratio_high):
-            raise ConfigError("search.ratio_low", "need 0 <= ratio_low < ratio_high")
-        if s.coarse_points < 3:
-            raise ConfigError("search.coarse_points", "must be >= 3")
-        if s.refine_iters < 0:
-            raise ConfigError("search.refine_iters", "must be >= 0")
+            _check_list("rate_bits", self.rate_bits, 0)
+        else:
+            _check_real("rate_bits", self.rate_bits, 0)
+        _check_int("trials", self.trials, 1)
+        _check_int("seed", self.seed, 0)
+        _check(self.seed < 2**64, "seed", f"must be a 64-bit unsigned integer, got {self.seed}")
+        _check_int("bins", self.bins, 2)
         if self.kind == "b_sweep":
-            if not self.b_over_a:
-                raise ConfigError("b_over_a", "b_sweep requires a nonempty ratio list")
-            for i, r in enumerate(self.b_over_a):
-                if r < 0:
-                    raise ConfigError(f"b_over_a[{i}]", f"must be nonnegative, got {r}")
+            _check_list("b_over_a", self.b_over_a, 0)
         if self.kind == "asymptotic_scan":
-            if max(self.n_r_list) < 8 * min(self.n_r_list):
-                raise ConfigError(
-                    "n_r_list", "asymptotic_scan needs a span of at least 3 octaves"
-                )
-            if self.b_scale == 1.0:
-                raise ConfigError("b_scale", "must differ from 1 (the matched rule)")
+            _check(
+                max(self.n_r_list) >= 8 * min(self.n_r_list),
+                "n_r_list", "asymptotic_scan needs a span of at least 3 octaves",
+            )
+            _check_real("b_scale", self.b_scale)
+            _check(self.b_scale != 1.0, "b_scale", "must differ from 1 (the matched rule)")
 
     def _rates(self) -> list[float]:
         if isinstance(self.rate_bits, list):
@@ -155,27 +129,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {
-            "kind", "snr_db", "n_r_list", "rate_bits", "trials", "seed",
-            "bins", "search", "b_over_a", "b_scale",
-        }
+        """Build a config from parsed JSON; every error names its field path."""
+        known = {f.name: f for f in fields(cls)}
         for key in data:
-            if key not in known:
-                raise ConfigError(key, "unknown configuration field")
+            _check(key in known, key, "unknown configuration field")
+        for name, f in known.items():
+            _check(f.default is not MISSING or name in data, name, "missing required field")
         kwargs = dict(data)
         search = kwargs.pop("search", None)
         if search is not None:
-            if not isinstance(search, dict):
-                raise ConfigError("search", "must be an object")
-            allowed = {"ratio_low", "ratio_high", "coarse_points", "refine_iters"}
+            _check(isinstance(search, dict), "search", "must be an object")
+            search_fields = {f.name for f in fields(SearchSpec)}
             for key in search:
-                if key not in allowed:
-                    raise ConfigError(f"search.{key}", "unknown configuration field")
-            kwargs["search"] = SearchSettings(**search)
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError("<config>", str(exc)) from exc
+                _check(key in search_fields, f"search.{key}", "unknown configuration field")
+            kwargs["search"] = SearchSpec(**search)
+        return cls(**kwargs)
 
 
 @dataclass
@@ -203,16 +171,141 @@ def build_channel_config(snr_db: float, n_r: int) -> ChannelConfig:
     )
 
 
-def _search_spec(cfg: ExperimentConfig) -> SearchSpec:
-    s = cfg.search
-    return SearchSpec(
-        trials=cfg.trials,
-        seed=cfg.seed,
-        ratio_low=s.ratio_low,
-        ratio_high=s.ratio_high,
-        coarse_points=s.coarse_points,
-        refine_iters=s.refine_iters,
+@dataclass(frozen=True)
+class GridPoint:
+    """One ``(n_r, rate, SNR)`` grid point with its channel and LMMSE ``a``."""
+
+    snr_db: float
+    n_r: int
+    rate_bits: float
+    rate_nats: float
+    config: ChannelConfig
+    a: float
+
+
+def _grid(cfg: ExperimentConfig, *, snr_major: bool) -> Iterator[GridPoint]:
+    """The grid points of ``cfg`` in row order: ``n_r``-major unless ``snr_major``."""
+    pairs = list(zip(cfg.n_r_list, cfg._rates()))
+    if snr_major:
+        order = [(snr, n_r, r) for snr in cfg.snr_db for n_r, r in pairs]
+    else:
+        order = [(snr, n_r, r) for n_r, r in pairs for snr in cfg.snr_db]
+    for snr, n_r, rate_bits in order:
+        config = build_channel_config(snr, n_r)
+        yield GridPoint(
+            float(snr), int(n_r), rate_bits, rate_bits_to_nats(rate_bits),
+            config, abs(lmmse_coefficient(config)),
+        )
+
+
+def _optimize(cfg: ExperimentConfig, p: GridPoint, workers: int):
+    return optimize_b(p.config, p.rate_nats, cfg.trials, cfg.seed, cfg.search, workers=workers)
+
+
+# Each row function maps one grid point to the cells of its rows, apart from
+# the grid columns and ``trials``/``seed``, which run_experiment adds.
+
+
+def _lmmse_rows(cfg: ExperimentConfig, p: GridPoint, workers: int) -> list[dict]:
+    est = estimate_outage(p.config, p.a, p.rate_nats, cfg.trials, cfg.seed, workers=workers)
+    return [{
+        "b_lmmse": p.a,
+        "p_lmmse": est.p_hat,
+        "ci_lo": est.ci95_low,
+        "ci_hi": est.ci95_high,
+    }]
+
+
+def _outage_curve_rows(cfg: ExperimentConfig, p: GridPoint, workers: int) -> list[dict]:
+    # Both receivers share the seed, so their per-trial realizations are
+    # identical; the search grid contains b = a, hence p_lsr <= p_lmmse
+    # holds exactly row by row.
+    [row] = _lmmse_rows(cfg, p, workers)
+    opt = _optimize(cfg, p, workers)
+    row.update(
+        b_star=opt.b_star,
+        p_lsr=opt.outage.p_hat,
+        ci_lo_lsr=opt.outage.ci95_low,
+        ci_hi_lsr=opt.outage.ci95_high,
     )
+    return [row]
+
+
+def _b_vs_snr_rows(cfg: ExperimentConfig, p: GridPoint, workers: int) -> list[dict]:
+    opt = _optimize(cfg, p, workers)
+    return [{
+        "a": p.a,
+        "b_star": opt.b_star,
+        "b_over_a": opt.b_star / p.a,
+        "p_lsr": opt.outage.p_hat,
+        "ci_lo": opt.outage.ci95_low,
+        "ci_hi": opt.outage.ci95_high,
+    }]
+
+
+def _gmi_histogram_rows(cfg: ExperimentConfig, p: GridPoint, workers: int) -> list[dict]:
+    opt = _optimize(cfg, p, workers)
+    rows = []
+    for receiver, b in (("lmmse", p.a), ("lsr", opt.b_star)):
+        hist = gmi_histogram(p.config, b, cfg.trials, cfg.seed, cfg.bins, workers=workers)
+        rows += [
+            {
+                "receiver": receiver,
+                "b": b,
+                "bin_index": i,
+                "edge_lo": float(hist.edges[i]),
+                "edge_hi": float(hist.edges[i + 1]),
+                "count": int(hist.counts[i]),
+                "gmi_mean": hist.mean,
+                "gmi_variance": hist.variance,
+            }
+            for i in range(len(hist.counts))
+        ]
+    return rows
+
+
+def _b_sweep_rows(cfg: ExperimentConfig, p: GridPoint, workers: int) -> list[dict]:
+    bs = [float(r) * p.a for r in cfg.b_over_a]
+    results = b_sweep(p.config, p.rate_nats, bs, cfg.trials, cfg.seed, workers=workers)
+    return [
+        {
+            "b_over_a": float(ratio),
+            "b": b,
+            "p_hat": est.p_hat,
+            "ci_lo": est.ci95_low,
+            "ci_hi": est.ci95_high,
+        }
+        for ratio, (b, est) in zip(cfg.b_over_a, results)
+    ]
+
+
+def _asymptotic_scan_rows(cfg: ExperimentConfig, p: GridPoint, workers: int) -> list[dict]:
+    # the matched rule b = a and the mismatched rule b = b_scale * a share
+    # realizations; the medians show logarithmic growth in n_r for the
+    # matched rule and saturation otherwise
+    rules = (("lmmse", p.a), ("scaled", cfg.b_scale * p.a))
+    gmi = gmi_samples_multi_b(
+        p.config, [b for _, b in rules], cfg.trials, cfg.seed, workers=workers
+    )
+    return [
+        {
+            "b_rule": rule,
+            "b": b,
+            "gmi_median": float(np.median(g)),
+            "gmi_p01": float(np.percentile(g, 1.0)),
+        }
+        for (rule, b), g in zip(rules, gmi)
+    ]
+
+
+@dataclass(frozen=True)
+class ExperimentKind:
+    """One table kind: its CLI subcommand, its columns and its per-point rows."""
+
+    command: str
+    columns: list[str]
+    point_rows: Callable[[ExperimentConfig, GridPoint, int], list[dict]]
+    snr_major: bool = False  # row order; every other kind is n_r-major
 
 
 OUTAGE_CURVE_COLUMNS = [
@@ -220,199 +313,59 @@ OUTAGE_CURVE_COLUMNS = [
     "b_star", "p_lsr", "ci_lo_lsr", "ci_hi_lsr", "trials", "seed",
 ]
 OUTAGE_CURVE_COLUMNS_LMMSE_ONLY = OUTAGE_CURVE_COLUMNS[:7] + ["trials", "seed"]
-
-
-def run_outage_curve(cfg: ExperimentConfig, *, include_lsr: bool = True, workers: int = 1) -> ResultTable:
-    """Outage versus SNR for the LMMSE receiver and the shrinkage receiver.
-
-    Both receivers share the seed at every grid point, so their per-trial
-    realizations are identical; the optimizer grid contains ``b = a``, hence
-    ``p_lsr <= p_lmmse`` holds exactly row by row.  With ``include_lsr``
-    false only the LMMSE columns are produced.
-    """
-    rows = []
-    for n_r, rate_bits in zip(cfg.n_r_list, cfg._rates()):
-        rate_nats = rate_bits_to_nats(rate_bits)
-        for snr in cfg.snr_db:
-            config = build_channel_config(snr, n_r)
-            a = abs(lmmse_coefficient(config))
-            base = estimate_outage(
-                config, a, rate_nats, cfg.trials, cfg.seed, workers=workers
-            )
-            row = {
-                "snr_db": float(snr),
-                "n_r": int(n_r),
-                "rate_bits": float(rate_bits),
-                "b_lmmse": a,
-                "p_lmmse": base.p_hat,
-                "ci_lo": base.ci95_low,
-                "ci_hi": base.ci95_high,
-                "trials": cfg.trials,
-                "seed": cfg.seed,
-            }
-            if include_lsr:
-                opt = optimize_b(config, rate_nats, _search_spec(cfg), workers=workers)
-                row.update(
-                    b_star=opt.b_star,
-                    p_lsr=opt.outage.p_hat,
-                    ci_lo_lsr=opt.outage.ci95_low,
-                    ci_hi_lsr=opt.outage.ci95_high,
-                )
-            rows.append(row)
-    columns = OUTAGE_CURVE_COLUMNS if include_lsr else OUTAGE_CURVE_COLUMNS_LMMSE_ONLY
-    return ResultTable(columns=columns, rows=rows)
-
-
 B_VS_SNR_COLUMNS = [
     "snr_db", "n_r", "rate_bits", "a", "b_star", "b_over_a",
     "p_lsr", "ci_lo", "ci_hi", "trials", "seed",
 ]
-
-
-def run_b_vs_snr(cfg: ExperimentConfig, *, workers: int = 1) -> ResultTable:
-    """Optimal shrinkage coefficient across the SNR grid, per antenna count."""
-    rows = []
-    for n_r, rate_bits in zip(cfg.n_r_list, cfg._rates()):
-        rate_nats = rate_bits_to_nats(rate_bits)
-        for snr in cfg.snr_db:
-            config = build_channel_config(snr, n_r)
-            a = abs(lmmse_coefficient(config))
-            opt = optimize_b(config, rate_nats, _search_spec(cfg), workers=workers)
-            rows.append({
-                "snr_db": float(snr),
-                "n_r": int(n_r),
-                "rate_bits": float(rate_bits),
-                "a": a,
-                "b_star": opt.b_star,
-                "b_over_a": opt.b_star / a,
-                "p_lsr": opt.outage.p_hat,
-                "ci_lo": opt.outage.ci95_low,
-                "ci_hi": opt.outage.ci95_high,
-                "trials": cfg.trials,
-                "seed": cfg.seed,
-            })
-    return ResultTable(columns=B_VS_SNR_COLUMNS, rows=rows)
-
-
 GMI_HISTOGRAM_COLUMNS = [
     "snr_db", "n_r", "rate_bits", "receiver", "b", "bin_index",
     "edge_lo", "edge_hi", "count", "gmi_mean", "gmi_variance", "trials", "seed",
 ]
-
-
-def run_gmi_histogram(cfg: ExperimentConfig, *, workers: int = 1) -> ResultTable:
-    """GMI histograms of the LMMSE receiver and the optimized-shrinkage receiver."""
-    rows = []
-    for n_r, rate_bits in zip(cfg.n_r_list, cfg._rates()):
-        rate_nats = rate_bits_to_nats(rate_bits)
-        for snr in cfg.snr_db:
-            config = build_channel_config(snr, n_r)
-            a = abs(lmmse_coefficient(config))
-            opt = optimize_b(config, rate_nats, _search_spec(cfg), workers=workers)
-            for receiver, b in (("lmmse", a), ("lsr", opt.b_star)):
-                hist = gmi_histogram(
-                    config, b, cfg.trials, cfg.seed, cfg.bins, workers=workers
-                )
-                for i in range(len(hist.counts)):
-                    rows.append({
-                        "snr_db": float(snr),
-                        "n_r": int(n_r),
-                        "rate_bits": float(rate_bits),
-                        "receiver": receiver,
-                        "b": b,
-                        "bin_index": i,
-                        "edge_lo": float(hist.edges[i]),
-                        "edge_hi": float(hist.edges[i + 1]),
-                        "count": int(hist.counts[i]),
-                        "gmi_mean": hist.mean,
-                        "gmi_variance": hist.variance,
-                        "trials": cfg.trials,
-                        "seed": cfg.seed,
-                    })
-    return ResultTable(columns=GMI_HISTOGRAM_COLUMNS, rows=rows)
-
-
 B_SWEEP_COLUMNS = [
     "snr_db", "n_r", "rate_bits", "b_over_a", "b", "p_hat",
     "ci_lo", "ci_hi", "trials", "seed",
 ]
-
-
-def run_b_sweep(cfg: ExperimentConfig, *, workers: int = 1) -> ResultTable:
-    """Outage at explicit ``b / a`` ratios (diagnostic around the optimum)."""
-    rows = []
-    for n_r, rate_bits in zip(cfg.n_r_list, cfg._rates()):
-        rate_nats = rate_bits_to_nats(rate_bits)
-        for snr in cfg.snr_db:
-            config = build_channel_config(snr, n_r)
-            a = abs(lmmse_coefficient(config))
-            bs = [float(r) * a for r in cfg.b_over_a]
-            results = b_sweep(
-                config, rate_nats, bs, cfg.trials, cfg.seed, workers=workers
-            )
-            for ratio, (b, est) in zip(cfg.b_over_a, results):
-                rows.append({
-                    "snr_db": float(snr),
-                    "n_r": int(n_r),
-                    "rate_bits": float(rate_bits),
-                    "b_over_a": float(ratio),
-                    "b": b,
-                    "p_hat": est.p_hat,
-                    "ci_lo": est.ci95_low,
-                    "ci_hi": est.ci95_high,
-                    "trials": cfg.trials,
-                    "seed": cfg.seed,
-                })
-    return ResultTable(columns=B_SWEEP_COLUMNS, rows=rows)
-
-
 ASYMPTOTIC_SCAN_COLUMNS = [
     "snr_db", "n_r", "b_rule", "b", "gmi_median", "gmi_p01", "trials", "seed",
 ]
 
-
-def run_asymptotic_scan(cfg: ExperimentConfig, *, workers: int = 1) -> ResultTable:
-    """GMI quantiles versus antenna count for the matched and a mismatched rule.
-
-    For each antenna count the matched rule ``b = a`` and the mismatched rule
-    ``b = b_scale * a`` are evaluated on shared realizations; the medians
-    exhibit logarithmic growth for the matched rule and saturation otherwise.
-    """
-    rows = []
-    for snr in cfg.snr_db:
-        for n_r in cfg.n_r_list:
-            config = build_channel_config(snr, n_r)
-            a = abs(lmmse_coefficient(config))
-            rules = (("lmmse", a), ("scaled", cfg.b_scale * a))
-            gmi = gmi_samples_multi_b(
-                config, [b for _, b in rules], cfg.trials, cfg.seed, workers=workers
-            )
-            for k, (rule, b) in enumerate(rules):
-                rows.append({
-                    "snr_db": float(snr),
-                    "n_r": int(n_r),
-                    "b_rule": rule,
-                    "b": b,
-                    "gmi_median": float(np.median(gmi[k])),
-                    "gmi_p01": float(np.percentile(gmi[k], 1.0)),
-                    "trials": cfg.trials,
-                    "seed": cfg.seed,
-                })
-    return ResultTable(columns=ASYMPTOTIC_SCAN_COLUMNS, rows=rows)
-
-
-_RUNNERS = {
-    "outage_curve": run_outage_curve,
-    "b_vs_snr": run_b_vs_snr,
-    "gmi_histogram": run_gmi_histogram,
-    "b_sweep": run_b_sweep,
-    "asymptotic_scan": run_asymptotic_scan,
+KINDS = {
+    "outage_curve": ExperimentKind("outage-curve", OUTAGE_CURVE_COLUMNS, _outage_curve_rows),
+    "b_vs_snr": ExperimentKind("b-vs-snr", B_VS_SNR_COLUMNS, _b_vs_snr_rows),
+    "gmi_histogram": ExperimentKind("gmi-hist", GMI_HISTOGRAM_COLUMNS, _gmi_histogram_rows),
+    "b_sweep": ExperimentKind("b-sweep", B_SWEEP_COLUMNS, _b_sweep_rows),
+    "asymptotic_scan": ExperimentKind(
+        "asymptotic-scan", ASYMPTOTIC_SCAN_COLUMNS, _asymptotic_scan_rows, snr_major=True
+    ),
 }
 
 
-def run_experiment(cfg: ExperimentConfig, *, workers: int = 1) -> ResultTable:
-    """Dispatch a config to its runner."""
-    return _RUNNERS[cfg.kind](cfg, workers=workers)
+def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True, workers: int = 1) -> ResultTable:
+    """Run every grid point of ``cfg`` and collect the rows of its kind.
+
+    ``include_lsr=False`` applies to ``outage_curve`` only: it skips the
+    shrinkage search and emits the LMMSE columns alone, which equal those of
+    the full table.
+    """
+    kind = KINDS[cfg.kind]
+    columns, point_rows = kind.columns, kind.point_rows
+    if not include_lsr:
+        if cfg.kind != "outage_curve":
+            raise ValueError(f"include_lsr=False applies to outage_curve only, not {cfg.kind}")
+        columns, point_rows = OUTAGE_CURVE_COLUMNS_LMMSE_ONLY, _lmmse_rows
+    rows = []
+    for p in _grid(cfg, snr_major=kind.snr_major):
+        common = {
+            "snr_db": p.snr_db,
+            "n_r": p.n_r,
+            "rate_bits": p.rate_bits,
+            "trials": cfg.trials,
+            "seed": cfg.seed,
+        }
+        for cells in point_rows(cfg, p, workers):
+            row = {**common, **cells}
+            rows.append({c: row[c] for c in columns})
+    return ResultTable(columns=columns, rows=rows)
 
 
 def curve_points(table: ResultTable, p_column: str, *, snr_column: str = "snr_db") -> list[tuple[float, float]]:
@@ -457,13 +410,13 @@ def _crossing_snr(curve: Sequence[tuple[float, float]], target: float) -> float:
     )
 
 
-def _format_scalar(value) -> str:
+def _format_scalar(value, column: str) -> str:
     if isinstance(value, bool):
         raise TypeError("boolean cells are not part of any table schema")
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"column {column}: non-finite cell {value} cannot be written")
         return format(value, ".17g")
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 
@@ -472,12 +425,14 @@ def emit_results(table: ResultTable, path, format: str = "csv") -> None:
 
     Floats are serialized with 17 significant digits, which round-trips
     float64 exactly; files always use ``\\n`` line endings so identical runs
-    produce byte-identical output.
+    produce byte-identical output.  A non-finite float cell raises
+    ``ValueError`` naming its column before the file is opened, so JSON
+    output always parses.
     """
     if format == "csv":
         lines = [",".join(table.columns)]
         for row in table.rows:
-            lines.append(",".join(_format_scalar(row[c]) for c in table.columns))
+            lines.append(",".join(_format_scalar(row[c], c) for c in table.columns))
         text = "\n".join(lines) + "\n"
     elif format == "json":
         if not table.rows:
@@ -492,7 +447,7 @@ def emit_results(table: ResultTable, path, format: str = "csv") -> None:
                     if isinstance(v, str):
                         cells.append(f"{key}: {json.dumps(v)}")
                     else:
-                        cells.append(f"{key}: {_format_scalar(v)}")
+                        cells.append(f"{key}: {_format_scalar(v, c)}")
                 body.append("  {" + ", ".join(cells) + "}")
             text = "[\n" + ",\n".join(body) + "\n]\n"
     else:

@@ -78,6 +78,21 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     return min(max(0.0, center - half), p), max(min(1.0, center + half), p)
 
 
+def _outage_estimate(gmi: np.ndarray, rate_nats: float) -> OutageEstimate:
+    """Outage count ``GMI < rate_nats`` over per-trial GMI values, with its
+    Wilson interval."""
+    trials = gmi.size
+    failures = int(np.count_nonzero(gmi < rate_nats))
+    low, high = wilson_interval(failures, trials)
+    return OutageEstimate(
+        p_hat=failures / trials,
+        trials=trials,
+        failures=failures,
+        ci95_low=low,
+        ci95_high=high,
+    )
+
+
 def _sample_block(
     config: ChannelConfig, sampler: BlockSampler, start: int, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -202,16 +217,7 @@ def estimate_outage(
     The outage event uses a strict inequality, so a zero rate can never
     count an outage (the GMI is nonnegative).
     """
-    gmi = gmi_samples(config, b, trials, seed, workers=workers)
-    failures = int(np.count_nonzero(gmi < rate_nats))
-    low, high = wilson_interval(failures, trials)
-    return OutageEstimate(
-        p_hat=failures / trials,
-        trials=trials,
-        failures=failures,
-        ci95_low=low,
-        ci95_high=high,
-    )
+    return _outage_estimate(gmi_samples(config, b, trials, seed, workers=workers), rate_nats)
 
 
 def gmi_histogram(

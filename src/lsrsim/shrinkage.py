@@ -11,39 +11,66 @@ that assume smoothness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ChannelConfig, lmmse_coefficient
-from .outage import OutageEstimate, gmi_samples_multi_b, wilson_interval
+from .outage import OutageEstimate, _outage_estimate, gmi_samples_multi_b
 
-__all__ = ["SearchSpec", "BOptimum", "optimize_b", "b_sweep"]
+__all__ = ["ConfigError", "SearchSpec", "BOptimum", "optimize_b", "b_sweep"]
 
 
-@dataclass
+class ConfigError(ValueError):
+    """Invalid configuration value; carries the offending field path."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        super().__init__(f"{path}: {message}")
+
+
+def _check(ok: bool, path: str, message: str) -> None:
+    if not ok:
+        raise ConfigError(path, message)
+
+
+def _check_real(path: str, value, low: float | None = None) -> None:
+    """``value`` must be a finite int or float, not a bool, and ``>= low``."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not (ok and (low is None or value >= low)):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(path, f"must be a finite number{bound}, got {value!r}")
+
+
+def _check_int(path: str, value, low: int) -> None:
+    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (ok and value >= low):
+        raise ConfigError(path, f"must be an integer >= {low}, got {value!r}")
+
+
+@dataclass(frozen=True)
 class SearchSpec:
-    """Search-domain and budget parameters for :func:`optimize_b`."""
+    """Search domain of :func:`optimize_b`, validated on construction.
 
-    trials: int
-    seed: int
+    Errors name the field as ``search.<field>``, its path in an experiment
+    config.
+    """
+
     ratio_low: float = 0.0
     ratio_high: float = 2.0
     coarse_points: int = 41
     refine_iters: int = 3
 
     def __post_init__(self):
-        if not (0 <= self.ratio_low < self.ratio_high):
-            raise ValueError(
-                f"need 0 <= ratio_low < ratio_high, got "
-                f"[{self.ratio_low}, {self.ratio_high}]"
-            )
-        if self.coarse_points < 3:
-            raise ValueError(f"coarse_points must be >= 3, got {self.coarse_points}")
-        if self.refine_iters < 0:
-            raise ValueError(f"refine_iters must be >= 0, got {self.refine_iters}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
+        _check_real("search.ratio_low", self.ratio_low, 0)
+        _check_real("search.ratio_high", self.ratio_high)
+        _check(self.ratio_low < self.ratio_high, "search.ratio_low", "need ratio_low < ratio_high")
+        _check_int("search.coarse_points", self.coarse_points, 3)
+        _check_int("search.refine_iters", self.refine_iters, 0)
 
 
 @dataclass
@@ -64,22 +91,12 @@ def _coarse_grid(spec: SearchSpec) -> np.ndarray:
     return grid
 
 
-def _estimate(gmi_row: np.ndarray, rate_nats: float, trials: int) -> OutageEstimate:
-    failures = int(np.count_nonzero(gmi_row < rate_nats))
-    low, high = wilson_interval(failures, trials)
-    return OutageEstimate(
-        p_hat=failures / trials,
-        trials=trials,
-        failures=failures,
-        ci95_low=low,
-        ci95_high=high,
-    )
-
-
 def optimize_b(
     config: ChannelConfig,
     rate_nats: float,
-    spec: SearchSpec,
+    trials: int,
+    seed: int,
+    spec: SearchSpec = SearchSpec(),
     *,
     workers: int = 1,
 ) -> BOptimum:
@@ -89,7 +106,7 @@ def optimize_b(
     the search interval), so the optimum can never be worse than the LMMSE
     point.  Each refinement pass re-grids ``coarse_points`` values across the
     interval spanned by the evaluated neighbors of the incumbent.  Ties are
-    broken toward smaller ``b``.  Fully deterministic for a fixed spec.
+    broken toward smaller ``b``.  Fully deterministic for fixed arguments.
     """
     a = abs(lmmse_coefficient(config))
     evaluated: dict[float, OutageEstimate] = {}
@@ -98,11 +115,9 @@ def optimize_b(
         todo = [b for b in b_list if b not in evaluated]
         if not todo:
             return
-        gmi = gmi_samples_multi_b(
-            config, todo, spec.trials, spec.seed, workers=workers
-        )
+        gmi = gmi_samples_multi_b(config, todo, trials, seed, workers=workers)
         for k, b in enumerate(todo):
-            evaluated[b] = _estimate(gmi[k], rate_nats, spec.trials)
+            evaluated[b] = _outage_estimate(gmi[k], rate_nats)
 
     def incumbent() -> float:
         return min(evaluated, key=lambda b: (evaluated[b].p_hat, b))
@@ -151,4 +166,4 @@ def b_sweep(
     if not bs:
         raise ValueError("b_values must be nonempty")
     gmi = gmi_samples_multi_b(config, bs, trials, seed, workers=workers)
-    return [(b, _estimate(gmi[k], rate_nats, trials)) for k, b in enumerate(bs)]
+    return [(b, _outage_estimate(gmi[k], rate_nats)) for k, b in enumerate(bs)]

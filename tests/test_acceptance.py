@@ -20,7 +20,6 @@ from lsrsim import (
     ChannelRealization,
     ExperimentConfig,
     GridSpec,
-    SearchSettings,
     SearchSpec,
     build_channel_config,
     curve_points,
@@ -30,8 +29,7 @@ from lsrsim import (
     k_ls,
     lmmse_coefficient,
     optimize_b,
-    run_asymptotic_scan,
-    run_outage_curve,
+    run_experiment,
     sample_realization,
     snr_gain,
     statistics,
@@ -161,9 +159,9 @@ def test_criterion_4_outage_curve_and_snr_gain():
         rate_bits=2.0,
         trials=100_000,
         seed=20240,
-        search=SearchSettings(refine_iters=1),
+        search=SearchSpec(refine_iters=1),
     )
-    table = run_outage_curve(cfg)
+    table = run_experiment(cfg)
     elapsed = time.perf_counter() - start
 
     for row in table.rows:
@@ -197,7 +195,9 @@ def test_criterion_5_shrinkage_approaches_lmmse_with_antennas():
         opt = optimize_b(
             cfg,
             rate_bits * math.log(2.0),
-            SearchSpec(trials=100_000, seed=2024, refine_iters=2),
+            100_000,
+            2024,
+            SearchSpec(refine_iters=2),
         )
         deviations.append(abs(opt.b_star - a) / a)
     assert deviations[0] > 0.0
@@ -215,7 +215,7 @@ def test_criterion_6_gmi_histogram_mean_variance_tradeoff():
     rate = 2.0 * math.log(2.0)
     trials, seed = 100_000, 31
 
-    opt = optimize_b(cfg, rate, SearchSpec(trials=trials, seed=seed, refine_iters=2))
+    opt = optimize_b(cfg, rate, trials, seed, SearchSpec(refine_iters=2))
     hist_lmmse = gmi_histogram(cfg, a, trials, seed, bins=60)
     hist_lsr = gmi_histogram(cfg, opt.b_star, trials, seed, bins=60)
     est_lmmse = estimate_outage(cfg, a, rate, trials, seed)
@@ -252,7 +252,7 @@ def test_criterion_7_massive_antenna_dichotomy():
         seed=99,
         b_scale=2.0,
     )
-    table = run_asymptotic_scan(cfg)
+    table = run_experiment(cfg)
     elapsed = time.perf_counter() - start
 
     med = {(r["n_r"], r["b_rule"]): r["gmi_median"] for r in table.rows}

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from lsrsim import read_results
 from lsrsim.cli import main
 
 
@@ -148,3 +149,78 @@ class TestFormatsAndCommands:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+
+def run(tmp_path, command, *extra, **overrides):
+    cfg = write_config(tmp_path, **overrides)
+    return main([command, "--config", str(cfg), "--seed", "3",
+                 "--out", str(tmp_path / "r.csv"), *extra])
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize(
+        "command, overrides, path",
+        [
+            ("outage-curve", {"trials": 1000.5}, "trials"),
+            ("outage-curve", {"trials": True}, "trials"),
+            ("outage-curve", {"snr_db": 5.0}, "snr_db"),
+            ("outage-curve", {"snr_db": "5"}, "snr_db"),
+            ("outage-curve", {"snr_db": [4000]}, "snr_db[0]"),
+            ("outage-curve", {"snr_db": [-4000]}, "snr_db[0]"),
+            ("outage-curve", {"snr_db": [float("nan")]}, "snr_db[0]"),
+            ("outage-curve", {"n_r_list": [4, 8], "rate_bits": [1.0, float("nan")]}, "rate_bits[1]"),
+            ("b-sweep", {"b_over_a": [1.0, float("nan")]}, "b_over_a[1]"),
+            ("asymptotic-scan", {"n_r_list": [4, 32], "b_scale": float("nan")}, "b_scale"),
+            ("outage-curve", {"search": {"coarse_points": "x"}}, "search.coarse_points"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, command, overrides, path):
+        assert run(tmp_path, command, **overrides) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_integral_float_antenna_count_still_accepted(self, tmp_path):
+        assert run(tmp_path, "outage-curve", "--lmmse-only", n_r_list=[4.0], snr_db=[5]) == 0
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_exit_2(self, tmp_path, capsys, workers):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "outage-curve", "--workers", workers)
+        assert exc.value.code == 2
+        assert "workers" in capsys.readouterr().err
+
+
+class TestReliabilityWarning:
+    def test_zero_failures_warn(self, tmp_path, capsys):
+        # 1000 trials at 20 dB and 0.5 bit: p_lmmse = 0
+        assert run(tmp_path, "outage-curve", "--lmmse-only",
+                   snr_db=[20.0], rate_bits=0.5, trials=1000) == 0
+        assert read_results(tmp_path / "r.csv").rows[0]["p_lmmse"] == 0
+        assert "warning: p_lmmse=0 " in capsys.readouterr().err
+
+    def test_ten_or_more_failures_do_not_warn(self, tmp_path, capsys):
+        assert run(tmp_path, "outage-curve", "--lmmse-only",
+                   snr_db=[0.0], trials=1000) == 0
+        assert read_results(tmp_path / "r.csv").rows[0]["p_lmmse"] * 1000 >= 10
+        assert "warning" not in capsys.readouterr().err
+
+
+class TestRowOrder:
+    def test_scan_is_snr_major(self, tmp_path):
+        assert run(tmp_path, "asymptotic-scan", snr_db=[0.0, 3.0],
+                   n_r_list=[4, 8, 16, 32], trials=200) == 0
+        rows = read_results(tmp_path / "r.csv").rows
+        assert [(r["snr_db"], r["n_r"], r["b_rule"]) for r in rows] == [
+            (snr, n_r, rule)
+            for snr in (0, 3)
+            for n_r in (4, 8, 16, 32)
+            for rule in ("lmmse", "scaled")
+        ]
+
+    def test_curve_is_antenna_major(self, tmp_path):
+        assert run(tmp_path, "outage-curve", "--lmmse-only", snr_db=[4.0, 5.0],
+                   n_r_list=[2, 4], rate_bits=[0.5, 1.0], trials=300) == 0
+        rows = read_results(tmp_path / "r.csv").rows
+        assert [(r["n_r"], r["rate_bits"], r["snr_db"]) for r in rows] == [
+            (2, 0.5, 4), (2, 0.5, 5), (4, 1, 4), (4, 1, 5)
+        ]

@@ -7,17 +7,13 @@ from lsrsim import (
     ExperimentConfig,
     NotBracketedError,
     ResultTable,
-    SearchSettings,
+    SearchSpec,
     build_channel_config,
     curve_points,
     emit_results,
     rate_bits_to_nats,
     read_results,
-    run_asymptotic_scan,
-    run_b_sweep,
-    run_b_vs_snr,
-    run_gmi_histogram,
-    run_outage_curve,
+    run_experiment,
     snr_gain,
 )
 from lsrsim.experiments import (
@@ -36,7 +32,7 @@ def small_cfg(**overrides):
         rate_bits=1.0,
         trials=2000,
         seed=11,
-        search=SearchSettings(coarse_points=11, refine_iters=0),
+        search=SearchSpec(coarse_points=11, refine_iters=0),
     )
     params.update(overrides)
     return ExperimentConfig(**params)
@@ -92,12 +88,15 @@ class TestConfigValidation:
 
     def test_search_settings_validated(self):
         with pytest.raises(ConfigError, match="search.coarse_points"):
-            small_cfg(search=SearchSettings(coarse_points=1))
+            ExperimentConfig.from_dict({
+                "kind": "outage_curve", "snr_db": [4.0], "n_r_list": [4],
+                "rate_bits": 1.0, "search": {"coarse_points": 1},
+            })
 
 
 class TestRunOutageCurve:
     def test_schema_and_dominance(self):
-        table = run_outage_curve(small_cfg())
+        table = run_experiment(small_cfg())
         assert table.columns == OUTAGE_CURVE_COLUMNS
         assert len(table.rows) == 2
         for row in table.rows:
@@ -106,14 +105,14 @@ class TestRunOutageCurve:
             assert row["ci_lo"] <= row["p_lmmse"] <= row["ci_hi"]
 
     def test_zero_rate_gives_zero_everywhere(self):
-        table = run_outage_curve(small_cfg(rate_bits=0.0))
+        table = run_experiment(small_cfg(rate_bits=0.0))
         for row in table.rows:
             assert row["p_lmmse"] == 0.0
             assert row["p_lsr"] == 0.0
 
     def test_lmmse_only_reduces_exactly(self):
-        full = run_outage_curve(small_cfg())
-        bare = run_outage_curve(small_cfg(), include_lsr=False)
+        full = run_experiment(small_cfg())
+        bare = run_experiment(small_cfg(), include_lsr=False)
         assert "b_star" not in bare.columns
         for fr, br in zip(full.rows, bare.rows):
             for col in bare.columns:
@@ -121,27 +120,27 @@ class TestRunOutageCurve:
 
     def test_rate_list_pairs_with_antennas(self):
         cfg = small_cfg(n_r_list=[2, 4], rate_bits=[0.5, 1.0], snr_db=[5.0])
-        table = run_outage_curve(cfg, include_lsr=False)
+        table = run_experiment(cfg, include_lsr=False)
         assert [(r["n_r"], r["rate_bits"]) for r in table.rows] == [(2, 0.5), (4, 1.0)]
 
 
 class TestOtherRunners:
     def test_b_vs_snr_schema(self):
-        table = run_b_vs_snr(small_cfg(kind="b_vs_snr", snr_db=[5.0]))
+        table = run_experiment(small_cfg(kind="b_vs_snr", snr_db=[5.0]))
         assert table.columns == B_VS_SNR_COLUMNS
         row = table.rows[0]
         assert row["b_over_a"] == pytest.approx(row["b_star"] / row["a"], rel=1e-15)
 
     def test_b_sweep_runner(self):
         cfg = small_cfg(kind="b_sweep", snr_db=[5.0], b_over_a=[0.0, 0.5, 1.0])
-        table = run_b_sweep(cfg)
+        table = run_experiment(cfg)
         assert table.columns == B_SWEEP_COLUMNS
         assert [r["b_over_a"] for r in table.rows] == [0.0, 0.5, 1.0]
         assert table.rows[0]["p_hat"] == 1.0  # b = 0 with positive rate
 
     def test_gmi_histogram_runner(self):
         cfg = small_cfg(kind="gmi_histogram", snr_db=[5.0], bins=8, trials=1000)
-        table = run_gmi_histogram(cfg)
+        table = run_experiment(cfg)
         assert table.columns == GMI_HISTOGRAM_COLUMNS
         lmmse = [r for r in table.rows if r["receiver"] == "lmmse"]
         lsr = [r for r in table.rows if r["receiver"] == "lsr"]
@@ -152,7 +151,7 @@ class TestOtherRunners:
         cfg = small_cfg(
             kind="asymptotic_scan", snr_db=[0.0], n_r_list=[8, 16, 32, 64], trials=500
         )
-        table = run_asymptotic_scan(cfg)
+        table = run_experiment(cfg)
         rules = {(r["n_r"], r["b_rule"]) for r in table.rows}
         assert len(rules) == 8
         for row in table.rows:
@@ -166,7 +165,7 @@ class TestOtherRunners:
                 kind="asymptotic_scan", snr_db=[0.0], n_r_list=[8, 64],
                 trials=4000, seed=seed,
             )
-            rows = run_asymptotic_scan(cfg).rows
+            rows = run_experiment(cfg).rows
             medians.append(
                 {(r["n_r"], r["b_rule"]): r["gmi_median"] for r in rows}
             )
@@ -207,7 +206,7 @@ class TestSnrGain:
 
 class TestEmitResults:
     def test_csv_round_trip(self, tmp_path):
-        table = run_outage_curve(small_cfg())
+        table = run_experiment(small_cfg())
         path = tmp_path / "t.csv"
         emit_results(table, path, "csv")
         back = read_results(path, "csv")
@@ -217,7 +216,7 @@ class TestEmitResults:
                 assert a[col] == b[col]
 
     def test_json_round_trip(self, tmp_path):
-        table = run_outage_curve(small_cfg())
+        table = run_experiment(small_cfg())
         path = tmp_path / "t.json"
         emit_results(table, path, "json")
         back = read_results(path, "json")
@@ -237,6 +236,15 @@ class TestEmitResults:
         table = ResultTable(columns=["v"], rows=[{"v": 0.1}])
         emit_results(table, tmp_path / "f.csv", "csv")
         assert "0.10000000000000001" in (tmp_path / "f.csv").read_text()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_cell_refused_before_writing(self, tmp_path, fmt):
+        table = ResultTable(columns=["snr_db", "p_hat"],
+                            rows=[{"snr_db": 1.0, "p_hat": float("nan")}])
+        path = tmp_path / f"t.{fmt}"
+        with pytest.raises(ValueError, match="p_hat"):
+            emit_results(table, path, fmt)
+        assert not path.exists()
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -34,8 +34,9 @@ class TestSearchSpec:
     def test_rejects_invalid(self, kwargs):
         params = dict(trials=100, seed=0)
         params.update(kwargs)
+        trials, seed = params.pop("trials"), params.pop("seed")
         with pytest.raises(ValueError):
-            SearchSpec(**params)
+            optimize_b(build_channel_config(0.0, 2), 0.5, trials, seed, SearchSpec(**params))
 
 
 class TestOptimizeB:
@@ -46,8 +47,8 @@ class TestOptimizeB:
         # outage at a exactly
         cfg = perfect_pilot_config()
         a = abs(lmmse_coefficient(cfg))
-        spec = SearchSpec(trials=100_000, seed=5, refine_iters=3)
-        opt = optimize_b(cfg, math.log(2.0), spec)
+        spec = SearchSpec(refine_iters=3)
+        opt = optimize_b(cfg, math.log(2.0), 100_000, 5, spec)
         coarse_step = (spec.ratio_high - spec.ratio_low) / (spec.coarse_points - 1)
         assert abs(opt.b_star / a - 1.0) <= coarse_step
         p_at_a = dict(opt.sweep)[a]
@@ -67,7 +68,7 @@ class TestOptimizeB:
 
     def test_zero_rate_tie_breaks_to_smallest_b(self):
         cfg = perfect_pilot_config()
-        opt = optimize_b(cfg, 0.0, SearchSpec(trials=500, seed=1))
+        opt = optimize_b(cfg, 0.0, 500, 1)
         assert opt.b_star == 0.0
         assert opt.outage.p_hat == 0.0
 
@@ -75,27 +76,27 @@ class TestOptimizeB:
         cfg = build_channel_config(5.0, 8)
         a = abs(lmmse_coefficient(cfg))
         rate = 2.0 * math.log(2.0)
-        spec = SearchSpec(trials=20_000, seed=77, refine_iters=1)
-        opt = optimize_b(cfg, rate, spec)
+        trials, seed = 20_000, 77
+        opt = optimize_b(cfg, rate, trials, seed, SearchSpec(refine_iters=1))
         sweep = dict(opt.sweep)
         assert a in sweep
         assert opt.outage.p_hat <= sweep[a]
         # and the sweep value at a agrees exactly with a direct estimate
-        direct = estimate_outage(cfg, a, rate, spec.trials, spec.seed)
+        direct = estimate_outage(cfg, a, rate, trials, seed)
         assert sweep[a] == direct.p_hat
 
     def test_bit_exact_reproducibility(self):
         cfg = build_channel_config(4.0, 4)
-        spec = SearchSpec(trials=5000, seed=13, refine_iters=2)
-        first = optimize_b(cfg, math.log(2.0), spec)
-        second = optimize_b(cfg, math.log(2.0), spec)
+        spec = SearchSpec(refine_iters=2)
+        first = optimize_b(cfg, math.log(2.0), 5000, 13, spec)
+        second = optimize_b(cfg, math.log(2.0), 5000, 13, spec)
         assert first.b_star == second.b_star
         assert first.sweep == second.sweep
         assert first.outage == second.outage
 
     def test_incumbent_minimizes_sweep_with_tie_rule(self):
         cfg = build_channel_config(3.0, 4)
-        opt = optimize_b(cfg, math.log(2.0), SearchSpec(trials=2000, seed=3))
+        opt = optimize_b(cfg, math.log(2.0), 2000, 3)
         best = min(opt.sweep, key=lambda pair: (pair[1], pair[0]))
         assert opt.b_star == best[0]
 
