@@ -1,8 +1,9 @@
 """Outage simulation for linear-shrinkage nearest-neighbor receivers.
 
 A SIMO block-fading link with pilot-based imperfect CSI is simulated by
-Monte Carlo: each trial draws a fading/pilot realization, the achievable
-rate of the scaled nearest-neighbor decoder is computed in closed form, and
+Monte Carlo: each trial draws a fading/pilot realization, reduced once to
+its Gram statistics, the achievable rate of the scaled nearest-neighbor
+decoder is computed from them in closed form for every coefficient, and
 outage statistics, optimal shrinkage coefficients, and antenna-scaling
 trends are derived from the per-trial rates.
 """
@@ -30,15 +31,16 @@ from .experiments import (
 )
 from .gmi import GmiResult, GridSpec, gmi_grid_oracle, k_ls, theta_star
 from .outage import (
+    Draw,
     GmiHistogram,
     OutageEstimate,
+    draw,
     estimate_outage,
     gmi_histogram,
-    gmi_samples,
     gmi_samples_multi_b,
     wilson_interval,
 )
-from .shrinkage import BOptimum, SearchSpec, b_sweep, optimize_b
+from .shrinkage import BOptimum, SearchSpec, optimize_b
 from .streams import BlockSampler, philox_key, substream
 
 __all__ = [
@@ -53,17 +55,17 @@ __all__ = [
     "k_ls",
     "theta_star",
     "gmi_grid_oracle",
+    "Draw",
     "OutageEstimate",
     "GmiHistogram",
     "wilson_interval",
+    "draw",
     "estimate_outage",
     "gmi_histogram",
-    "gmi_samples",
     "gmi_samples_multi_b",
     "SearchSpec",
     "BOptimum",
     "optimize_b",
-    "b_sweep",
     "ExperimentConfig",
     "ResultTable",
     "ConfigError",

@@ -11,6 +11,7 @@ pair.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -58,19 +59,18 @@ class ChannelConfig:
         if int(self.n_r) != self.n_r or self.n_r < 1:
             raise ValueError(f"n_r must be a positive integer, got {self.n_r}")
         self.n_r = int(self.n_r)
-        if self.power <= 0:
-            raise ValueError(f"power must be positive, got {self.power}")
-        if self.noise_var <= 0:
-            raise ValueError(f"noise_var must be positive, got {self.noise_var}")
-        if self.pilot_noise_var < 0:
+        # NaN fails every comparison, so each check is written as what must hold
+        for name in ("power", "noise_var", "fading_var"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not 0 <= self.pilot_noise_var < math.inf:
             raise ValueError(
-                f"pilot_noise_var must be nonnegative, got {self.pilot_noise_var}"
+                f"pilot_noise_var must be finite and nonnegative, got {self.pilot_noise_var}"
             )
-        if self.fading_var <= 0:
-            raise ValueError(f"fading_var must be positive, got {self.fading_var}")
         self.pilot = complex(self.pilot)
-        if abs(self.pilot) == 0:
-            raise ValueError("pilot must be nonzero")
+        if not (cmath.isfinite(self.pilot) and self.pilot != 0):
+            raise ValueError(f"pilot must be finite and nonzero, got {self.pilot}")
 
 
 @dataclass

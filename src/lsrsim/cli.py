@@ -29,6 +29,13 @@ from .experiments import (
 _MIN_FAILURES = 10
 
 
+def _outage_level(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be an outage level in (0, 1), got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lsrsim",
@@ -46,13 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=None, help="override config trials")
         p.add_argument("--workers", type=int, default=1, help="worker threads")
         if kind == "outage_curve":
-            p.add_argument(
+            exclusive = p.add_mutually_exclusive_group()
+            exclusive.add_argument(
                 "--gain-target",
-                type=float,
+                type=_outage_level,
                 default=None,
                 help="report the LSR-over-LMMSE SNR gain at this outage level",
             )
-            p.add_argument(
+            exclusive.add_argument(
                 "--lmmse-only",
                 action="store_true",
                 help="skip the shrinkage optimizer; emit only LMMSE columns",
@@ -111,7 +119,7 @@ def main(argv=None) -> int:
                 )
 
     status = 0
-    if args.gain_target is not None and not args.lmmse_only:
+    if args.gain_target is not None:
         try:
             gain = snr_gain(
                 curve_points(table, "p_lmmse"),

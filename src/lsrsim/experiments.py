@@ -25,10 +25,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .channel import ChannelConfig, lmmse_coefficient
-from .outage import estimate_outage, gmi_histogram, gmi_samples_multi_b
-from .shrinkage import (
-    ConfigError, SearchSpec, _check, _check_int, _check_real, b_sweep, optimize_b,
-)
+from .outage import Draw, draw, gmi_histogram
+from .shrinkage import ConfigError, SearchSpec, _check, _check_int, _check_real, optimize_b
 
 __all__ = [
     "ConfigError",
@@ -198,16 +196,14 @@ def _grid(cfg: ExperimentConfig, *, snr_major: bool) -> Iterator[GridPoint]:
         )
 
 
-def _optimize(cfg: ExperimentConfig, p: GridPoint, workers: int):
-    return optimize_b(p.config, p.rate_nats, cfg.trials, cfg.seed, cfg.search, workers=workers)
+# Each row function maps one grid point and its draw to the cells of its
+# rows, apart from the grid columns and ``trials``/``seed``, which
+# run_experiment adds.  Every receiver of a point reads the same draw, so
+# receivers are compared on identical realizations.
 
 
-# Each row function maps one grid point to the cells of its rows, apart from
-# the grid columns and ``trials``/``seed``, which run_experiment adds.
-
-
-def _lmmse_rows(cfg: ExperimentConfig, p: GridPoint, workers: int) -> list[dict]:
-    est = estimate_outage(p.config, p.a, p.rate_nats, cfg.trials, cfg.seed, workers=workers)
+def _lmmse_rows(cfg: ExperimentConfig, p: GridPoint, d: Draw) -> list[dict]:
+    est = d.outage(p.a, p.rate_nats)
     return [{
         "b_lmmse": p.a,
         "p_lmmse": est.p_hat,
@@ -216,12 +212,11 @@ def _lmmse_rows(cfg: ExperimentConfig, p: GridPoint, workers: int) -> list[dict]
     }]
 
 
-def _outage_curve_rows(cfg: ExperimentConfig, p: GridPoint, workers: int) -> list[dict]:
-    # Both receivers share the seed, so their per-trial realizations are
-    # identical; the search grid contains b = a, hence p_lsr <= p_lmmse
-    # holds exactly row by row.
-    [row] = _lmmse_rows(cfg, p, workers)
-    opt = _optimize(cfg, p, workers)
+def _outage_curve_rows(cfg: ExperimentConfig, p: GridPoint, d: Draw) -> list[dict]:
+    # the search grid contains b = a, hence p_lsr <= p_lmmse holds exactly
+    # row by row
+    [row] = _lmmse_rows(cfg, p, d)
+    opt = optimize_b(d, p.rate_nats, cfg.search)
     row.update(
         b_star=opt.b_star,
         p_lsr=opt.outage.p_hat,
@@ -231,8 +226,8 @@ def _outage_curve_rows(cfg: ExperimentConfig, p: GridPoint, workers: int) -> lis
     return [row]
 
 
-def _b_vs_snr_rows(cfg: ExperimentConfig, p: GridPoint, workers: int) -> list[dict]:
-    opt = _optimize(cfg, p, workers)
+def _b_vs_snr_rows(cfg: ExperimentConfig, p: GridPoint, d: Draw) -> list[dict]:
+    opt = optimize_b(d, p.rate_nats, cfg.search)
     return [{
         "a": p.a,
         "b_star": opt.b_star,
@@ -243,11 +238,11 @@ def _b_vs_snr_rows(cfg: ExperimentConfig, p: GridPoint, workers: int) -> list[di
     }]
 
 
-def _gmi_histogram_rows(cfg: ExperimentConfig, p: GridPoint, workers: int) -> list[dict]:
-    opt = _optimize(cfg, p, workers)
+def _gmi_histogram_rows(cfg: ExperimentConfig, p: GridPoint, d: Draw) -> list[dict]:
+    opt = optimize_b(d, p.rate_nats, cfg.search)
     rows = []
     for receiver, b in (("lmmse", p.a), ("lsr", opt.b_star)):
-        hist = gmi_histogram(p.config, b, cfg.trials, cfg.seed, cfg.bins, workers=workers)
+        hist = gmi_histogram(d.gmi(b), cfg.bins)
         rows += [
             {
                 "receiver": receiver,
@@ -264,9 +259,9 @@ def _gmi_histogram_rows(cfg: ExperimentConfig, p: GridPoint, workers: int) -> li
     return rows
 
 
-def _b_sweep_rows(cfg: ExperimentConfig, p: GridPoint, workers: int) -> list[dict]:
+def _b_sweep_rows(cfg: ExperimentConfig, p: GridPoint, d: Draw) -> list[dict]:
     bs = [float(r) * p.a for r in cfg.b_over_a]
-    results = b_sweep(p.config, p.rate_nats, bs, cfg.trials, cfg.seed, workers=workers)
+    estimates = [d.outage(b, p.rate_nats) for b in bs]
     return [
         {
             "b_over_a": float(ratio),
@@ -275,18 +270,14 @@ def _b_sweep_rows(cfg: ExperimentConfig, p: GridPoint, workers: int) -> list[dic
             "ci_lo": est.ci95_low,
             "ci_hi": est.ci95_high,
         }
-        for ratio, (b, est) in zip(cfg.b_over_a, results)
+        for ratio, b, est in zip(cfg.b_over_a, bs, estimates)
     ]
 
 
-def _asymptotic_scan_rows(cfg: ExperimentConfig, p: GridPoint, workers: int) -> list[dict]:
-    # the matched rule b = a and the mismatched rule b = b_scale * a share
-    # realizations; the medians show logarithmic growth in n_r for the
-    # matched rule and saturation otherwise
+def _asymptotic_scan_rows(cfg: ExperimentConfig, p: GridPoint, d: Draw) -> list[dict]:
+    # the medians show logarithmic growth in n_r for the matched rule b = a
+    # and saturation for the mismatched rule b = b_scale * a
     rules = (("lmmse", p.a), ("scaled", cfg.b_scale * p.a))
-    gmi = gmi_samples_multi_b(
-        p.config, [b for _, b in rules], cfg.trials, cfg.seed, workers=workers
-    )
     return [
         {
             "b_rule": rule,
@@ -294,7 +285,7 @@ def _asymptotic_scan_rows(cfg: ExperimentConfig, p: GridPoint, workers: int) -> 
             "gmi_median": float(np.median(g)),
             "gmi_p01": float(np.percentile(g, 1.0)),
         }
-        for (rule, b), g in zip(rules, gmi)
+        for (rule, b), g in zip(rules, [d.gmi(b) for _, b in rules])
     ]
 
 
@@ -304,7 +295,7 @@ class ExperimentKind:
 
     command: str
     columns: list[str]
-    point_rows: Callable[[ExperimentConfig, GridPoint, int], list[dict]]
+    point_rows: Callable[[ExperimentConfig, GridPoint, Draw], list[dict]]
     snr_major: bool = False  # row order; every other kind is n_r-major
 
 
@@ -343,6 +334,9 @@ KINDS = {
 def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True, workers: int = 1) -> ResultTable:
     """Run every grid point of ``cfg`` and collect the rows of its kind.
 
+    Each grid point draws its trials once (``workers`` threads share the
+    draw) and every row of the point reads that draw.
+
     ``include_lsr=False`` applies to ``outage_curve`` only: it skips the
     shrinkage search and emits the LMMSE columns alone, which equal those of
     the full table.
@@ -362,7 +356,8 @@ def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True, workers: 
             "trials": cfg.trials,
             "seed": cfg.seed,
         }
-        for cells in point_rows(cfg, p, workers):
+        d = draw(p.config, cfg.trials, cfg.seed, workers=workers)
+        for cells in point_rows(cfg, p, d):
             row = {**common, **cells}
             rows.append({c: row[c] for c in columns})
     return ResultTable(columns=columns, rows=rows)

@@ -61,8 +61,10 @@ class GridSpec:
 
 
 def _abs2(z: complex) -> float:
-    # explicit products: array ** 2 and scalar ** 2 may round differently,
-    # and the batch engine must agree with this path bit for bit
+    # explicit products, as in Draw.gmi, so both paths round |cross|^2 the
+    # same way; they still differ in the last bits, because Draw.gmi forms
+    # |b|^2 V where this path sums |b v_k|^2 (tests compare them to 1e-12
+    # relative)
     return z.real * z.real + z.imag * z.imag
 
 

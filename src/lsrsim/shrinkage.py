@@ -1,12 +1,11 @@
 """Line search for the outage-minimizing real shrinkage coefficient.
 
 The objective ``b -> p(GMI(b) < rate)`` is evaluated by common-random-number
-Monte Carlo: every evaluation reuses the same per-trial realizations (one
-seed shared across the whole search), which makes the objective a
-deterministic piecewise-constant function of ``b``.  A coarse grid over
-``b / a`` (``a`` = LMMSE coefficient magnitude) followed by grid refinement
-around the incumbent is therefore more robust than bracketing line searches
-that assume smoothness.
+Monte Carlo: every evaluation reads the same :class:`~lsrsim.outage.Draw`,
+which makes the objective a deterministic piecewise-constant function of
+``b``.  A coarse grid over ``b / a`` (``a`` = LMMSE coefficient magnitude)
+followed by grid refinement around the incumbent is therefore more robust
+than bracketing line searches that assume smoothness.
 """
 
 from __future__ import annotations
@@ -16,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelConfig, lmmse_coefficient
-from .outage import OutageEstimate, _outage_estimate, gmi_samples_multi_b
+from .channel import lmmse_coefficient
+from .outage import Draw, OutageEstimate
 
-__all__ = ["ConfigError", "SearchSpec", "BOptimum", "optimize_b", "b_sweep"]
+__all__ = ["ConfigError", "SearchSpec", "BOptimum", "optimize_b"]
 
 
 class ConfigError(ValueError):
@@ -91,16 +90,8 @@ def _coarse_grid(spec: SearchSpec) -> np.ndarray:
     return grid
 
 
-def optimize_b(
-    config: ChannelConfig,
-    rate_nats: float,
-    trials: int,
-    seed: int,
-    spec: SearchSpec = SearchSpec(),
-    *,
-    workers: int = 1,
-) -> BOptimum:
-    """Minimize Monte Carlo outage over real ``b`` in ``[ratio_low, ratio_high] * a``.
+def optimize_b(d: Draw, rate_nats: float, spec: SearchSpec = SearchSpec()) -> BOptimum:
+    """Minimize the outage of draw ``d`` over real ``b`` in ``[ratio_low, ratio_high] * a``.
 
     The coarse grid always contains ``b = a`` exactly (when ratio 1 is inside
     the search interval), so the optimum can never be worse than the LMMSE
@@ -108,16 +99,13 @@ def optimize_b(
     interval spanned by the evaluated neighbors of the incumbent.  Ties are
     broken toward smaller ``b``.  Fully deterministic for fixed arguments.
     """
-    a = abs(lmmse_coefficient(config))
+    a = abs(lmmse_coefficient(d.config))
     evaluated: dict[float, OutageEstimate] = {}
 
     def run(b_list: list[float]) -> None:
-        todo = [b for b in b_list if b not in evaluated]
-        if not todo:
-            return
-        gmi = gmi_samples_multi_b(config, todo, trials, seed, workers=workers)
-        for k, b in enumerate(todo):
-            evaluated[b] = _outage_estimate(gmi[k], rate_nats)
+        for b in b_list:
+            if b not in evaluated:
+                evaluated[b] = d.outage(b, rate_nats)
 
     def incumbent() -> float:
         return min(evaluated, key=lambda b: (evaluated[b].p_hat, b))
@@ -146,24 +134,3 @@ def optimize_b(
         sweep=[(b, evaluated[b].p_hat) for b in sorted(evaluated)],
         degenerate=degenerate,
     )
-
-
-def b_sweep(
-    config: ChannelConfig,
-    rate_nats: float,
-    b_values,
-    trials: int,
-    seed: int,
-    *,
-    workers: int = 1,
-) -> list[tuple[float, OutageEstimate]]:
-    """Common-seed outage estimates at each requested coefficient.
-
-    Input order (and any duplicates) is preserved; duplicate entries yield
-    identical estimates because all evaluations share realizations.
-    """
-    bs = [float(b) for b in b_values]
-    if not bs:
-        raise ValueError("b_values must be nonempty")
-    gmi = gmi_samples_multi_b(config, bs, trials, seed, workers=workers)
-    return [(b, _outage_estimate(gmi[k], rate_nats)) for k, b in enumerate(bs)]

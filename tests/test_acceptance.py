@@ -23,7 +23,7 @@ from lsrsim import (
     SearchSpec,
     build_channel_config,
     curve_points,
-    estimate_outage,
+    draw,
     gmi_grid_oracle,
     gmi_histogram,
     k_ls,
@@ -69,7 +69,7 @@ def test_criterion_1_perfect_csi_oracle():
     analytic = 1.0 - math.exp(-(math.exp(rate_nats) - 1.0) / power)
 
     start = time.perf_counter()
-    est = estimate_outage(cfg, a, rate_nats, 100_000, 20260)
+    est = draw(cfg, 100_000, 20260).outage(a, rate_nats)
     elapsed = time.perf_counter() - start
 
     assert est.ci95_low <= analytic <= est.ci95_high
@@ -139,9 +139,9 @@ def test_criterion_3_invariant_suite():
     # determinism under varying worker counts (bit-exact)
     dcfg = build_channel_config(5.0, 4)
     rate = math.log(2.0)
-    base = estimate_outage(dcfg, 0.3, rate, 10_000, 424242, workers=1)
+    base = draw(dcfg, 10_000, 424242, workers=1).outage(0.3, rate)
     for workers in (2, 3, 7):
-        assert estimate_outage(dcfg, 0.3, rate, 10_000, 424242, workers=workers) == base
+        assert draw(dcfg, 10_000, 424242, workers=workers).outage(0.3, rate) == base
 
     report(3, "identities, rescaling, nonnegativity (10^4 each), unitary "
               "invariance (200), worker-count determinism (1/2/3/7) all hold")
@@ -193,10 +193,8 @@ def test_criterion_5_shrinkage_approaches_lmmse_with_antennas():
         cfg = build_channel_config(5.0, n_r)
         a = abs(lmmse_coefficient(cfg))
         opt = optimize_b(
-            cfg,
+            draw(cfg, 100_000, 2024),
             rate_bits * math.log(2.0),
-            100_000,
-            2024,
             SearchSpec(refine_iters=2),
         )
         deviations.append(abs(opt.b_star - a) / a)
@@ -215,11 +213,12 @@ def test_criterion_6_gmi_histogram_mean_variance_tradeoff():
     rate = 2.0 * math.log(2.0)
     trials, seed = 100_000, 31
 
-    opt = optimize_b(cfg, rate, trials, seed, SearchSpec(refine_iters=2))
-    hist_lmmse = gmi_histogram(cfg, a, trials, seed, bins=60)
-    hist_lsr = gmi_histogram(cfg, opt.b_star, trials, seed, bins=60)
-    est_lmmse = estimate_outage(cfg, a, rate, trials, seed)
-    est_lsr = estimate_outage(cfg, opt.b_star, rate, trials, seed)
+    d = draw(cfg, trials, seed)
+    opt = optimize_b(d, rate, SearchSpec(refine_iters=2))
+    hist_lmmse = gmi_histogram(d.gmi(a), bins=60)
+    hist_lsr = gmi_histogram(d.gmi(opt.b_star), bins=60)
+    est_lmmse = d.outage(a, rate)
+    est_lsr = d.outage(opt.b_star, rate)
 
     assert opt.b_star < a  # genuine shrinkage in this regime
     # golden value recorded from this deterministic pipeline; a change means

@@ -38,10 +38,20 @@ class TestChannelConfig:
             ("pilot_noise_var", -0.1),
             ("fading_var", 0.0),
             ("pilot", 0.0),
+            ("power", math.nan),
+            ("power", math.inf),
+            ("noise_var", math.nan),
+            ("noise_var", math.inf),
+            ("pilot_noise_var", math.nan),
+            ("pilot_noise_var", math.inf),
+            ("fading_var", math.nan),
+            ("fading_var", math.inf),
+            ("pilot", math.nan),
+            ("pilot", complex(1.0, math.inf)),
         ],
     )
     def test_invalid_configs_rejected(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             make_config(**{field: value})
 
     def test_realization_length_mismatch_rejected(self):

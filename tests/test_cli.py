@@ -182,6 +182,22 @@ class TestConfigBoundary:
     def test_integral_float_antenna_count_still_accepted(self, tmp_path):
         assert run(tmp_path, "outage-curve", "--lmmse-only", n_r_list=[4.0], snr_db=[5]) == 0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--gain-target", "1.5"],
+            ["--gain-target", "0"],
+            ["--gain-target", "nan"],
+            ["--gain-target", "1e-2", "--lmmse-only"],
+        ],
+    )
+    def test_bad_gain_target_exits_2_before_the_run(self, tmp_path, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "outage-curve", *flags)
+        assert exc.value.code == 2
+        assert "gain-target" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_nonpositive_workers_exit_2(self, tmp_path, capsys, workers):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import lsrsim.outage
 from lsrsim import (
     ConfigError,
     ExperimentConfig,
@@ -122,6 +123,29 @@ class TestRunOutageCurve:
         cfg = small_cfg(n_r_list=[2, 4], rate_bits=[0.5, 1.0], snr_db=[5.0])
         table = run_experiment(cfg, include_lsr=False)
         assert [(r["n_r"], r["rate_bits"]) for r in table.rows] == [(2, 0.5), (4, 1.0)]
+
+
+class TestOneDrawPerPoint:
+    @pytest.mark.parametrize(
+        "overrides, points",
+        [
+            (dict(kind="outage_curve"), 2),
+            (dict(kind="gmi_histogram", snr_db=[5.0], bins=8), 1),
+        ],
+    )
+    def test_each_trial_sampled_once_per_point(self, monkeypatch, overrides, points):
+        indices = []
+
+        class CountingSampler(lsrsim.outage.BlockSampler):
+            def normals(self, index, out):
+                indices.append(index)
+                super().normals(index, out)
+
+        monkeypatch.setattr(lsrsim.outage, "BlockSampler", CountingSampler)
+        cfg = small_cfg(trials=500, **overrides)
+        run_experiment(cfg)
+        assert len(indices) == points * cfg.trials
+        assert sorted(indices) == sorted(list(range(cfg.trials)) * points)
 
 
 class TestOtherRunners:
