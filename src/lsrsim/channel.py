@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +57,14 @@ class ChannelConfig:
     pilot: complex
 
     def __post_init__(self):
-        if int(self.n_r) != self.n_r or self.n_r < 1:
-            raise ValueError(f"n_r must be a positive integer, got {self.n_r}")
-        self.n_r = int(self.n_r)
+        n_r = self.n_r
+        if (
+            isinstance(n_r, bool)
+            or not isinstance(n_r, numbers.Real)
+            or not (1 <= n_r < math.inf and int(n_r) == n_r)
+        ):
+            raise ValueError(f"n_r must be a positive integer, got {n_r!r}")
+        self.n_r = int(n_r)
         # NaN fails every comparison, so each check is written as what must hold
         for name in ("power", "noise_var", "fading_var"):
             value = getattr(self, name)

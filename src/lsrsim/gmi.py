@@ -7,8 +7,12 @@ decoder is ``sup_{theta < 0} k_ls(theta)`` with
     k_ls = theta * P * (m - s) + log(1 - P * theta * c)
            - P * theta^2 * (c * sigma2 + P * q) / (1 - P * theta * c).
 
-The supremum either is attained at the unique negative stationary point of
-``k_ls`` (a quadratic-root problem) or equals 0 in the limit ``theta -> 0``.
+The stationary points of ``k_ls`` solve a quadratic whose leading
+coefficient is positive for ``c > 0`` and whose constant term is
+``-2 Re(cross)``.  So the GMI is positive exactly when ``Re(cross) > 0``,
+attained at the smaller (and only negative) root; otherwise it is 0, the
+limit ``theta -> 0``.
+
 :func:`theta_star` solves the stationary-point problem in closed form;
 :func:`gmi_grid_oracle` maximizes over an explicit theta grid and exists to
 cross-check the closed form.
@@ -96,10 +100,15 @@ def _solve_theta(s_energy, csi_energy, cross_abs2, mismatch, power, noise_var):
         u1 = m - s,  u2 = c + p q,
         A = p^2 u1 c^2 + u2 p c,  B = p c^2 - 2 u2 - 2 p u1 c,  C = u1 - c.
 
-    Both quadratic roots (in numerically stable form) and, for a degenerate
-    quadratic, the linear root ``-C/B`` are candidate-tested; the smaller
-    root comes first so it wins ties, matching the analytic branch that is
-    the maximizer whenever it is negative.
+    With ``x`` the cross statistic, ``A = p c (c + p |c - x|^2) > 0``
+    whenever ``c > 0``, and ``C = -2 Re x``.  Since ``log(1 + y) <= y``,
+    ``k_ls(t) <= p t C``, so ``C >= 0`` gives a GMI of 0.  If ``C < 0`` then
+    ``Q(0) = C < 0 < Q(-inf)``: the quadratic has exactly one negative root,
+    the smaller one, ``k_ls`` rises up to it and falls toward 0 as
+    ``t -> 0``, so that root is the maximizer and its value is positive.
+    Only the smaller root, in cancellation-free form, is therefore solved
+    for.  Where ``c`` is so small that ``c^2`` underflows, that root is not
+    resolved and the GMI, then below about 1e-160 nats, may read 0.
     """
     s = np.asarray(s_energy, dtype=np.float64)
     c = np.asarray(csi_energy, dtype=np.float64)
@@ -112,34 +121,15 @@ def _solve_theta(s_energy, csi_energy, cross_abs2, mismatch, power, noise_var):
     qa = p * p * u1 * c * c + u2 * p * c
     qb = p * c * c - 2.0 * u2 - 2.0 * p * u1 * c
     qc = u1 - c
-    disc = qb * qb - 4.0 * qa * qc
-    sqrt_d = np.sqrt(np.clip(disc, 0.0, None))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        neg_b = qb < 0.0
-        # smaller root first: (-B - sqrt(D)) / (2A), in cancellation-free form
-        root_lo = np.where(neg_b, 2.0 * qc / (sqrt_d - qb), (-qb - sqrt_d) / (2.0 * qa))
-        root_hi = np.where(neg_b, (sqrt_d - qb) / (2.0 * qa), 2.0 * qc / (-qb - sqrt_d))
-        root_lin = -qc / np.where(qb == 0.0, np.nan, qb)
-
-    quad_ok = (qa != 0.0) & (disc >= 0.0)
-    lin_ok = (qa == 0.0) & (qb != 0.0)
-
-    best_val = np.full(s.shape, -np.inf)
-    best_theta = np.full(s.shape, np.nan)
-    for root, ok in ((root_lo, quad_ok), (root_hi, quad_ok), (root_lin, lin_ok)):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sqrt_d = np.sqrt(qb * qb - 4.0 * qa * qc)
+        root = np.where(qb < 0.0, 2.0 * qc / (sqrt_d - qb), (-qb - sqrt_d) / (2.0 * qa))
         theta = root / noise_var
-        valid = ok & np.isfinite(theta) & (theta < 0.0)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            val = _k_ls_core(theta, s, c, q, m, power, noise_var)
-        val = np.where(valid & np.isfinite(val), val, -np.inf)
-        take = val > best_val
-        best_theta = np.where(take, theta, best_theta)
-        best_val = np.where(take, val, best_val)
+        val = _k_ls_core(theta, s, c, q, m, power, noise_var)
 
-    attained = best_val > 0.0
-    gmi = np.where(attained, best_val, 0.0)
-    theta_out = np.where(attained, best_theta, np.nan)
+    attained = np.isfinite(theta) & (theta < 0.0) & np.isfinite(val) & (val > 0.0)
+    gmi = np.where(attained, val, 0.0)
+    theta_out = np.where(attained, theta, np.nan)
     return theta_out, gmi, attained
 
 

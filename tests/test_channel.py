@@ -32,6 +32,10 @@ class TestChannelConfig:
         [
             ("n_r", 0),
             ("n_r", -3),
+            ("n_r", math.inf),
+            ("n_r", math.nan),
+            ("n_r", None),
+            ("n_r", True),
             ("power", 0.0),
             ("power", -1.0),
             ("noise_var", 0.0),

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -35,10 +36,15 @@ def random_instance(index: int, seed: int = 4242):
     n_r = int(rng.integers(1, 17))
     snr_db = float(rng.uniform(-5.0, 20.0))
     ratio = float(rng.uniform(0.1, 2.0))
+    # half the instances keep a positive real b; the negative and complex
+    # rest often give Re(b s^H v) <= 0, where the GMI is 0
+    phase = (1.0, 1.0, -1.0, cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))[
+        rng.integers(4)
+    ]
     cfg = build_channel_config(snr_db, n_r)
     a = abs(lmmse_coefficient(cfg))
     real = sample_realization(cfg, substream(seed, index))
-    return statistics(real, ratio * a), cfg.power, cfg.noise_var
+    return statistics(real, ratio * a * phase), cfg.power, cfg.noise_var
 
 
 class TestKls:
@@ -107,7 +113,7 @@ class TestThetaStar:
     def test_stationarity_at_maximizer(self):
         # centered difference at theta* is ~0 relative to the curvature scale
         checked = 0
-        for i in range(300):
+        for i in range(600):
             st, power, noise_var = random_instance(i, seed=99)
             res = theta_star(st, power, noise_var)
             if res.theta_star is None:
@@ -121,6 +127,22 @@ class TestThetaStar:
             assert abs(slope) <= 1e-4 * max(1.0, curvature * abs(th))
             checked += 1
         assert checked > 200
+
+    def test_attained_exactly_when_re_cross_positive(self):
+        # C = -2 Re(cross) in the stationary-point quadratic: the maximizer
+        # is attained (at the smaller root) exactly when Re(cross) > 0;
+        # instances within rounding of Re(cross) = 0 are skipped
+        sides = set()
+        for i in range(4000):
+            st, power, noise_var = random_instance(i, seed=31)
+            if st.csi_energy <= 0.0:
+                continue
+            if abs(st.cross.real) <= 1e-9 * math.sqrt(st.s_energy * st.csi_energy):
+                continue
+            attained = theta_star(st, power, noise_var).theta_star is not None
+            assert attained == (st.cross.real > 0.0)
+            sides.add(attained)
+        assert sides == {True, False}
 
     def test_matches_grid_oracle(self):
         for i in range(2000):
