@@ -2,7 +2,7 @@
 
 A SIMO block-fading link with pilot-based imperfect CSI is simulated by
 Monte Carlo: each trial draws a fading/pilot realization, reduced once to
-its Gram statistics, the achievable rate of the scaled nearest-neighbor
+``||v||^2`` and ``(s - a v)^H v``, the achievable rate of the scaled nearest-neighbor
 decoder is computed from them in closed form for every coefficient, and
 outage statistics, optimal shrinkage coefficients, and antenna-scaling
 trends are derived from the per-trial rates.

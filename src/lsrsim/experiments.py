@@ -46,6 +46,13 @@ __all__ = [
 
 LN2 = math.log(2.0)
 
+# Largest accepted SNR.  The pilot observation v is held in float64, so the
+# estimation error s - a v, of size about ||s|| / sqrt(power), is known only
+# to about 1e-16 ||s||, and the GMI's relative error grows like
+# 1e-16 sqrt(power): about 1e-10 at 150 dB and 2.5e-8 at 200 dB (near
+# 500 dB the solver's B^2 overflows).  The cap keeps the GMI within 1e-9.
+MAX_SNR_DB = 150.0
+
 
 class NotBracketedError(RuntimeError):
     """A curve does not cross the requested target outage within its range."""
@@ -95,6 +102,8 @@ class ExperimentConfig:
                 power = math.inf
             _check(0 < power < math.inf, f"snr_db[{i}]",
                    f"10**(snr_db/10) must be a finite positive float, got snr_db = {snr}")
+            _check(snr <= MAX_SNR_DB, f"snr_db[{i}]",
+                   f"must be at most {MAX_SNR_DB:g} dB, got {snr}")
         _check_list("n_r_list", self.n_r_list, 1)
         for i, n in enumerate(self.n_r_list):
             _check(n == int(n), f"n_r_list[{i}]", f"must be an integer, got {n!r}")

@@ -1,17 +1,25 @@
 """GMI of the scaled nearest-neighbor decoder: rate functional and maximizer.
 
-For statistics ``(s, c, q, m) = (s_energy, csi_energy, |cross|^2, mismatch)``,
-transmit power ``P`` and noise variance ``sigma2``, the achievable rate of the
-decoder is ``sup_{theta < 0} k_ls(theta)`` with
+For a realization ``(s, v)`` and coefficient ``b``, the decoder's rate reads
+the realization only through ``c = ||b v||^2``, ``r = Re x`` and
+``d = |c - x|^2``, with ``x = s^H (b v)``.  With transmit power ``P`` and
+noise variance ``sigma2``, the achievable rate is
+``sup_{theta < 0} k_ls(theta)`` with ``w = -P theta c`` and
 
-    k_ls = theta * P * (m - s) + log(1 - P * theta * c)
-           - P * theta^2 * (c * sigma2 + P * q) / (1 - P * theta * c).
+    k_ls = log(1 + w) + P theta (c - 2 r - sigma2 theta c - P theta d) / (1 + w),
+
+which is the literal functional
+
+    theta P (||s - b v||^2 - ||s||^2) + log(1 - P theta c)
+    - P theta^2 (c sigma2 + P |x|^2) / (1 - P theta c)
+
+rewritten with ``||s - b v||^2 - ||s||^2 = c - 2 r`` and
+``c (c - 2 r) + |x|^2 = d``, so ``||s||^2`` never enters it.
 
 The stationary points of ``k_ls`` solve a quadratic whose leading
-coefficient is positive for ``c > 0`` and whose constant term is
-``-2 Re(cross)``.  So the GMI is positive exactly when ``Re(cross) > 0``,
-attained at the smaller (and only negative) root; otherwise it is 0, the
-limit ``theta -> 0``.
+coefficient is positive for ``c > 0`` and whose constant term is ``-2 r``.
+So the GMI is positive exactly when ``r > 0``, attained at the smaller (and
+only negative) root; otherwise it is 0, the limit ``theta -> 0``.
 
 :func:`theta_star` solves the stationary-point problem in closed form;
 :func:`gmi_grid_oracle` maximizes over an explicit theta grid and exists to
@@ -64,29 +72,27 @@ class GridSpec:
             raise ValueError("refine_iters must be nonnegative")
 
 
-def _abs2(z: complex) -> float:
-    # explicit products, as in Draw.gmi, so both paths round |cross|^2 the
-    # same way; they still differ in the last bits, because Draw.gmi forms
-    # |b|^2 V where this path sums |b v_k|^2 (tests compare them to 1e-12
-    # relative)
-    return z.real * z.real + z.imag * z.imag
+def _reduce(stats: GmiStatistics) -> tuple[float, float, float]:
+    # (c, r, d) = (||b v||^2, Re x, |c - x|^2) with x = s^H (b v); |c - x|^2
+    # is formed as a difference here, so this reference path keeps the
+    # cancellation that Draw.gmi avoids
+    c, x = stats.csi_energy, stats.cross
+    e = c - x
+    return c, x.real, e.real * e.real + e.imag * e.imag
 
 
-def _k_ls_core(theta, s_energy, csi_energy, cross_abs2, mismatch, power, noise_var):
+def _k_ls_core(theta, c, r, d, power, noise_var):
     """Rate functional; vectorizes over any broadcastable mix of arguments.
 
     Uses log1p so the theta -> 0 limit is computed without cancellation.
     """
-    pc = power * csi_energy
-    den = 1.0 - theta * pc
-    return (
-        theta * power * (mismatch - s_energy)
-        + np.log1p(-theta * pc)
-        - power * theta * theta * (csi_energy * noise_var + power * cross_abs2) / den
-    )
+    w = -theta * power * c
+    return np.log1p(w) + theta * power * (
+        c - 2.0 * r - noise_var * theta * c - power * theta * d
+    ) / (1.0 + w)
 
 
-def _solve_theta(s_energy, csi_energy, cross_abs2, mismatch, power, noise_var):
+def _solve_theta(c, r, d, power, noise_var):
     """Vectorized closed-form maximization of the rate functional.
 
     Returns ``(theta, gmi, attained)`` arrays.  Where no strictly negative
@@ -97,11 +103,9 @@ def _solve_theta(s_energy, csi_energy, cross_abs2, mismatch, power, noise_var):
     parameterization ``t = noise_var * theta`` with reduced power
     ``p = power / noise_var`` (an exact reparameterization of ``k_ls``):
 
-        u1 = m - s,  u2 = c + p q,
-        A = p^2 u1 c^2 + u2 p c,  B = p c^2 - 2 u2 - 2 p u1 c,  C = u1 - c.
+        A = p c (c + p d),  B = p c^2 - 2 c - 2 p d,  C = -2 r.
 
-    With ``x`` the cross statistic, ``A = p c (c + p |c - x|^2) > 0``
-    whenever ``c > 0``, and ``C = -2 Re x``.  Since ``log(1 + y) <= y``,
+    ``A > 0`` whenever ``c > 0``.  Since ``log(1 + y) <= y``,
     ``k_ls(t) <= p t C``, so ``C >= 0`` gives a GMI of 0.  If ``C < 0`` then
     ``Q(0) = C < 0 < Q(-inf)``: the quadratic has exactly one negative root,
     the smaller one, ``k_ls`` rises up to it and falls toward 0 as
@@ -110,22 +114,16 @@ def _solve_theta(s_energy, csi_energy, cross_abs2, mismatch, power, noise_var):
     for.  Where ``c`` is so small that ``c^2`` underflows, that root is not
     resolved and the GMI, then below about 1e-160 nats, may read 0.
     """
-    s = np.asarray(s_energy, dtype=np.float64)
-    c = np.asarray(csi_energy, dtype=np.float64)
-    q = np.asarray(cross_abs2, dtype=np.float64)
-    m = np.asarray(mismatch, dtype=np.float64)
     p = power / noise_var
 
-    u1 = m - s
-    u2 = c + p * q
-    qa = p * p * u1 * c * c + u2 * p * c
-    qb = p * c * c - 2.0 * u2 - 2.0 * p * u1 * c
-    qc = u1 - c
+    qa = p * c * (c + p * d)
+    qb = p * c * c - 2.0 * c - 2.0 * p * d
+    qc = -2.0 * r
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sqrt_d = np.sqrt(qb * qb - 4.0 * qa * qc)
         root = np.where(qb < 0.0, 2.0 * qc / (sqrt_d - qb), (-qb - sqrt_d) / (2.0 * qa))
         theta = root / noise_var
-        val = _k_ls_core(theta, s, c, q, m, power, noise_var)
+        val = _k_ls_core(theta, c, r, d, power, noise_var)
 
     attained = np.isfinite(theta) & (theta < 0.0) & np.isfinite(val) & (val > 0.0)
     gmi = np.where(attained, val, 0.0)
@@ -141,12 +139,7 @@ def k_ls(stats: GmiStatistics, power: float, noise_var: float, theta: float) -> 
     """
     if theta >= 0:
         raise ValueError(f"theta must be strictly negative, got {theta}")
-    q = _abs2(stats.cross)
-    return float(
-        _k_ls_core(
-            theta, stats.s_energy, stats.csi_energy, q, stats.mismatch, power, noise_var
-        )
-    )
+    return float(_k_ls_core(theta, *_reduce(stats), power, noise_var))
 
 
 def theta_star(stats: GmiStatistics, power: float, noise_var: float) -> GmiResult:
@@ -156,10 +149,7 @@ def theta_star(stats: GmiStatistics, power: float, noise_var: float) -> GmiResul
     negative stationary point gives a positive rate, the supremum is the
     ``theta -> 0`` limit and the result is ``GmiResult(None, 0.0)``.
     """
-    q = _abs2(stats.cross)
-    theta, gmi, attained = _solve_theta(
-        stats.s_energy, stats.csi_energy, q, stats.mismatch, power, noise_var
-    )
+    theta, gmi, attained = _solve_theta(*_reduce(stats), power, noise_var)
     if bool(attained):
         return GmiResult(theta_star=float(theta), gmi_nats=float(gmi))
     return GmiResult(theta_star=None, gmi_nats=0.0)
@@ -176,8 +166,7 @@ def gmi_grid_oracle(
     intended for tests and validation sweeps, independent of
     :func:`theta_star`.
     """
-    q = _abs2(stats.cross)
-    args = (stats.s_energy, stats.csi_energy, q, stats.mismatch, power, noise_var)
+    args = (*_reduce(stats), power, noise_var)
 
     thetas = -np.logspace(
         math.log10(grid.theta_min), math.log10(grid.theta_max), grid.points

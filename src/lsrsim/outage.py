@@ -1,12 +1,14 @@
-"""Monte Carlo draws reduced to Gram statistics; outage and GMI histograms.
+"""Monte Carlo draws reduced to per-trial statistics; outage and GMI histograms.
 
 Trial ``i`` of a run draws its realization ``(s, v)`` from the substream
-derived from ``(seed, i)`` (see :mod:`lsrsim.streams`).  The GMI depends on
-a trial only through the Gram statistics ``S = ||s||^2``, ``V = ||v||^2``
-and ``X = s^H v``: for any coefficient ``b``, ``||b v||^2 = |b|^2 V``,
-``s^H (b v) = b X`` and ``||s - b v||^2 = S + |b|^2 V - 2 Re(b X)``.
-:func:`draw` reduces each trial once to ``(S, V, X)``, and every ``b`` is
-then read from that :class:`Draw`, so all coefficients share the same
+derived from ``(seed, i)`` (see :mod:`lsrsim.streams`).  With ``a`` the LMMSE
+coefficient, write ``s^H v = conj(a) V + Y`` where ``V = ||v||^2`` and
+``Y = (s - a v)^H v``.  For any coefficient ``b`` the GMI reads a trial only
+through ``c = |b|^2 V``, ``r = Re(b conj(a)) V + Re(b Y)`` and
+``d = |b|^2 |(conj(b) - conj(a)) V - Y|^2`` (see :mod:`lsrsim.gmi`), and none
+of these is formed as a difference of nearly equal numbers.
+:func:`draw` reduces each trial once to ``(V, Y)``, and every ``b`` is then
+read from that :class:`Draw`, so all coefficients share the same
 realizations (common random numbers) and per-trial outcomes are a pure
 function of ``(config, b, seed, trial index)``, independent of worker count
 and execution order.
@@ -22,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelConfig, _component_scales
+from .channel import ChannelConfig, _component_scales, lmmse_coefficient
 from .gmi import _solve_theta
 from .streams import BlockSampler, _check_index, _check_seed
 
@@ -86,32 +88,30 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class Draw:
-    """Per-trial Gram statistics of trials ``0..trials-1`` of one run.
+    """Per-trial statistics of trials ``0..trials-1`` of one run.
 
     Entry ``i`` of each array belongs to the realization ``(s, v)`` of
-    substream ``(seed, i)``: ``s_energy = ||s||^2``, ``v_energy = ||v||^2``
-    and ``cross = s^H v``.  Built by :func:`draw`.
+    substream ``(seed, i)``: ``v_energy = ||v||^2`` and
+    ``residual = (s - a v)^H v`` with ``a = lmmse_coefficient(config)``.
+    Built by :func:`draw`.
     """
 
     config: ChannelConfig
-    s_energy: np.ndarray
     v_energy: np.ndarray
-    cross: np.ndarray  # complex
+    residual: np.ndarray  # complex
 
     def gmi(self, b: complex) -> np.ndarray:
         """Per-trial GMI (nats) of the decoder scaled by ``b``; shape ``(trials,)``."""
         b = complex(b)
         if not cmath.isfinite(b):
             raise ValueError(f"b must be finite, got {b}")
+        a = lmmse_coefficient(self.config)
         b_abs2 = b.real * b.real + b.imag * b.imag
-        csi_energy = b_abs2 * self.v_energy
-        cross = b * self.cross
-        cross_abs2 = cross.real * cross.real + cross.imag * cross.imag
-        mismatch = self.s_energy + csi_energy - 2.0 * cross.real
-        _, gmi, _ = _solve_theta(
-            self.s_energy, csi_energy, cross_abs2, mismatch,
-            self.config.power, self.config.noise_var,
-        )
+        v, y = self.v_energy, self.residual
+        r = (b * a.conjugate()).real * v + (b * y).real
+        e = (b - a).conjugate() * v - y
+        d = b_abs2 * (e.real * e.real + e.imag * e.imag)
+        _, gmi, _ = _solve_theta(b_abs2 * v, r, d, self.config.power, self.config.noise_var)
         return gmi
 
     def outage(self, b: complex, rate_nats: float) -> OutageEstimate:
@@ -135,7 +135,7 @@ class Draw:
 
 
 def _draw_block(d: Draw, seed: int, start: int, stop: int) -> None:
-    """Fill the Gram statistics of trials ``[start, stop)`` of ``d``.
+    """Fill the statistics of trials ``[start, stop)`` of ``d``.
 
     The rows of ``s`` and ``v`` are bit-identical to ``sample_realization(
     config, substream(seed, i))``.
@@ -143,6 +143,7 @@ def _draw_block(d: Draw, seed: int, start: int, stop: int) -> None:
     config = d.config
     n = config.n_r
     scale_s, scale_z = _component_scales(config)
+    a = lmmse_coefficient(config)
     sampler = BlockSampler(seed)
     chunk = max(1, _CHUNK_FLOATS // (4 * n))
     for lo in range(start, stop, chunk):
@@ -152,14 +153,14 @@ def _draw_block(d: Draw, seed: int, start: int, stop: int) -> None:
             sampler.normals(lo + j, w[j])
         s = (w[:, :n] + 1j * w[:, n : 2 * n]) * scale_s
         v = s * config.pilot + (w[:, 2 * n : 3 * n] + 1j * w[:, 3 * n :]) * scale_z
-        d.s_energy[lo:hi] = np.sum(np.abs(s) ** 2, axis=1)
         d.v_energy[lo:hi] = np.sum(np.abs(v) ** 2, axis=1)
-        d.cross[lo:hi] = np.sum(np.conj(s) * v, axis=1)
+        s -= a * v  # s now holds the estimation error s - a v
+        d.residual[lo:hi] = np.sum(np.conj(s) * v, axis=1)
 
 
 def draw(config: ChannelConfig, trials: int, seed: int, *, workers: int = 1) -> Draw:
     """Draw trials ``0..trials-1`` of ``(config, seed)`` and reduce each to
-    its Gram statistics.
+    ``(V, Y)``.
 
     This is the only sampling path of the package.  ``workers`` only splits
     the trial range across threads; the result is bit-identical for any
@@ -172,7 +173,7 @@ def draw(config: ChannelConfig, trials: int, seed: int, *, workers: int = 1) -> 
     _check_seed(seed)
     _check_index(trials - 1)
 
-    d = Draw(config, np.empty(trials), np.empty(trials), np.empty(trials, dtype=np.complex128))
+    d = Draw(config, np.empty(trials), np.empty(trials, dtype=np.complex128))
     nw = min(workers, trials)
     if nw == 1:
         _draw_block(d, seed, 0, trials)

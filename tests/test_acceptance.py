@@ -266,7 +266,7 @@ def test_criterion_7_massive_antenna_dichotomy():
               f"{elapsed:.0f}s")
 
 
-def test_criterion_8_cli_reproducibility(tmp_path):
+def test_criterion_8_cli_reproducibility(tmp_path, child_env):
     # identical config + seed => byte-identical output files, in csv and json
     config = {
         "snr_db": [4.0, 6.0],
@@ -288,6 +288,7 @@ def test_criterion_8_cli_reproducibility(tmp_path):
                  "--config", str(cfg_path), "--seed", "4711",
                  "--out", str(out), "--format", fmt],
                 capture_output=True,
+                env=child_env,
             )
             assert proc.returncode == 0, proc.stderr.decode()
             pair.append(out.read_bytes())

@@ -138,7 +138,7 @@ class TestFormatsAndCommands:
         assert main(["b-vs-snr", "--config", str(cfg), "--seed", "3",
                      "--out", str(out)]) == 0
 
-    def test_module_entry_point(self, tmp_path):
+    def test_module_entry_point(self, tmp_path, child_env):
         # the installed console path: python -m lsrsim.cli
         cfg = write_config(tmp_path, trials=300)
         out = tmp_path / "r.csv"
@@ -146,6 +146,7 @@ class TestFormatsAndCommands:
             [sys.executable, "-m", "lsrsim.cli", "outage-curve", "--config",
              str(cfg), "--seed", "3", "--out", str(out), "--lmmse-only"],
             capture_output=True,
+            env=child_env,
         )
         assert proc.returncode == 0
         assert out.exists()
@@ -172,6 +173,7 @@ class TestConfigBoundary:
             ("b-sweep", {"b_over_a": [1.0, float("nan")]}, "b_over_a[1]"),
             ("asymptotic-scan", {"n_r_list": [4, 32], "b_scale": float("nan")}, "b_scale"),
             ("outage-curve", {"search": {"coarse_points": "x"}}, "search.coarse_points"),
+            ("outage-curve", {"snr_db": [5.0, 150.5]}, "snr_db[1]"),
         ],
     )
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, command, overrides, path):
@@ -181,6 +183,10 @@ class TestConfigBoundary:
 
     def test_integral_float_antenna_count_still_accepted(self, tmp_path):
         assert run(tmp_path, "outage-curve", "--lmmse-only", n_r_list=[4.0], snr_db=[5]) == 0
+
+    def test_snr_at_cap_accepted(self, tmp_path):
+        assert run(tmp_path, "outage-curve", "--lmmse-only", snr_db=[150]) == 0
+        assert read_results(tmp_path / "r.csv").rows[0]["p_lmmse"] == 0
 
     @pytest.mark.parametrize(
         "flags",

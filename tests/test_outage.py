@@ -93,10 +93,10 @@ class TestEstimateOutage:
         assert est.ci95_low <= truth <= est.ci95_high
 
     def test_per_trial_contract_matches_scalar_path(self):
-        # the draw's Gram statistics reproduce the sums over
-        # sample_realization bit for bit, trial by trial; its GMI agrees with
-        # statistics -> theta_star up to the rounding of |b|^2 V against
-        # sum |b v_k|^2
+        # the draw's V and Y reproduce the sums over sample_realization bit
+        # for bit, trial by trial; its GMI agrees with statistics ->
+        # theta_star up to rounding, since the two paths form the GMI's
+        # inputs from different sums
         cfg = ChannelConfig(
             n_r=5, power=4.0, noise_var=1.5, pilot_noise_var=0.8,
             fading_var=1.2, pilot=1.3 - 0.4j,
@@ -104,12 +104,12 @@ class TestEstimateOutage:
         b = 0.35 + 0.05j
         trials, seed = 800, 42
         d = draw(cfg, trials, seed)
+        a = lmmse_coefficient(cfg)
         batch = d.gmi(b)
         for i in range(trials):
             real = sample_realization(cfg, substream(seed, i))
-            assert d.s_energy[i] == np.sum(np.abs(real.s) ** 2)
             assert d.v_energy[i] == np.sum(np.abs(real.v) ** 2)
-            assert d.cross[i] == np.sum(np.conj(real.s) * real.v)
+            assert d.residual[i] == np.sum(np.conj(real.s - a * real.v) * real.v)
             res = theta_star(statistics(real, b), cfg.power, cfg.noise_var)
             assert batch[i] == pytest.approx(res.gmi_nats, rel=1e-12, abs=0.0)
 
