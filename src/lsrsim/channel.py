@@ -98,19 +98,28 @@ class ChannelRealization:
 
 @dataclass
 class GmiStatistics:
-    """The four scalars of a scaled realization that determine the GMI.
+    """The scalars of a scaled realization that determine the GMI.
 
     For a realization ``(s, v)`` and scaling coefficient ``b`` these are
-    ``||s||^2``, ``||b v||^2``, the inner product ``s^* (b v)`` and
-    ``||s - b v||^2``.  The mismatch satisfies the exact identity
-    ``mismatch = s_energy + csi_energy - 2 Re(cross)`` and Cauchy-Schwarz
-    bounds ``|cross|^2 <= s_energy * csi_energy``.
+    ``||s||^2``, ``||b v||^2``, the inner product ``s^* (b v)``,
+    ``||s - b v||^2`` and the inner product ``(s - b v)^* (b v)`` of the
+    estimation error with the estimate.  The mismatch satisfies the exact
+    identity ``mismatch = s_energy + csi_energy - 2 Re(cross)``, the error
+    inner product ``error_cross = cross - csi_energy``, and Cauchy-Schwarz
+    bounds ``|cross|^2 <= s_energy * csi_energy``.  When ``error_cross`` is
+    not given it is set to ``cross - csi_energy``; :func:`statistics` sums it
+    over the antennas instead, since at high SNR that difference cancels.
     """
 
     s_energy: float
     csi_energy: float
     cross: complex
     mismatch: float
+    error_cross: complex | None = None
+
+    def __post_init__(self):
+        if self.error_cross is None:
+            self.error_cross = self.cross - self.csi_energy
 
 
 def lmmse_coefficient(config: ChannelConfig) -> complex:
@@ -154,15 +163,18 @@ def sample_realization(
 def statistics(real: ChannelRealization, b: complex) -> GmiStatistics:
     """Reduce a realization and a scaling coefficient to its GMI statistics.
 
-    The mismatch term is computed directly from the vectors rather than via
-    the energy/cross identity, so the identity can serve as an independent
-    consistency check.
+    The mismatch and the error inner product are summed directly over the
+    antennas rather than formed from the energy/cross identities, so the
+    identities can serve as independent consistency checks, and the GMI's
+    ``|c - x|^2 = |error_cross|^2`` (see :mod:`lsrsim.gmi`) does not cancel
+    at high SNR.
     """
     bv = complex(b) * real.v
-    s_energy = float(np.sum(np.abs(real.s) ** 2))
-    csi_energy = float(np.sum(np.abs(bv) ** 2))
-    cross = complex(np.sum(np.conj(real.s) * bv))
-    mismatch = float(np.sum(np.abs(real.s - bv) ** 2))
+    error = real.s - bv
     return GmiStatistics(
-        s_energy=s_energy, csi_energy=csi_energy, cross=cross, mismatch=mismatch
+        s_energy=float(np.sum(np.abs(real.s) ** 2)),
+        csi_energy=float(np.sum(np.abs(bv) ** 2)),
+        cross=complex(np.sum(np.conj(real.s) * bv)),
+        mismatch=float(np.sum(np.abs(error) ** 2)),
+        error_cross=complex(np.sum(np.conj(error) * bv)),
     )

@@ -73,12 +73,41 @@ class GridSpec:
 
 
 def _reduce(stats: GmiStatistics) -> tuple[float, float, float]:
-    # (c, r, d) = (||b v||^2, Re x, |c - x|^2) with x = s^H (b v); |c - x|^2
-    # is formed as a difference here, so this reference path keeps the
-    # cancellation that Draw.gmi avoids
-    c, x = stats.csi_energy, stats.cross
-    e = c - x
-    return c, x.real, e.real * e.real + e.imag * e.imag
+    # (c, r, d) = (||b v||^2, Re x, |c - x|^2) with x = s^H (b v); c - x is
+    # minus the error inner product, which statistics() sums per antenna, so
+    # d does not cancel at high SNR
+    e = stats.error_cross
+    return stats.csi_energy, stats.cross.real, e.real * e.real + e.imag * e.imag
+
+
+class _Workspace:
+    """Scratch arrays of the vectorized solve, one entry per trial.
+
+    ``c``, ``r``, ``d`` hold the solve's inputs, ``z`` (complex) is scratch
+    for forming them, ``qa`` to ``t`` are float64 scratch and ``mask``/``ok``
+    boolean.  :meth:`first` views the first ``m`` entries of each, so a
+    shorter block reuses the same memory.
+    """
+
+    __slots__ = ("c", "r", "d", "z", "qa", "qb", "qc", "sq", "root", "val", "w", "x", "t", "mask", "ok")
+    _DTYPES = {"z": np.complex128, "mask": np.bool_, "ok": np.bool_}
+
+    def __init__(self, arrays):
+        for name, array in zip(self.__slots__, arrays):
+            setattr(self, name, array)
+
+    @classmethod
+    def empty(cls, size: int) -> _Workspace:
+        return cls(np.empty(size, cls._DTYPES.get(name, np.float64)) for name in cls.__slots__)
+
+    @property
+    def size(self) -> int:
+        return self.c.size
+
+    def first(self, m: int) -> _Workspace:
+        if m == self.size:
+            return self
+        return _Workspace(getattr(self, name)[:m] for name in self.__slots__)
 
 
 def _k_ls_core(theta, c, r, d, power, noise_var):
@@ -92,12 +121,29 @@ def _k_ls_core(theta, c, r, d, power, noise_var):
     ) / (1.0 + w)
 
 
-def _solve_theta(c, r, d, power, noise_var):
+def _k_ls_into(ws: _Workspace, theta, c, r, d, power, noise_var) -> np.ndarray:
+    """:func:`_k_ls_core` written into ``ws.val`` without allocating.
+
+    The same operations on the same operands in the same order, with
+    ``ws.w``, ``ws.x`` and ``ws.t`` as scratch, so the two agree bit for bit.
+    """
+    w, x, t = ws.w, ws.x, ws.t
+    np.multiply(np.multiply(np.negative(theta, out=w), power, out=w), c, out=w)
+    np.subtract(c, np.multiply(2.0, r, out=x), out=x)
+    np.subtract(x, np.multiply(np.multiply(noise_var, theta, out=t), c, out=t), out=x)
+    np.subtract(x, np.multiply(np.multiply(power, theta, out=t), d, out=t), out=x)
+    np.multiply(np.multiply(theta, power, out=t), x, out=t)
+    np.divide(t, np.add(1.0, w, out=x), out=t)
+    return np.add(np.log1p(w, out=ws.val), t, out=ws.val)
+
+
+def _solve_theta(c, r, d, power, noise_var, ws: _Workspace):
     """Vectorized closed-form maximization of the rate functional.
 
-    Returns ``(theta, gmi, attained)`` arrays.  Where no strictly negative
-    stationary point yields a positive rate, ``gmi`` is 0, ``theta`` is NaN
-    and ``attained`` is False.
+    Returns ``(theta, gmi, attained)``, views of the workspace: where
+    ``attained`` is True, ``theta`` is the maximizing theta and ``gmi`` the
+    positive rate; elsewhere the GMI is 0, the ``theta -> 0`` limit, and
+    ``theta`` and ``gmi`` hold no meaning.
 
     The stationary points solve ``A t^2 + B t + C = 0`` in the unit-noise
     parameterization ``t = noise_var * theta`` with reduced power
@@ -113,22 +159,35 @@ def _solve_theta(c, r, d, power, noise_var):
     Only the smaller root, in cancellation-free form, is therefore solved
     for.  Where ``c`` is so small that ``c^2`` underflows, that root is not
     resolved and the GMI, then below about 1e-160 nats, may read 0.
+
+    Every intermediate is written into the workspace, whose shape is that of
+    the arguments, so a call allocates no array.
     """
     p = power / noise_var
+    t = ws.t
 
-    qa = p * c * (c + p * d)
-    qb = p * c * c - 2.0 * c - 2.0 * p * d
-    qc = -2.0 * r
+    qb = np.multiply(p, c, out=ws.qb)
+    qa = np.multiply(qb, np.add(c, np.multiply(p, d, out=ws.qa), out=ws.qa), out=ws.qa)
+    np.subtract(np.multiply(qb, c, out=qb), np.multiply(2.0, c, out=t), out=qb)
+    np.subtract(qb, np.multiply(2.0 * p, d, out=t), out=qb)
+    qc = np.multiply(-2.0, r, out=ws.qc)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sqrt_d = np.sqrt(qb * qb - 4.0 * qa * qc)
-        root = np.where(qb < 0.0, 2.0 * qc / (sqrt_d - qb), (-qb - sqrt_d) / (2.0 * qa))
-        theta = root / noise_var
-        val = _k_ls_core(theta, c, r, d, power, noise_var)
+        sq = np.multiply(qb, qb, out=ws.sq)
+        np.sqrt(np.subtract(sq, np.multiply(np.multiply(4.0, qa, out=t), qc, out=t), out=sq), out=sq)
+        # the smaller root: 2 C / (sq - B) where B < 0, else (-B - sq) / (2 A)
+        root = np.subtract(np.negative(qb, out=ws.root), sq, out=ws.root)
+        np.divide(root, np.multiply(2.0, qa, out=t), out=root)
+        np.divide(np.multiply(2.0, qc, out=t), np.subtract(sq, qb, out=ws.x), out=t)
+        np.copyto(root, t, where=np.less(qb, 0.0, out=ws.mask))
+        theta = np.divide(root, noise_var, out=root)
+        val = _k_ls_into(ws, theta, c, r, d, power, noise_var)
 
-    attained = np.isfinite(theta) & (theta < 0.0) & np.isfinite(val) & (val > 0.0)
-    gmi = np.where(attained, val, 0.0)
-    theta_out = np.where(attained, theta, np.nan)
-    return theta_out, gmi, attained
+    ok, mask = ws.ok, ws.mask
+    np.isfinite(theta, out=ok)
+    np.logical_and(ok, np.less(theta, 0.0, out=mask), out=ok)
+    np.logical_and(ok, np.isfinite(val, out=mask), out=ok)
+    np.logical_and(ok, np.greater(val, 0.0, out=mask), out=ok)
+    return theta, val, ok
 
 
 def k_ls(stats: GmiStatistics, power: float, noise_var: float, theta: float) -> float:
@@ -149,9 +208,9 @@ def theta_star(stats: GmiStatistics, power: float, noise_var: float) -> GmiResul
     negative stationary point gives a positive rate, the supremum is the
     ``theta -> 0`` limit and the result is ``GmiResult(None, 0.0)``.
     """
-    theta, gmi, attained = _solve_theta(*_reduce(stats), power, noise_var)
-    if bool(attained):
-        return GmiResult(theta_star=float(theta), gmi_nats=float(gmi))
+    theta, gmi, attained = _solve_theta(*_reduce(stats), power, noise_var, _Workspace.empty(1))
+    if attained[0]:
+        return GmiResult(theta_star=float(theta[0]), gmi_nats=float(gmi[0]))
     return GmiResult(theta_star=None, gmi_nats=0.0)
 
 

@@ -10,8 +10,8 @@ of these is formed as a difference of nearly equal numbers.
 :func:`draw` reduces each trial once to ``(V, Y)``, and every ``b`` is then
 read from that :class:`Draw`, so all coefficients share the same
 realizations (common random numbers) and per-trial outcomes are a pure
-function of ``(config, b, seed, trial index)``, independent of worker count
-and execution order.
+function of ``(config, b, seed, trial index)``, independent of worker count,
+block sizes and execution order.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .channel import ChannelConfig, _component_scales, lmmse_coefficient
-from .gmi import _solve_theta
-from .streams import BlockSampler, _check_index, _check_seed
+from .gmi import _solve_theta, _Workspace
+from .streams import BlockSampler, _check_integer
 
 __all__ = [
     "Draw",
@@ -42,8 +43,17 @@ __all__ = [
 # two-sided 95% normal quantile, Phi^{-1}(0.975)
 _Z95 = 1.959963984540054
 
-# float budget per sampled chunk (bounds memory at ~64 MB per worker)
-_CHUNK_FLOATS = 8_000_000
+# normals per sampling block (256 KB); with its reduction buffers a block
+# takes about 0.7 MB per worker, whatever the trial count (one trial's
+# worth, 88 n_r bytes, when n_r exceeds 8192)
+_CHUNK_FLOATS = 32_768
+
+# trials per block of Draw.gmi's solve; its workspace takes 114 bytes per
+# trial of a block (3.7 MB at this cap).  Larger blocks fall out of cache
+# and smaller ones pay the per-block call overhead: on a 2-core x86-64 VM,
+# 1e5 trials at n_r = 8 took about 42 ns per trial with blocks of 2**14 or
+# 2**15, 52 ns with 2**16 and 60 ns with 2**11
+_GMI_BLOCK = 2**15
 
 
 @dataclass
@@ -101,18 +111,43 @@ class Draw:
     residual: np.ndarray  # complex
 
     def gmi(self, b: complex) -> np.ndarray:
-        """Per-trial GMI (nats) of the decoder scaled by ``b``; shape ``(trials,)``."""
+        """Per-trial GMI (nats) of the decoder scaled by ``b``; shape ``(trials,)``.
+
+        The trials are solved in blocks of at most ``_GMI_BLOCK`` in a
+        workspace that the draw allocates on its first call and reuses, so
+        a call allocates only its result.  The block size never changes a
+        result.  A draw's workspace is not shared safely across threads:
+        do not call ``gmi`` or ``outage`` of one draw concurrently.
+        """
         b = complex(b)
         if not cmath.isfinite(b):
             raise ValueError(f"b must be finite, got {b}")
         a = lmmse_coefficient(self.config)
         b_abs2 = b.real * b.real + b.imag * b.imag
-        v, y = self.v_energy, self.residual
-        r = (b * a.conjugate()).real * v + (b * y).real
-        e = (b - a).conjugate() * v - y
-        d = b_abs2 * (e.real * e.real + e.imag * e.imag)
-        _, gmi, _ = _solve_theta(b_abs2 * v, r, d, self.config.power, self.config.noise_var)
+        b_a = (b * a.conjugate()).real
+        b_minus_a = (b - a).conjugate()
+        power, noise_var = self.config.power, self.config.noise_var
+        trials = self.v_energy.size
+        gmi = np.zeros(trials)
+        for lo in range(0, trials, self._workspace.size):
+            hi = min(lo + self._workspace.size, trials)
+            ws = self._workspace.first(hi - lo)
+            v, y = self.v_energy[lo:hi], self.residual[lo:hi]
+            # r = Re(b conj(a)) V + Re(b Y)
+            r = np.add(np.multiply(b_a, v, out=ws.r), np.multiply(b, y, out=ws.z).real, out=ws.r)
+            # d = |b|^2 |e|^2 with e = (conj(b) - conj(a)) V - Y
+            e = np.subtract(np.multiply(b_minus_a, v, out=ws.z), y, out=ws.z)
+            d = np.multiply(e.real, e.real, out=ws.d)
+            np.add(d, np.multiply(e.imag, e.imag, out=ws.t), out=d)
+            np.multiply(b_abs2, d, out=d)
+            c = np.multiply(b_abs2, v, out=ws.c)
+            _, val, attained = _solve_theta(c, r, d, power, noise_var, ws)
+            np.copyto(gmi[lo:hi], val, where=attained)
         return gmi
+
+    @cached_property
+    def _workspace(self) -> _Workspace:
+        return _Workspace.empty(min(max(self.v_energy.size, 1), _GMI_BLOCK))
 
     def outage(self, b: complex, rate_nats: float) -> OutageEstimate:
         """Monte Carlo outage probability ``p(GMI(b) < rate_nats)``.
@@ -137,41 +172,57 @@ class Draw:
 def _draw_block(d: Draw, seed: int, start: int, stop: int) -> None:
     """Fill the statistics of trials ``[start, stop)`` of ``d``.
 
-    The rows of ``s`` and ``v`` are bit-identical to ``sample_realization(
-    config, substream(seed, i))``.
+    The trials are sampled in blocks of about ``_CHUNK_FLOATS`` normals into
+    buffers allocated once, and each block is reduced while it is still in
+    cache.  Every operation is the one of ``sample_realization`` and of the
+    sums over its ``(s, v)``, with the same operands in the same order, so
+    ``V`` and ``Y`` are bit-identical to those sums for any block size.
     """
     config = d.config
     n = config.n_r
     scale_s, scale_z = _component_scales(config)
     a = lmmse_coefficient(config)
     sampler = BlockSampler(seed)
-    chunk = max(1, _CHUNK_FLOATS // (4 * n))
-    for lo in range(start, stop, chunk):
-        hi = min(lo + chunk, stop)
-        w = np.empty((hi - lo, 4 * n))
-        for j in range(hi - lo):
-            sampler.normals(lo + j, w[j])
-        s = (w[:, :n] + 1j * w[:, n : 2 * n]) * scale_s
-        v = s * config.pilot + (w[:, 2 * n : 3 * n] + 1j * w[:, 3 * n :]) * scale_z
-        d.v_energy[lo:hi] = np.sum(np.abs(v) ** 2, axis=1)
-        s -= a * v  # s now holds the estimation error s - a v
-        d.residual[lo:hi] = np.sum(np.conj(s) * v, axis=1)
+    rows = min(max(1, _CHUNK_FLOATS // (4 * n)), stop - start)
+    w = np.empty((rows, 4 * n))
+    s, v, t = (np.empty((rows, n), dtype=np.complex128) for _ in range(3))
+    q = np.empty((rows, n))
+    for lo in range(start, stop, rows):
+        m = min(rows, stop - lo)
+        wb, sb, vb, tb, qb = w[:m], s[:m], v[:m], t[:m], q[:m]
+        for j in range(m):
+            sampler.normals(lo + j, wb[j])
+        # s = (w_1 + 1j w_2) scale_s and v = s pilot + (w_3 + 1j w_4) scale_z
+        np.add(wb[:, :n], np.multiply(1j, wb[:, n : 2 * n], out=sb), out=sb)
+        np.multiply(sb, scale_s, out=sb)
+        np.add(wb[:, 2 * n : 3 * n], np.multiply(1j, wb[:, 3 * n :], out=tb), out=tb)
+        np.multiply(tb, scale_z, out=tb)
+        np.add(np.multiply(sb, config.pilot, out=vb), tb, out=vb)
+        # V = sum |v|^2
+        np.square(np.abs(vb, out=qb), out=qb)
+        np.sum(qb, axis=1, out=d.v_energy[lo : lo + m])
+        # Y = sum conj(s - a v) v
+        np.subtract(sb, np.multiply(a, vb, out=tb), out=sb)
+        np.multiply(np.conjugate(sb, out=sb), vb, out=sb)
+        np.sum(sb, axis=1, out=d.residual[lo : lo + m])
 
 
 def draw(config: ChannelConfig, trials: int, seed: int, *, workers: int = 1) -> Draw:
     """Draw trials ``0..trials-1`` of ``(config, seed)`` and reduce each to
     ``(V, Y)``.
 
-    This is the only sampling path of the package.  ``workers`` only splits
-    the trial range across threads; the result is bit-identical for any
-    worker count.
+    This is the only sampling path of the package.  Besides the result (24
+    bytes per trial), each worker samples into buffers of ``88 n_r`` bytes
+    per trial of a block of about ``_CHUNK_FLOATS / (4 n_r)`` trials, about
+    0.7 MB whatever the trial count, and the block size never changes a
+    result.  ``workers`` only splits the trial range across threads; the
+    result is bit-identical for any worker count.  ``trials``, ``seed`` and
+    ``workers`` must be integers (``np.integer`` included; bools and floats
+    are refused).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    _check_seed(seed)
-    _check_index(trials - 1)
+    trials = _check_integer("trials", trials, low=1)
+    workers = _check_integer("workers", workers, low=1)
+    seed = _check_integer("seed", seed)
 
     d = Draw(config, np.empty(trials), np.empty(trials, dtype=np.complex128))
     nw = min(workers, trials)

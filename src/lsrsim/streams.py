@@ -25,21 +25,22 @@ __all__ = ["philox_key", "substream", "BlockSampler"]
 _U64_MAX = 2**64 - 1
 
 
-def _check_seed(seed: int) -> int:
-    if not (0 <= int(seed) <= _U64_MAX):
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return int(seed)
-
-
-def _check_index(index: int) -> int:
-    if not (0 <= int(index) <= _U64_MAX):
-        raise ValueError(f"stream index must be in [0, 2**64), got {index}")
-    return int(index)
+def _check_integer(name: str, value, low: int = 0) -> int:
+    """``value`` as an int in ``[low, 2**64)``; a bool, a float (even an
+    integral one) or any other non-integer is refused, ``np.integer`` is
+    accepted."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or not low <= value <= _U64_MAX
+    ):
+        raise ValueError(f"{name} must be an integer in [{low}, 2**64), got {value!r}")
+    return int(value)
 
 
 def philox_key(seed: int) -> np.ndarray:
     """128-bit Philox key derived from a master seed (two uint64 words)."""
-    return np.random.SeedSequence(_check_seed(seed)).generate_state(2, np.uint64)
+    return np.random.SeedSequence(_check_integer("seed", seed)).generate_state(2, np.uint64)
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -49,7 +50,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
     bit-identical sequences; distinct indices yield independent streams.
     """
     counter = np.zeros(4, dtype=np.uint64)
-    counter[3] = _check_index(index)
+    counter[3] = _check_integer("stream index", index)
     bitgen = np.random.Philox(key=philox_key(seed), counter=counter)
     return np.random.Generator(bitgen)
 

@@ -6,6 +6,7 @@ import pytest
 from lsrsim import (
     ChannelConfig,
     ChannelRealization,
+    GmiStatistics,
     lmmse_coefficient,
     sample_realization,
     statistics,
@@ -169,3 +170,20 @@ class TestStatistics:
             assert abs(st.mismatch - identity) <= 1e-12 * scale
             cross2 = st.cross.real**2 + st.cross.imag**2
             assert cross2 <= st.s_energy * st.csi_energy * (1 + 1e-12)
+
+    def test_error_cross_is_summed_per_antenna(self):
+        # error_cross = (s - b v)^H (b v) against a scalar-loop oracle, and
+        # the identity error_cross = cross - csi_energy to 1e-12 of the scale
+        cfg = make_config(n_r=6, pilot=1 - 0.5j)
+        for i, b in enumerate((0.4 + 0.3j, 0.0, -1.7, 2j)):
+            real = sample_realization(cfg, substream(2, i))
+            st = statistics(real, b)
+            bv = [b * x for x in real.v]
+            oracle = sum((x - y).conjugate() * y for x, y in zip(real.s, bv))
+            assert complex(st.error_cross) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+            scale = max(st.s_energy, st.csi_energy, 1e-300)
+            assert abs(st.error_cross - (st.cross - st.csi_energy)) <= 1e-12 * scale
+
+    def test_error_cross_defaults_to_the_difference(self):
+        st = GmiStatistics(s_energy=2.0, csi_energy=1.5, cross=1.25 - 0.5j, mismatch=1.0)
+        assert st.error_cross == (1.25 - 0.5j) - 1.5

@@ -261,3 +261,20 @@ class TestHighSnrAccuracy:
                 ref = literal_gmi(real, b, cfg.power, cfg.noise_var)
                 assert ref > 0.0
                 assert abs(gmi[i] - ref) <= 1e-9 * ref, (ratio, i, gmi[i], ref)
+
+    @pytest.mark.parametrize("n_r", [1, 8, 64])
+    @pytest.mark.parametrize("snr_db", [30.0, 100.0, 150.0])
+    def test_scalar_path_matches_50_digit_reference(self, n_r, snr_db):
+        # the reference path statistics -> theta_star meets the same 1e-9 as
+        # the draw: |c - x|^2 is read from the error inner product summed
+        # per antenna, not from the difference of csi_energy and cross
+        cfg = build_channel_config(snr_db, n_r)
+        a = lmmse_coefficient(cfg)
+        for i in range(60):
+            real = sample_realization(cfg, substream(20240, i))
+            for ratio in (1.0, 0.999, 1.3):
+                b = ratio * a
+                gmi = theta_star(statistics(real, b), cfg.power, cfg.noise_var).gmi_nats
+                ref = literal_gmi(real, b, cfg.power, cfg.noise_var)
+                assert ref > 0.0
+                assert abs(gmi - ref) <= 1e-9 * ref, (ratio, i, gmi, ref)

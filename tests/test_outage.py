@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from scipy import stats as scipy_stats
 
 from lsrsim import (
     ChannelConfig,
+    Draw,
+    build_channel_config,
     draw,
     estimate_outage,
     gmi_histogram,
@@ -17,6 +20,7 @@ from lsrsim import (
     theta_star,
     wilson_interval,
 )
+from lsrsim import outage
 
 
 def perfect_csi_config(power=10.0, n_r=1):
@@ -163,6 +167,143 @@ class TestEstimateOutage:
         for rate in (math.nan, math.inf, -0.1):
             with pytest.raises(ValueError, match="rate_nats"):
                 d.outage(1.0, rate)
+
+
+def complex_pilot_config(n_r=5):
+    return ChannelConfig(
+        n_r=n_r, power=4.0, noise_var=1.5, pilot_noise_var=0.8,
+        fading_var=1.2, pilot=1.3 - 0.4j,
+    )
+
+
+def whole_array_gmi(d: Draw, b: complex) -> np.ndarray:
+    """The GMI formula of ``Draw.gmi`` on whole arrays, without blocks or a
+    workspace, written out as a fixed reference."""
+    cfg = d.config
+    power, noise_var = cfg.power, cfg.noise_var
+    a = lmmse_coefficient(cfg)
+    b_abs2 = b.real * b.real + b.imag * b.imag
+    v, y = d.v_energy, d.residual
+    r = (b * a.conjugate()).real * v + (b * y).real
+    e = (b - a).conjugate() * v - y
+    dd = b_abs2 * (e.real * e.real + e.imag * e.imag)
+    c = b_abs2 * v
+    p = power / noise_var
+    qa = p * c * (c + p * dd)
+    qb = p * c * c - 2.0 * c - 2.0 * p * dd
+    qc = -2.0 * r
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sqrt_d = np.sqrt(qb * qb - 4.0 * qa * qc)
+        root = np.where(qb < 0.0, 2.0 * qc / (sqrt_d - qb), (-qb - sqrt_d) / (2.0 * qa))
+        theta = root / noise_var
+        w = -theta * power * c
+        val = np.log1p(w) + theta * power * (
+            c - 2.0 * r - noise_var * theta * c - power * theta * dd
+        ) / (1.0 + w)
+    attained = np.isfinite(theta) & (theta < 0.0) & np.isfinite(val) & (val > 0.0)
+    return np.where(attained, val, 0.0)
+
+
+class TestBlocks:
+    """The sampler and the solve run in fixed blocks; no block size changes a bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block_trials", [1, 3, None])
+    def test_draw_matches_scalar_path_across_block_edges(self, monkeypatch, workers, block_trials):
+        # 11 trials: no multiple of a 3-trial block, and split unevenly over
+        # 2 and 3 workers; None keeps the default block (all 11 in one).
+        # Each case has its own seed, so that a trial the sampler skipped
+        # cannot pass by reading memory freed by the previous case.
+        cfg = complex_pilot_config()
+        if block_trials is not None:
+            monkeypatch.setattr(outage, "_CHUNK_FLOATS", 4 * cfg.n_r * block_trials)
+        a = lmmse_coefficient(cfg)
+        trials, seed = 11, 100 * workers + (block_trials or 0)
+        d = draw(cfg, trials, seed, workers=workers)
+        for i in range(trials):
+            real = sample_realization(cfg, substream(seed, i))
+            assert d.v_energy[i] == np.sum(np.abs(real.v) ** 2)
+            assert d.residual[i] == np.sum(np.conj(real.s - a * real.v) * real.v)
+
+    def test_large_antenna_count_one_trial_per_block(self):
+        # at n_r = 8192 a block is one trial
+        cfg = build_channel_config(3.0, 8192)
+        a = lmmse_coefficient(cfg)
+        d = draw(cfg, 3, 5)
+        for i in range(3):
+            real = sample_realization(cfg, substream(5, i))
+            assert d.v_energy[i] == np.sum(np.abs(real.v) ** 2)
+            assert d.residual[i] == np.sum(np.conj(real.s - a * real.v) * real.v)
+
+    @pytest.mark.parametrize("block", [7, None])
+    def test_gmi_matches_whole_array_formula(self, monkeypatch, block):
+        # trials = 2 blocks + 1, so the last block holds one trial
+        if block is None:
+            block = outage._GMI_BLOCK
+        else:
+            monkeypatch.setattr(outage, "_GMI_BLOCK", block)
+        cfg = complex_pilot_config(n_r=1)
+        d = draw(cfg, 2 * block + 1, 3)
+        a = lmmse_coefficient(cfg)
+        for b in (a, 0.7 * a, -a, 1.3 * a * 1j, 0.0, 1e6 * a):
+            got = d.gmi(b)
+            assert got.tobytes() == whole_array_gmi(d, complex(b)).tobytes()
+
+    def test_draw_memory_does_not_grow_with_trials(self):
+        # n_r = 1024, 2000 trials: the result takes 48 kB and the sampling
+        # buffers about 0.7 MB; a reduction over all trials at once would
+        # take over 100 MB
+        cfg = build_channel_config(0.0, 1024)
+        tracemalloc.start()
+        try:
+            draw(cfg, 2000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_repeated_gmi_allocates_little_beyond_its_result(self):
+        # after the first call has made the workspace, a call allocates its
+        # result and numpy's bounded cast buffer: at most 4 arrays of length
+        # trials, where a solve on whole arrays takes 16
+        trials = 100_000
+        rng = np.random.default_rng(0)
+        cfg = build_channel_config(5.0, 8)
+        d = Draw(cfg, rng.gamma(8.0, size=trials), rng.normal(size=trials) + 1j * rng.normal(size=trials))
+        b = 0.9 * lmmse_coefficient(cfg)
+        first = d.gmi(b)
+        tracemalloc.start()
+        try:
+            second = d.gmi(b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * trials
+        np.testing.assert_array_equal(first, second)
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize("seed", [1.7, -0.5, True, 1.0, "3"])
+    def test_draw_refuses_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            draw(perfect_csi_config(), 10, seed)
+
+    @pytest.mark.parametrize("trials", [10.5, 10.0, True])
+    def test_draw_refuses_non_integer_trials(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            draw(perfect_csi_config(), trials, 1)
+
+    @pytest.mark.parametrize("workers", [True, 2.0, 1.5])
+    def test_draw_refuses_non_integer_workers(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            draw(perfect_csi_config(), 10, 1, workers=workers)
+
+    def test_numpy_integers_accepted(self):
+        cfg = perfect_csi_config()
+        d = draw(cfg, np.int64(10), np.uint64(3), workers=np.int32(2))
+        ref = draw(cfg, 10, 3)
+        np.testing.assert_array_equal(d.v_energy, ref.v_energy)
+        np.testing.assert_array_equal(d.residual, ref.residual)
 
 
 class TestGmiHistogram:

@@ -50,3 +50,24 @@ def test_block_sampler_is_order_independent():
 def test_range_validation(seed, index):
     with pytest.raises(ValueError):
         substream(seed, index)
+
+
+@pytest.mark.parametrize("seed", [1.7, -0.5, 1.0, True, np.bool_(True)])
+def test_non_integer_seed_refused(seed):
+    with pytest.raises(ValueError, match="seed"):
+        substream(seed, 0)
+    with pytest.raises(ValueError, match="seed"):
+        BlockSampler(seed)
+
+
+@pytest.mark.parametrize("index", [1.5, 2.0, True])
+def test_non_integer_index_refused(index):
+    with pytest.raises(ValueError, match="index"):
+        substream(3, index)
+
+
+def test_numpy_integer_seed_and_index_accepted():
+    np.testing.assert_array_equal(
+        substream(np.uint64(123), np.int64(7)).standard_normal(8),
+        substream(123, 7).standard_normal(8),
+    )
