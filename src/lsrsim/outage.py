@@ -182,16 +182,17 @@ def _draw_block(d: Draw, seed: int, start: int, stop: int) -> None:
     n = config.n_r
     scale_s, scale_z = _component_scales(config)
     a = lmmse_coefficient(config)
-    sampler = BlockSampler(seed)
+    normals = BlockSampler(seed).normals
     rows = min(max(1, _CHUNK_FLOATS // (4 * n)), stop - start)
     w = np.empty((rows, 4 * n))
+    w_rows = list(w)
     s, v, t = (np.empty((rows, n), dtype=np.complex128) for _ in range(3))
     q = np.empty((rows, n))
     for lo in range(start, stop, rows):
         m = min(rows, stop - lo)
         wb, sb, vb, tb, qb = w[:m], s[:m], v[:m], t[:m], q[:m]
-        for j in range(m):
-            sampler.normals(lo + j, wb[j])
+        for index, row in zip(range(lo, lo + m), w_rows):
+            normals(index, row)
         # s = (w_1 + 1j w_2) scale_s and v = s pilot + (w_3 + 1j w_4) scale_z
         np.add(wb[:, :n], np.multiply(1j, wb[:, n : 2 * n], out=sb), out=sb)
         np.multiply(sb, scale_s, out=sb)

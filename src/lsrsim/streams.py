@@ -62,23 +62,42 @@ class BlockSampler:
     each requested index, which is much cheaper than constructing a fresh
     generator per index while producing bit-identical output (verified by
     the test suite against :func:`substream`).
+
+    Each :meth:`normals` call writes the whole Philox state through its
+    public ``state`` setter: the key, the counter ``[0, 0, 0, index]``, an
+    empty output buffer (``buffer_pos = 4``, so the first draw generates a
+    fresh block) and no cached 32-bit half.  Nothing of the previous index
+    survives, so a trial's draws depend only on ``(seed, index)``, however
+    many words the ziggurat consumed before.  The template holds plain
+    Python ints, not numpy's ``uint64`` arrays: the setter reads the words
+    one by one, and reading an array element boxes a numpy scalar each
+    time, which made the reset cost about three times as much.
+
+    ``index`` must be an integer in ``[0, 2**64)`` (``np.integer``
+    included); a bool, a float or any other value is refused with a
+    ``ValueError``, as by :func:`substream`.
     """
 
     def __init__(self, seed: int):
-        self._bitgen = np.random.Philox(key=philox_key(seed))
-        self._gen = np.random.Generator(self._bitgen)
-        # template state reapplied before every block: zeroed low counter
-        # words and an empty output buffer
-        self._state = self._bitgen.state
-        self._counter = self._state["state"]["counter"]
-        self._counter[:] = 0
-        self._state["buffer"][:] = 0
-        self._state["buffer_pos"] = 4
-        self._state["has_uint32"] = 0
-        self._state["uinteger"] = 0
+        key = philox_key(seed)
+        self._bitgen = np.random.Philox(key=key)
+        self._standard_normal = np.random.Generator(self._bitgen).standard_normal
+        # template state reapplied before every block; normals() writes
+        # counter[3]
+        self._counter = [0, 0, 0, 0]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter, "key": [int(key[0]), int(key[1])]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def normals(self, index: int, out: np.ndarray) -> None:
         """Fill ``out`` with standard normals from substream ``index``."""
+        if not (type(index) is int and 0 <= index <= _U64_MAX):
+            index = _check_integer("stream index", index)
         self._counter[3] = index
         self._bitgen.state = self._state
-        self._gen.standard_normal(out=out)
+        self._standard_normal(out=out)

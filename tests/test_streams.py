@@ -46,6 +46,30 @@ def test_block_sampler_is_order_independent():
     np.testing.assert_array_equal(a, a2)
 
 
+@pytest.mark.parametrize("index", [2**63, 2**64 - 1])
+def test_block_sampler_matches_substream_at_top_indices(index):
+    sampler = BlockSampler(2024)
+    out = np.empty(48)
+    sampler.normals(index, out)
+    np.testing.assert_array_equal(out, substream(2024, index).standard_normal(48))
+
+
+def test_block_sampler_resets_mid_block():
+    # 4096 normals take a few dozen ziggurat rejections beyond 4096 words, so
+    # each trial ends at a chance position inside a 4-word Philox block with
+    # nonzero low counter words; the next trial must start from a fresh block
+    sampler = BlockSampler(31)
+    out = np.empty(4 * 1024)
+    first = np.empty_like(out)
+    for index in range(64):
+        sampler.normals(index, out)
+        np.testing.assert_array_equal(out, substream(31, index).standard_normal(out.size))
+        if index == 0:
+            first[:] = out
+    sampler.normals(0, out)  # revisiting an index reproduces its draws
+    np.testing.assert_array_equal(out, first)
+
+
 @pytest.mark.parametrize("seed,index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
 def test_range_validation(seed, index):
     with pytest.raises(ValueError):
@@ -64,6 +88,21 @@ def test_non_integer_seed_refused(seed):
 def test_non_integer_index_refused(index):
     with pytest.raises(ValueError, match="index"):
         substream(3, index)
+
+
+@pytest.mark.parametrize("index", [1.5, 2.0, True, np.bool_(True), "3", None, -1, 2**64])
+def test_block_sampler_refuses_bad_index(index):
+    sampler = BlockSampler(3)
+    with pytest.raises(ValueError, match="stream index"):
+        sampler.normals(index, np.empty(4))
+
+
+def test_block_sampler_accepts_numpy_integer_index():
+    sampler = BlockSampler(123)
+    for index in (np.int64(7), np.uint64(2**64 - 1)):
+        out = np.empty(8)
+        sampler.normals(index, out)
+        np.testing.assert_array_equal(out, substream(123, int(index)).standard_normal(8))
 
 
 def test_numpy_integer_seed_and_index_accepted():
