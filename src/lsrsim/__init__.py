@@ -11,13 +11,13 @@ trends are derived from the per-trial rates.
 from .channel import (
     ChannelConfig,
     ChannelRealization,
+    ConfigError,
     GmiStatistics,
     lmmse_coefficient,
     sample_realization,
     statistics,
 )
 from .experiments import (
-    ConfigError,
     ExperimentConfig,
     NotBracketedError,
     ResultTable,

@@ -7,6 +7,9 @@ fading vector ``S`` only through one received pilot vector
 ``V = S * pilot + Z_p``.  Fading stays fixed over a codeword and is redrawn
 independently across codewords, so each Monte Carlo trial draws one ``(S, V)``
 pair.
+
+It also owns input validation: :class:`ConfigError` and the ``_check*``
+helpers, which every other module calls instead of defining its own rules.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "ChannelConfig",
     "ChannelRealization",
     "GmiStatistics",
@@ -26,6 +30,64 @@ __all__ = [
     "sample_realization",
     "statistics",
 ]
+
+_U64_MAX = 2**64 - 1
+
+
+class ConfigError(ValueError):
+    """Invalid configuration value or argument; carries the offending field path."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        super().__init__(f"{path}: {message}")
+
+
+def _check(ok: bool, path: str, message: str) -> None:
+    if not ok:
+        raise ConfigError(path, message)
+
+
+def _check_real(path: str, value, low: float | None = None) -> None:
+    """``value`` must be a finite int or float, not a bool, and ``>= low``."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not (ok and (low is None or value >= low)):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(path, f"must be a finite number{bound}, got {value!r}")
+
+
+def _check_integer(path: str, value, low: int = 0) -> int:
+    """``value`` as an int in ``[low, 2**64)``; a bool, a float (even an
+    integral one) or any other non-integer is refused, ``np.integer`` is
+    accepted."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or not low <= value <= _U64_MAX
+    ):
+        raise ConfigError(path, f"must be an integer in [{low}, 2**64), got {value!r}")
+    return int(value)
+
+
+def _check_antennas(path: str, value) -> int:
+    """``value`` as an int antenna count: any integral real number in
+    ``[1, 2**64)``, so ``8.0`` is accepted and a bool, NaN or fraction is
+    refused."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    _check(ok and 1 <= value <= _U64_MAX and int(value) == value, path,
+           f"must be an integer in [1, 2**64), got {value!r}")
+    return int(value)
+
+
+def _check_list(path: str, values, check, *args) -> None:
+    """``values`` must be a nonempty list; ``check(f"{path}[{i}]", entry, *args)``
+    validates each entry."""
+    _check(isinstance(values, (list, tuple)) and len(values) > 0, path,
+           f"must be a nonempty list, got {values!r}")
+    for i, value in enumerate(values):
+        check(f"{path}[{i}]", value, *args)
 
 
 @dataclass
@@ -57,26 +119,16 @@ class ChannelConfig:
     pilot: complex
 
     def __post_init__(self):
-        n_r = self.n_r
-        if (
-            isinstance(n_r, bool)
-            or not isinstance(n_r, numbers.Real)
-            or not (1 <= n_r < math.inf and int(n_r) == n_r)
-        ):
-            raise ValueError(f"n_r must be a positive integer, got {n_r!r}")
-        self.n_r = int(n_r)
+        self.n_r = _check_antennas("n_r", self.n_r)
         # NaN fails every comparison, so each check is written as what must hold
         for name in ("power", "noise_var", "fading_var"):
             value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not 0 <= self.pilot_noise_var < math.inf:
-            raise ValueError(
-                f"pilot_noise_var must be finite and nonnegative, got {self.pilot_noise_var}"
-            )
+            _check(0 < value < math.inf, name, f"must be finite and positive, got {value}")
+        _check(0 <= self.pilot_noise_var < math.inf, "pilot_noise_var",
+               f"must be finite and nonnegative, got {self.pilot_noise_var}")
         self.pilot = complex(self.pilot)
-        if not (cmath.isfinite(self.pilot) and self.pilot != 0):
-            raise ValueError(f"pilot must be finite and nonzero, got {self.pilot}")
+        _check(cmath.isfinite(self.pilot) and self.pilot != 0, "pilot",
+               f"must be finite and nonzero, got {self.pilot}")
 
 
 @dataclass

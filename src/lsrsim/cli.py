@@ -14,9 +14,9 @@ import argparse
 import json
 import sys
 
+from .channel import ConfigError, _check_integer
 from .experiments import (
     KINDS,
-    ConfigError,
     ExperimentConfig,
     NotBracketedError,
     curve_points,
@@ -71,8 +71,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error(f"workers: must be a positive integer, got {args.workers}")
+    try:
+        _check_integer("workers", args.workers, low=1)
+    except ConfigError as exc:
+        parser.error(str(exc))
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

@@ -24,12 +24,12 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .channel import ChannelConfig, lmmse_coefficient
+from .channel import (ChannelConfig, _check, _check_antennas, _check_integer, _check_list,
+                      _check_real, lmmse_coefficient)
 from .outage import Draw, draw, gmi_histogram
-from .shrinkage import ConfigError, SearchSpec, _check, _check_int, _check_real, optimize_b
+from .shrinkage import SearchSpec, optimize_b
 
 __all__ = [
-    "ConfigError",
     "NotBracketedError",
     "ExperimentConfig",
     "ExperimentKind",
@@ -56,13 +56,6 @@ MAX_SNR_DB = 150.0
 
 class NotBracketedError(RuntimeError):
     """A curve does not cross the requested target outage within its range."""
-
-
-def _check_list(path: str, values, low: float | None = None) -> None:
-    if not (isinstance(values, (list, tuple)) and len(values) > 0):
-        raise ConfigError(path, f"must be a nonempty list, got {values!r}")
-    for i, value in enumerate(values):
-        _check_real(f"{path}[{i}]", value, low)
 
 
 @dataclass
@@ -94,7 +87,7 @@ class ExperimentConfig:
             "kind",
             f"must be one of {tuple(KINDS)}, got {self.kind!r}",
         )
-        _check_list("snr_db", self.snr_db)
+        _check_list("snr_db", self.snr_db, _check_real)
         for i, snr in enumerate(self.snr_db):
             try:
                 power = 10.0 ** (snr / 10.0)
@@ -104,23 +97,20 @@ class ExperimentConfig:
                    f"10**(snr_db/10) must be a finite positive float, got snr_db = {snr}")
             _check(snr <= MAX_SNR_DB, f"snr_db[{i}]",
                    f"must be at most {MAX_SNR_DB:g} dB, got {snr}")
-        _check_list("n_r_list", self.n_r_list, 1)
-        for i, n in enumerate(self.n_r_list):
-            _check(n == int(n), f"n_r_list[{i}]", f"must be an integer, got {n!r}")
+        _check_list("n_r_list", self.n_r_list, _check_antennas)
         if isinstance(self.rate_bits, list):
             _check(
                 len(self.rate_bits) == len(self.n_r_list),
                 "rate_bits", "list form must have the same length as n_r_list",
             )
-            _check_list("rate_bits", self.rate_bits, 0)
+            _check_list("rate_bits", self.rate_bits, _check_real, 0)
         else:
             _check_real("rate_bits", self.rate_bits, 0)
-        _check_int("trials", self.trials, 1)
-        _check_int("seed", self.seed, 0)
-        _check(self.seed < 2**64, "seed", f"must be a 64-bit unsigned integer, got {self.seed}")
-        _check_int("bins", self.bins, 2)
+        _check_integer("trials", self.trials, 1)
+        _check_integer("seed", self.seed)
+        _check_integer("bins", self.bins, 2)
         if self.kind == "b_sweep":
-            _check_list("b_over_a", self.b_over_a, 0)
+            _check_list("b_over_a", self.b_over_a, _check_real, 0)
         if self.kind == "asymptotic_scan":
             _check(
                 max(self.n_r_list) >= 8 * min(self.n_r_list),
@@ -372,9 +362,9 @@ def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True, workers: 
     return ResultTable(columns=columns, rows=rows)
 
 
-def curve_points(table: ResultTable, p_column: str, *, snr_column: str = "snr_db") -> list[tuple[float, float]]:
+def curve_points(table: ResultTable, p_column: str) -> list[tuple[float, float]]:
     """Extract ``(snr_db, outage)`` pairs of one receiver from a result table."""
-    return [(float(r[snr_column]), float(r[p_column])) for r in table.rows]
+    return [(float(r["snr_db"]), float(r[p_column])) for r in table.rows]
 
 
 def snr_gain(

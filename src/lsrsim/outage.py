@@ -25,9 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelConfig, _component_scales, lmmse_coefficient
+from .channel import ChannelConfig, _check_integer, _component_scales, lmmse_coefficient
 from .gmi import _solve_theta, _Workspace
-from .streams import BlockSampler, _check_integer
+from .streams import BlockSampler
 
 __all__ = [
     "Draw",
@@ -218,8 +218,8 @@ def draw(config: ChannelConfig, trials: int, seed: int, *, workers: int = 1) -> 
     0.7 MB whatever the trial count, and the block size never changes a
     result.  ``workers`` only splits the trial range across threads; the
     result is bit-identical for any worker count.  ``trials``, ``seed`` and
-    ``workers`` must be integers (``np.integer`` included; bools and floats
-    are refused).
+    ``workers`` must be integers below ``2**64`` (``np.integer`` included);
+    anything else is refused with a :class:`~lsrsim.channel.ConfigError`.
     """
     trials = _check_integer("trials", trials, low=1)
     workers = _check_integer("workers", workers, low=1)
@@ -275,8 +275,7 @@ def gmi_histogram(gmi: np.ndarray, bins: int) -> GmiHistogram:
     When every trial yields zero GMI the bin range degenerates; a unit upper
     edge is used so all mass lands in the first bin.
     """
-    if bins < 2:
-        raise ValueError(f"bins must be at least 2, got {bins}")
+    _check_integer("bins", bins, low=2)
     top = float(gmi.max())
     edges = np.linspace(0.0, top if top > 0.0 else 1.0, bins + 1)
     counts, _ = np.histogram(gmi, bins=edges)

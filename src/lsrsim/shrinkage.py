@@ -10,45 +10,14 @@ than bracketing line searches that assume smoothness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import lmmse_coefficient
+from .channel import _check, _check_integer, _check_real, lmmse_coefficient
 from .outage import Draw, OutageEstimate
 
-__all__ = ["ConfigError", "SearchSpec", "BOptimum", "optimize_b"]
-
-
-class ConfigError(ValueError):
-    """Invalid configuration value; carries the offending field path."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
-
-
-def _check(ok: bool, path: str, message: str) -> None:
-    if not ok:
-        raise ConfigError(path, message)
-
-
-def _check_real(path: str, value, low: float | None = None) -> None:
-    """``value`` must be a finite int or float, not a bool, and ``>= low``."""
-    try:
-        ok = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        ok = False
-    if not (ok and (low is None or value >= low)):
-        bound = "" if low is None else f" >= {low}"
-        raise ConfigError(path, f"must be a finite number{bound}, got {value!r}")
-
-
-def _check_int(path: str, value, low: int) -> None:
-    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (ok and value >= low):
-        raise ConfigError(path, f"must be an integer >= {low}, got {value!r}")
+__all__ = ["SearchSpec", "BOptimum", "optimize_b"]
 
 
 @dataclass(frozen=True)
@@ -68,8 +37,8 @@ class SearchSpec:
         _check_real("search.ratio_low", self.ratio_low, 0)
         _check_real("search.ratio_high", self.ratio_high)
         _check(self.ratio_low < self.ratio_high, "search.ratio_low", "need ratio_low < ratio_high")
-        _check_int("search.coarse_points", self.coarse_points, 3)
-        _check_int("search.refine_iters", self.refine_iters, 0)
+        _check_integer("search.coarse_points", self.coarse_points, 3)
+        _check_integer("search.refine_iters", self.refine_iters)
 
 
 @dataclass
@@ -79,7 +48,6 @@ class BOptimum:
     b_star: float
     outage: OutageEstimate
     sweep: list[tuple[float, float]] = field(default_factory=list)
-    degenerate: bool = False
 
 
 def _coarse_grid(spec: SearchSpec) -> np.ndarray:
@@ -112,16 +80,12 @@ def optimize_b(d: Draw, rate_nats: float, spec: SearchSpec = SearchSpec()) -> BO
 
     run([float(r) * a for r in _coarse_grid(spec)])
 
-    degenerate = False
     for _ in range(spec.refine_iters):
         best = incumbent()
         points = sorted(evaluated)
         i = points.index(best)
         lo = points[i - 1] if i > 0 else points[i]
         hi = points[i + 1] if i + 1 < len(points) else points[i]
-        if not lo < hi:
-            degenerate = True
-            break
         before = len(evaluated)
         run([float(b) for b in np.linspace(lo, hi, spec.coarse_points)])
         if len(evaluated) == before:
@@ -132,5 +96,4 @@ def optimize_b(d: Draw, rate_nats: float, spec: SearchSpec = SearchSpec()) -> BO
         b_star=best,
         outage=evaluated[best],
         sweep=[(b, evaluated[b].p_hat) for b in sorted(evaluated)],
-        degenerate=degenerate,
     )

@@ -20,22 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channel import _U64_MAX, _check_integer
+
 __all__ = ["philox_key", "substream", "BlockSampler"]
-
-_U64_MAX = 2**64 - 1
-
-
-def _check_integer(name: str, value, low: int = 0) -> int:
-    """``value`` as an int in ``[low, 2**64)``; a bool, a float (even an
-    integral one) or any other non-integer is refused, ``np.integer`` is
-    accepted."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, np.integer))
-        or not low <= value <= _U64_MAX
-    ):
-        raise ValueError(f"{name} must be an integer in [{low}, 2**64), got {value!r}")
-    return int(value)
 
 
 def philox_key(seed: int) -> np.ndarray:
@@ -74,8 +61,8 @@ class BlockSampler:
     time, which made the reset cost about three times as much.
 
     ``index`` must be an integer in ``[0, 2**64)`` (``np.integer``
-    included); a bool, a float or any other value is refused with a
-    ``ValueError``, as by :func:`substream`.
+    included); a bool, a float or any other value is refused with the
+    :class:`~lsrsim.channel.ConfigError` of :func:`substream`.
     """
 
     def __init__(self, seed: int):

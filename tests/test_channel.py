@@ -37,6 +37,7 @@ class TestChannelConfig:
             ("n_r", math.nan),
             ("n_r", None),
             ("n_r", True),
+            ("n_r", 2**64),
             ("power", 0.0),
             ("power", -1.0),
             ("noise_var", 0.0),

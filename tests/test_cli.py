@@ -174,6 +174,7 @@ class TestConfigBoundary:
             ("asymptotic-scan", {"n_r_list": [4, 32], "b_scale": float("nan")}, "b_scale"),
             ("outage-curve", {"search": {"coarse_points": "x"}}, "search.coarse_points"),
             ("outage-curve", {"snr_db": [5.0, 150.5]}, "snr_db[1]"),
+            ("outage-curve", {"trials": 2**64}, "trials"),
         ],
     )
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, command, overrides, path):
@@ -204,12 +205,13 @@ class TestConfigBoundary:
         assert "gain-target" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
-    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize("workers", ["0", "-1", "18446744073709551616"])
     def test_nonpositive_workers_exit_2(self, tmp_path, capsys, workers):
         with pytest.raises(SystemExit) as exc:
             run(tmp_path, "outage-curve", "--workers", workers)
         assert exc.value.code == 2
         assert "workers" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestReliabilityWarning:

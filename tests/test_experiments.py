@@ -8,14 +8,17 @@ from lsrsim import (
     ExperimentConfig,
     NotBracketedError,
     ResultTable,
+    ChannelConfig,
     SearchSpec,
     build_channel_config,
     curve_points,
+    draw,
     emit_results,
     rate_bits_to_nats,
     read_results,
     run_experiment,
     snr_gain,
+    substream,
 )
 from lsrsim.experiments import (
     B_SWEEP_COLUMNS,
@@ -93,6 +96,33 @@ class TestConfigValidation:
                 "kind": "outage_curve", "snr_db": [4.0], "n_r_list": [4],
                 "rate_bits": 1.0, "search": {"coarse_points": 1},
             })
+
+
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"n_r_list": [2**64]}, "n_r_list[0]"),
+            ({"bins": 2**64}, "bins"),
+            ({"search": {"coarse_points": 2**64}}, "search.coarse_points"),
+        ],
+    )
+    def test_count_at_2_64_refused(self, overrides, path):
+        data = {"kind": "outage_curve", "snr_db": [4.0], "n_r_list": [4], "rate_bits": 1.0}
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict({**data, **overrides})
+        assert exc.value.path == path
+
+    def test_library_arguments_raise_the_one_config_error(self):
+        calls = {
+            "trials": lambda: draw(build_channel_config(0.0, 2), 2**64, 1),
+            "seed": lambda: substream(-1, 0),
+            "stream index": lambda: substream(1, 2.0),
+            "n_r": lambda: ChannelConfig(0, 1.0, 1.0, 1.0, 1.0, 1.0),
+        }
+        for path, call in calls.items():
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert type(exc.value) is ConfigError and exc.value.path == path
 
 
 class TestRunOutageCurve:

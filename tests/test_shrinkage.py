@@ -52,7 +52,6 @@ class TestOptimizeB:
         assert abs(opt.b_star / a - 1.0) <= coarse_step
         p_at_a = dict(opt.sweep)[a]
         assert opt.outage.p_hat == p_at_a
-        assert not opt.degenerate
 
     def test_perfect_pilot_sweep_minimum_at_lmmse(self):
         # coarse b-sweep oracle: scaling perfect CSI away from a only hurts
@@ -91,6 +90,14 @@ class TestOptimizeB:
         assert first.b_star == second.b_star
         assert first.sweep == second.sweep
         assert first.outage == second.outage
+
+    def test_collapsed_grid_gives_one_point_sweep(self):
+        # every coarse b = r * a (a < 1/2) rounds to 0.0, so the refinement
+        # interval is one float and the search stops with a one-point sweep
+        cfg = build_channel_config(5.0, 2)
+        opt = optimize_b(draw(cfg, 200, 1), 0.5, SearchSpec(ratio_high=math.ulp(0.0)))
+        assert opt.sweep == [(0.0, 1.0)]
+        assert opt.b_star == 0.0 and opt.outage.p_hat == 1.0
 
     def test_incumbent_minimizes_sweep_with_tie_rule(self):
         cfg = build_channel_config(3.0, 4)
