@@ -35,11 +35,18 @@ _U64_MAX = 2**64 - 1
 
 
 class ConfigError(ValueError):
-    """Invalid configuration value or argument; carries the offending field path."""
+    """Invalid configuration value or argument; carries the offending field path.
+
+    ``args`` is ``(path, message)``, so the error survives pickling (and a
+    process pool); ``str`` reads ``"path: message"``.
+    """
 
     def __init__(self, path: str, message: str):
         self.path = path
-        super().__init__(f"{path}: {message}")
+        super().__init__(path, message)
+
+    def __str__(self) -> str:
+        return f"{self.path}: {self.args[1]}"
 
 
 def _check(ok: bool, path: str, message: str) -> None:
@@ -141,11 +148,8 @@ class ChannelRealization:
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=np.complex128)
         self.v = np.asarray(self.v, dtype=np.complex128)
-        if self.s.shape != self.v.shape or self.s.ndim != 1:
-            raise ValueError(
-                f"s and v must be 1-d vectors of equal length, got shapes "
-                f"{self.s.shape} and {self.v.shape}"
-            )
+        _check(self.s.shape == self.v.shape and self.s.ndim == 1, "v",
+               f"must be a 1-d vector of the length of s, got shapes {self.s.shape} and {self.v.shape}")
 
 
 @dataclass
@@ -158,20 +162,16 @@ class GmiStatistics:
     estimation error with the estimate.  The mismatch satisfies the exact
     identity ``mismatch = s_energy + csi_energy - 2 Re(cross)``, the error
     inner product ``error_cross = cross - csi_energy``, and Cauchy-Schwarz
-    bounds ``|cross|^2 <= s_energy * csi_energy``.  When ``error_cross`` is
-    not given it is set to ``cross - csi_energy``; :func:`statistics` sums it
-    over the antennas instead, since at high SNR that difference cancels.
+    bounds ``|cross|^2 <= s_energy * csi_energy``.  :func:`statistics` sums
+    ``error_cross`` over the antennas rather than forming that difference,
+    which cancels at high SNR.
     """
 
     s_energy: float
     csi_energy: float
     cross: complex
     mismatch: float
-    error_cross: complex | None = None
-
-    def __post_init__(self):
-        if self.error_cross is None:
-            self.error_cross = self.cross - self.csi_energy
+    error_cross: complex
 
 
 def lmmse_coefficient(config: ChannelConfig) -> complex:

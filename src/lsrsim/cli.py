@@ -4,8 +4,10 @@ Each subcommand reads a JSON experiment config, runs the corresponding sweep
 and writes a CSV or JSON result table.  A ``--seed`` flag is mandatory so no
 run is silently nondeterministic; flags override config-file fields.
 
-Exit codes: 0 success, 2 config validation error, 3 runtime/numerical flag
-(e.g. an unbracketed SNR-gain target), 4 I/O error.
+Exit codes: 0 success, 2 invalid config or flag (every one a
+:class:`~lsrsim.channel.ConfigError` naming its field, or argparse's own
+refusal), 3 runtime failure (an unbracketed SNR-gain target, or a run whose
+arrays cannot be allocated), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .channel import ConfigError, _check_integer
+from .channel import ConfigError, _check, _check_integer
 from .experiments import (
     KINDS,
     ExperimentConfig,
@@ -36,6 +38,13 @@ def _outage_level(text: str) -> float:
     return value
 
 
+def _worker_count(text: str) -> int:
+    try:
+        return _check_integer("workers", int(text), low=1)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lsrsim",
@@ -51,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--trials", type=int, default=None, help="override config trials")
-        p.add_argument("--workers", type=int, default=1, help="worker threads")
+        p.add_argument("--workers", type=_worker_count, default=1, help="worker threads")
         if kind == "outage_curve":
             exclusive = p.add_mutually_exclusive_group()
             exclusive.add_argument(
@@ -69,13 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        _check_integer("workers", args.workers, low=1)
-    except ConfigError as exc:
-        parser.error(str(exc))
-
+    args = _build_parser().parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -83,33 +86,31 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 4
     try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    if not isinstance(data, dict):
-        print("error: config must be a JSON object", file=sys.stderr)
-        return 2
-
-    kind = args.kind
-    if "kind" in data and data["kind"] != kind:
-        print(
-            f"error: kind: config says {data['kind']!r} but command is {kind!r}",
-            file=sys.stderr,
-        )
-        return 2
-    data["kind"] = kind
-    data["seed"] = args.seed
-    if args.trials is not None:
-        data["trials"] = args.trials
-
-    try:
+        try:
+            data = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ConfigError("config", f"not valid JSON: {exc}") from None
+        _check(isinstance(data, dict), "config", "must be a JSON object")
+        _check(data.get("kind", args.kind) == args.kind, "kind",
+               f"config says {data.get('kind')!r} but command is {args.kind!r}")
+        data.update(kind=args.kind, seed=args.seed)
+        if args.trials is not None:
+            data["trials"] = args.trials
         cfg = ExperimentConfig.from_dict(data)
+        # snr_gain reads one curve; the rows of several antenna counts would
+        # be joined into one
+        _check(args.gain_target is None or len(cfg.n_r_list) == 1, "n_r_list",
+               f"--gain-target needs one antenna count, got {cfg.n_r_list}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    table = run_experiment(cfg, include_lsr=not args.lmmse_only, workers=args.workers)
+    try:
+        table = run_experiment(cfg, include_lsr=not args.lmmse_only, workers=args.workers)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}; lower trials, n_r_list or "
+              "search.coarse_points", file=sys.stderr)
+        return 3
 
     for row in table.rows:
         for col in ("p_lmmse", "p_lsr", "p_hat"):

@@ -343,8 +343,8 @@ def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True, workers: 
     kind = KINDS[cfg.kind]
     columns, point_rows = kind.columns, kind.point_rows
     if not include_lsr:
-        if cfg.kind != "outage_curve":
-            raise ValueError(f"include_lsr=False applies to outage_curve only, not {cfg.kind}")
+        _check(cfg.kind == "outage_curve", "include_lsr",
+               f"False applies to outage_curve only, not {cfg.kind}")
         columns, point_rows = OUTAGE_CURVE_COLUMNS_LMMSE_ONLY, _lmmse_rows
     rows = []
     for p in _grid(cfg, snr_major=kind.snr_major):
@@ -379,8 +379,7 @@ def snr_gain(
     ``(snr_db, log10 outage)`` on the first bracketing segment.  Raises
     :class:`NotBracketedError` when a curve never crosses the target.
     """
-    if not (0 < target_outage < 1):
-        raise ValueError(f"target_outage must be in (0, 1), got {target_outage}")
+    _check(0 < target_outage < 1, "target_outage", f"must be in (0, 1), got {target_outage}")
     return _crossing_snr(curve_a, target_outage) - _crossing_snr(curve_b, target_outage)
 
 
@@ -414,6 +413,10 @@ def _format_scalar(value, column: str) -> str:
     return str(value)
 
 
+def _check_format(format) -> None:
+    _check(format in ("csv", "json"), "format", f"must be 'csv' or 'json', got {format!r}")
+
+
 def emit_results(table: ResultTable, path, format: str = "csv") -> None:
     """Write a result table as CSV (header row) or JSON (array of objects).
 
@@ -423,29 +426,27 @@ def emit_results(table: ResultTable, path, format: str = "csv") -> None:
     ``ValueError`` naming its column before the file is opened, so JSON
     output always parses.
     """
+    _check_format(format)
     if format == "csv":
         lines = [",".join(table.columns)]
         for row in table.rows:
             lines.append(",".join(_format_scalar(row[c], c) for c in table.columns))
         text = "\n".join(lines) + "\n"
-    elif format == "json":
-        if not table.rows:
-            text = "[]\n"
-        else:
-            body = []
-            for row in table.rows:
-                cells = []
-                for c in table.columns:
-                    v = row[c]
-                    key = json.dumps(c)
-                    if isinstance(v, str):
-                        cells.append(f"{key}: {json.dumps(v)}")
-                    else:
-                        cells.append(f"{key}: {_format_scalar(v, c)}")
-                body.append("  {" + ", ".join(cells) + "}")
-            text = "[\n" + ",\n".join(body) + "\n]\n"
+    elif not table.rows:
+        text = "[]\n"
     else:
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+        body = []
+        for row in table.rows:
+            cells = []
+            for c in table.columns:
+                v = row[c]
+                key = json.dumps(c)
+                if isinstance(v, str):
+                    cells.append(f"{key}: {json.dumps(v)}")
+                else:
+                    cells.append(f"{key}: {_format_scalar(v, c)}")
+            body.append("  {" + ", ".join(cells) + "}")
+        text = "[\n" + ",\n".join(body) + "\n]\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -463,6 +464,7 @@ def _parse_scalar(text: str):
 
 def read_results(path, format: str = "csv") -> ResultTable:
     """Read back a table written by :func:`emit_results`."""
+    _check_format(format)
     if format == "csv":
         with open(path, "r", encoding="utf-8") as fh:
             lines = [line.rstrip("\n") for line in fh if line.strip() != ""]
@@ -474,9 +476,7 @@ def read_results(path, format: str = "csv") -> ResultTable:
             for line in lines[1:]
         ]
         return ResultTable(columns=columns, rows=rows)
-    if format == "json":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        columns = list(data[0].keys()) if data else []
-        return ResultTable(columns=columns, rows=data)
-    raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    columns = list(data[0].keys()) if data else []
+    return ResultTable(columns=columns, rows=data)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GmiStatistics
+from .channel import GmiStatistics, _check, _check_integer
 
 __all__ = ["GmiResult", "GridSpec", "k_ls", "theta_star", "gmi_grid_oracle"]
 
@@ -61,15 +61,10 @@ class GridSpec:
     refine_iters: int = 128
 
     def __post_init__(self):
-        if not (0 < self.theta_min < self.theta_max):
-            raise ValueError(
-                f"grid bounds must satisfy 0 < theta_min < theta_max, got "
-                f"[{self.theta_min}, {self.theta_max}]"
-            )
-        if self.points < 1000:
-            raise ValueError(f"grid needs at least 1000 points, got {self.points}")
-        if self.refine_iters < 0:
-            raise ValueError("refine_iters must be nonnegative")
+        _check(0 < self.theta_min < self.theta_max, "theta_min",
+               f"need 0 < theta_min < theta_max, got [{self.theta_min}, {self.theta_max}]")
+        _check_integer("points", self.points, 1000)
+        _check_integer("refine_iters", self.refine_iters)
 
 
 def _reduce(stats: GmiStatistics) -> tuple[float, float, float]:
@@ -196,8 +191,7 @@ def k_ls(stats: GmiStatistics, power: float, noise_var: float, theta: float) -> 
     For ``theta < 0`` the log argument is >= 1, so the evaluation can never
     leave the domain; ``theta >= 0`` violates the contract.
     """
-    if theta >= 0:
-        raise ValueError(f"theta must be strictly negative, got {theta}")
+    _check(theta < 0, "theta", f"must be strictly negative, got {theta}")
     return float(_k_ls_core(theta, *_reduce(stats), power, noise_var))
 
 

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelConfig, _check_integer, _component_scales, lmmse_coefficient
+from .channel import ChannelConfig, _check, _check_integer, _component_scales, lmmse_coefficient
 from .gmi import _solve_theta, _Workspace
 from .streams import BlockSampler
 
@@ -82,10 +82,8 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
 
     Valid down to zero observed failures, unlike the Wald interval.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if not (0 <= failures <= trials):
-        raise ValueError(f"failures must be in [0, trials], got {failures}")
+    _check(trials >= 1, "trials", f"must be positive, got {trials}")
+    _check(0 <= failures <= trials, "failures", f"must be in [0, trials], got {failures}")
     n = float(trials)
     p = failures / n
     z2 = _Z95 * _Z95
@@ -120,8 +118,7 @@ class Draw:
         do not call ``gmi`` or ``outage`` of one draw concurrently.
         """
         b = complex(b)
-        if not cmath.isfinite(b):
-            raise ValueError(f"b must be finite, got {b}")
+        _check(cmath.isfinite(b), "b", f"must be finite, got {b}")
         a = lmmse_coefficient(self.config)
         b_abs2 = b.real * b.real + b.imag * b.imag
         b_a = (b * a.conjugate()).real
@@ -155,8 +152,8 @@ class Draw:
         The outage event uses a strict inequality, so a zero rate can never
         count an outage (the GMI is nonnegative).
         """
-        if not 0 <= rate_nats < math.inf:
-            raise ValueError(f"rate_nats must be finite and nonnegative, got {rate_nats}")
+        _check(0 <= rate_nats < math.inf, "rate_nats",
+               f"must be finite and nonnegative, got {rate_nats}")
         gmi = self.gmi(b)
         failures = int(np.count_nonzero(gmi < rate_nats))
         low, high = wilson_interval(failures, gmi.size)
@@ -251,8 +248,7 @@ def gmi_samples_multi_b(
     Returns an array of shape ``(len(b_values), trials)``; row ``k`` is
     ``draw(config, trials, seed, workers=workers).gmi(b_values[k])``.
     """
-    if len(b_values) == 0:
-        raise ValueError("b_values must be nonempty")
+    _check(len(b_values) > 0, "b_values", "must be nonempty")
     d = draw(config, trials, seed, workers=workers)
     return np.stack([d.gmi(b) for b in b_values])
 

@@ -6,7 +6,6 @@ import pytest
 from lsrsim import (
     ChannelConfig,
     ChannelRealization,
-    GmiStatistics,
     lmmse_coefficient,
     sample_realization,
     statistics,
@@ -184,7 +183,3 @@ class TestStatistics:
             assert complex(st.error_cross) == pytest.approx(oracle, rel=1e-12, abs=0.0)
             scale = max(st.s_energy, st.csi_energy, 1e-300)
             assert abs(st.error_cross - (st.cross - st.csi_energy)) <= 1e-12 * scale
-
-    def test_error_cross_defaults_to_the_difference(self):
-        st = GmiStatistics(s_energy=2.0, csi_energy=1.5, cross=1.25 - 0.5j, mismatch=1.0)
-        assert st.error_cross == (1.25 - 0.5j) - 1.5

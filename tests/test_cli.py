@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import lsrsim.cli
 from lsrsim import read_results
 from lsrsim.cli import main
 
@@ -47,10 +48,11 @@ class TestExitCodes:
         assert code == 2
         assert "snr_db" in capsys.readouterr().err
 
-    def test_kind_mismatch_rejected(self, tmp_path):
+    def test_kind_mismatch_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, kind="b_vs_snr")
         assert main(["outage-curve", "--config", str(cfg), "--seed", "3",
                      "--out", str(tmp_path / "r.csv")]) == 2
+        assert "error: kind: " in capsys.readouterr().err
 
     def test_unbracketed_gain_flags_runtime(self, tmp_path):
         # two SNR points around 50% outage never reach 1e-6
@@ -203,6 +205,36 @@ class TestConfigBoundary:
             run(tmp_path, "outage-curve", *flags)
         assert exc.value.code == 2
         assert "gain-target" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_config_file_refusal_names_field(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["outage-curve", "--config", str(cfg), "--seed", "3",
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        assert "error: config: " in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_gain_target_needs_one_antenna_count(self, tmp_path, capsys):
+        # snr_gain reads one curve, and the rows of n_r = 2 and 8 are two
+        grid = dict(snr_db=[0.0, 4.0, 8.0])
+        assert run(tmp_path, "outage-curve", "--gain-target", "1e-2",
+                   n_r_list=[2, 8], **grid) == 2
+        assert "error: n_r_list: " in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+        assert run(tmp_path, "outage-curve", "--gain-target", "1e-2", n_r_list=[4], **grid) == 0
+        assert "snr_gain_db=" in capsys.readouterr().out
+
+    def test_out_of_memory_exits_3_without_traceback(self, tmp_path, capsys, monkeypatch):
+        def run_experiment(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(lsrsim.cli, "run_experiment", run_experiment)
+        assert run(tmp_path, "outage-curve") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert "trials" in err and "Traceback" not in err
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1", "18446744073709551616"])

@@ -1,5 +1,8 @@
 import math
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 import lsrsim.outage
@@ -9,16 +12,22 @@ from lsrsim import (
     NotBracketedError,
     ResultTable,
     ChannelConfig,
+    ChannelRealization,
+    GmiStatistics,
+    GridSpec,
     SearchSpec,
     build_channel_config,
     curve_points,
     draw,
     emit_results,
+    gmi_samples_multi_b,
+    k_ls,
     rate_bits_to_nats,
     read_results,
     run_experiment,
     snr_gain,
     substream,
+    wilson_interval,
 )
 from lsrsim.experiments import (
     B_SWEEP_COLUMNS,
@@ -112,17 +121,49 @@ class TestConfigValidation:
             ExperimentConfig.from_dict({**data, **overrides})
         assert exc.value.path == path
 
-    def test_library_arguments_raise_the_one_config_error(self):
-        calls = {
-            "trials": lambda: draw(build_channel_config(0.0, 2), 2**64, 1),
-            "seed": lambda: substream(-1, 0),
-            "stream index": lambda: substream(1, 2.0),
-            "n_r": lambda: ChannelConfig(0, 1.0, 1.0, 1.0, 1.0, 1.0),
-        }
-        for path, call in calls.items():
+    def test_library_arguments_raise_the_one_config_error(self, tmp_path):
+        config = build_channel_config(0.0, 2)
+        d = draw(config, 10, 1)
+        stats = GmiStatistics(s_energy=1.0, csi_energy=0.0, cross=0j, mismatch=1.0, error_cross=0j)
+        table = ResultTable(columns=[], rows=[])
+        calls = [
+            ("trials", lambda: draw(config, 2**64, 1)),
+            ("seed", lambda: substream(-1, 0)),
+            ("stream index", lambda: substream(1, 2.0)),
+            ("n_r", lambda: ChannelConfig(0, 1.0, 1.0, 1.0, 1.0, 1.0)),
+            ("v", lambda: ChannelRealization(np.zeros(3, complex), np.zeros(4, complex))),
+            ("theta_min", lambda: GridSpec(theta_min=0.0, theta_max=1.0)),
+            ("points", lambda: GridSpec(theta_min=1e-6, theta_max=1.0, points=100)),
+            ("refine_iters", lambda: GridSpec(theta_min=1e-6, theta_max=1.0, refine_iters=-1)),
+            ("theta", lambda: k_ls(stats, 1.0, 1.0, 0.0)),
+            ("trials", lambda: wilson_interval(0, 0)),
+            ("failures", lambda: wilson_interval(5, 4)),
+            ("b", lambda: d.gmi(math.nan)),
+            ("b", lambda: d.outage(math.inf, 0.5)),
+            ("rate_nats", lambda: d.outage(1.0, -0.1)),
+            ("b_values", lambda: gmi_samples_multi_b(config, [], 10, 1)),
+            ("include_lsr", lambda: run_experiment(
+                small_cfg(kind="b_sweep", b_over_a=[1.0]), include_lsr=False)),
+            ("target_outage", lambda: snr_gain([(0, 0.5)], [(0, 0.5)], 1.0)),
+            ("format", lambda: emit_results(table, tmp_path / "x", "yaml")),
+            ("format", lambda: read_results(tmp_path / "x", "yaml")),
+        ]
+        for path, call in calls:
             with pytest.raises(ValueError) as exc:
                 call()
             assert type(exc.value) is ConfigError and exc.value.path == path
+        assert not (tmp_path / "x").exists()
+
+    def test_config_error_survives_pickling(self):
+        exc = pickle.loads(pickle.dumps(ConfigError("trials", "must be positive")))
+        assert type(exc) is ConfigError and exc.path == "trials"
+        assert str(exc) == "trials: must be positive"
+
+    def test_config_error_crosses_a_process_pool(self):
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(ConfigError) as exc:
+                pool.submit(substream, -1, 0).result()
+        assert exc.value.path == "seed" and str(exc.value).startswith("seed: ")
 
 
 class TestRunOutageCurve:

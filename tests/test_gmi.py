@@ -29,6 +29,7 @@ def perfect_csi_stats(s_energy: float) -> GmiStatistics:
         csi_energy=s_energy,
         cross=complex(s_energy),
         mismatch=0.0,
+        error_cross=0j,
     )
 
 
@@ -62,7 +63,7 @@ class TestKls:
         assert abs(k_ls(st, power, noise_var, -1e-12)) <= 1e-9
 
     def test_zero_csi_gives_identically_zero(self):
-        st = GmiStatistics(s_energy=2.5, csi_energy=0.0, cross=0j, mismatch=2.5)
+        st = GmiStatistics(s_energy=2.5, csi_energy=0.0, cross=0j, mismatch=2.5, error_cross=0j)
         for theta in (-1e-6, -0.5, -3.0, -100.0):
             assert k_ls(st, 4.0, 1.0, theta) == 0.0
 
@@ -97,7 +98,7 @@ class TestThetaStar:
         assert res.gmi_nats == pytest.approx(math.log1p(5.0 * 1.7), rel=1e-12)
 
     def test_zero_csi_returns_absent_theta(self):
-        st = GmiStatistics(s_energy=1.0, csi_energy=0.0, cross=0j, mismatch=1.0)
+        st = GmiStatistics(s_energy=1.0, csi_energy=0.0, cross=0j, mismatch=1.0, error_cross=0j)
         res = theta_star(st, 2.0, 1.0)
         assert res.theta_star is None
         assert res.gmi_nats == 0.0
@@ -205,7 +206,7 @@ class TestGridOracle:
             assert oracle == pytest.approx(expected, rel=1e-6)
 
     def test_zero_csi_gives_zero(self):
-        st = GmiStatistics(s_energy=1.0, csi_energy=0.0, cross=0j, mismatch=1.0)
+        st = GmiStatistics(s_energy=1.0, csi_energy=0.0, cross=0j, mismatch=1.0, error_cross=0j)
         assert gmi_grid_oracle(st, 3.0, 1.0, WIDE_GRID) == 0.0
 
 

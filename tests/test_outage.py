@@ -160,9 +160,9 @@ class TestEstimateOutage:
             draw(cfg, 10, 1, workers=0)
         d = draw(cfg, 10, 1)
         for b in (math.nan, math.inf, complex(0.5, math.nan)):
-            with pytest.raises(ValueError, match="b must be finite"):
+            with pytest.raises(ValueError, match="b: must be finite"):
                 d.gmi(b)
-            with pytest.raises(ValueError, match="b must be finite"):
+            with pytest.raises(ValueError, match="b: must be finite"):
                 d.outage(b, 0.5)
         for rate in (math.nan, math.inf, -0.1):
             with pytest.raises(ValueError, match="rate_nats"):
