@@ -35,6 +35,7 @@ from .outage import (
     GmiHistogram,
     OutageEstimate,
     draw,
+    draw_many,
     estimate_outage,
     gmi_histogram,
     gmi_samples_multi_b,
@@ -60,6 +61,7 @@ __all__ = [
     "GmiHistogram",
     "wilson_interval",
     "draw",
+    "draw_many",
     "estimate_outage",
     "gmi_histogram",
     "gmi_samples_multi_b",

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import (ChannelConfig, _check, _check_antennas, _check_integer, _check_list,
                       _check_real, lmmse_coefficient)
-from .outage import Draw, draw, gmi_histogram
+from .outage import Draw, draw_many, gmi_histogram
 from .shrinkage import SearchSpec, optimize_b
 
 __all__ = [
@@ -52,6 +52,13 @@ LN2 = math.log(2.0)
 # 1e-16 sqrt(power): about 1e-10 at 150 dB and 2.5e-8 at 200 dB (near
 # 500 dB the solver's B^2 overflows).  The cap keeps the GMI within 1e-9.
 MAX_SNR_DB = 150.0
+
+# Largest total size of the draws that run_experiment samples together: a
+# point holds 24 bytes per trial (V and Y), so the draws of a chunk of one
+# antenna count's points take at most this much, or one point's draw when
+# that is larger.  At 1e4 trials a chunk holds 279 points; above about
+# 1.4e6 trials it holds one.
+_DRAW_GROUP_BYTES = 64 * 2**20
 
 
 class NotBracketedError(RuntimeError):
@@ -333,8 +340,12 @@ KINDS = {
 def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True, workers: int = 1) -> ResultTable:
     """Run every grid point of ``cfg`` and collect the rows of its kind.
 
-    Each grid point draws its trials once (``workers`` threads share the
-    draw) and every row of the point reads that draw.
+    Each antenna count's normals are sampled once per chunk of its grid
+    points and reduced once per point (``workers`` threads share the
+    sampling, see :func:`~lsrsim.outage.draw_many`); every row of a point
+    reads that point's draw.  A chunk holds as many points as fit
+    ``_DRAW_GROUP_BYTES`` at 24 bytes per trial and point, at least one.
+    Rows come out in grid order whatever the chunking.
 
     ``include_lsr=False`` applies to ``outage_curve`` only: it skips the
     shrinkage search and emits the LMMSE columns alone, which equal those of
@@ -346,24 +357,44 @@ def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True, workers: 
         _check(cfg.kind == "outage_curve", "include_lsr",
                f"False applies to outage_curve only, not {cfg.kind}")
         columns, point_rows = OUTAGE_CURVE_COLUMNS_LMMSE_ONLY, _lmmse_rows
-    rows = []
-    for p in _grid(cfg, snr_major=kind.snr_major):
-        common = {
-            "snr_db": p.snr_db,
-            "n_r": p.n_r,
-            "rate_bits": p.rate_bits,
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-        }
-        d = draw(p.config, cfg.trials, cfg.seed, workers=workers)
-        for cells in point_rows(cfg, p, d):
-            row = {**common, **cells}
-            rows.append({c: row[c] for c in columns})
-    return ResultTable(columns=columns, rows=rows)
+    grid = list(_grid(cfg, snr_major=kind.snr_major))
+    by_n_r: dict[int, list[int]] = {}
+    for i, p in enumerate(grid):
+        by_n_r.setdefault(p.n_r, []).append(i)
+    per_chunk = max(1, _DRAW_GROUP_BYTES // (24 * cfg.trials))
+    point_table: list[list[dict]] = [[] for _ in grid]
+    for positions in by_n_r.values():
+        for lo in range(0, len(positions), per_chunk):
+            chunk = positions[lo : lo + per_chunk]
+            draws = draw_many([grid[i].config for i in chunk], cfg.trials, cfg.seed, workers=workers)
+            for i in chunk:
+                p = grid[i]
+                common = {
+                    "snr_db": p.snr_db,
+                    "n_r": p.n_r,
+                    "rate_bits": p.rate_bits,
+                    "trials": cfg.trials,
+                    "seed": cfg.seed,
+                }
+                # popping releases each draw, with its solve workspace,
+                # once its rows are built
+                for cells in point_rows(cfg, p, draws.pop(0)):
+                    row = {**common, **cells}
+                    point_table[i].append({c: row[c] for c in columns})
+    return ResultTable(columns=columns, rows=[row for rows in point_table for row in rows])
 
 
 def curve_points(table: ResultTable, p_column: str) -> list[tuple[float, float]]:
-    """Extract ``(snr_db, outage)`` pairs of one receiver from a result table."""
+    """Extract ``(snr_db, outage)`` pairs of one receiver from a result table.
+
+    The table must hold one curve: rows of more than one ``(n_r,
+    rate_bits)`` pair are refused with a
+    :class:`~lsrsim.channel.ConfigError` naming ``n_r_list``, since joining
+    them would make a curve of none of them.
+    """
+    pairs = list(dict.fromkeys((r.get("n_r"), r.get("rate_bits")) for r in table.rows))
+    _check(len(pairs) <= 1, "n_r_list",
+           f"a curve needs one (n_r, rate_bits) pair, the table has {pairs}")
     return [(float(r["snr_db"]), float(r[p_column])) for r in table.rows]
 
 

@@ -7,11 +7,11 @@ coefficient, write ``s^H v = conj(a) V + Y`` where ``V = ||v||^2`` and
 through ``c = |b|^2 V``, ``r = Re(b conj(a)) V + Re(b Y)`` and
 ``d = |b|^2 |(conj(b) - conj(a)) V - Y|^2`` (see :mod:`lsrsim.gmi`), and none
 of these is formed as a difference of nearly equal numbers.
-:func:`draw` reduces each trial once to ``(V, Y)``, and every ``b`` is then
-read from that :class:`Draw`, so all coefficients share the same
-realizations (common random numbers) and per-trial outcomes are a pure
-function of ``(config, b, seed, trial index)``, independent of worker count,
-block sizes and execution order.
+:func:`draw_many` reduces each trial once per config to ``(V, Y)``, and
+every ``b`` is then read from that :class:`Draw`, so all coefficients share
+the same realizations (common random numbers) and per-trial outcomes are a
+pure function of ``(config, b, seed, trial index)``, independent of worker
+count, block sizes, the configs drawn together and execution order.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "GmiHistogram",
     "wilson_interval",
     "draw",
+    "draw_many",
     "gmi_samples_multi_b",
     "estimate_outage",
     "gmi_histogram",
@@ -101,7 +102,7 @@ class Draw:
     Entry ``i`` of each array belongs to the realization ``(s, v)`` of
     substream ``(seed, i)``: ``v_energy = ||v||^2`` and
     ``residual = (s - a v)^H v`` with ``a = lmmse_coefficient(config)``.
-    Built by :func:`draw`.
+    Built by :func:`draw` or :func:`draw_many`.
     """
 
     config: ChannelConfig
@@ -166,19 +167,21 @@ class Draw:
         )
 
 
-def _draw_block(d: Draw, seed: int, start: int, stop: int) -> None:
-    """Fill the statistics of trials ``[start, stop)`` of ``d``.
+def _draw_block(draws: Sequence[Draw], seed: int, start: int, stop: int) -> None:
+    """Fill the statistics of trials ``[start, stop)`` of every draw in ``draws``.
 
-    The trials are sampled in blocks of about ``_CHUNK_FLOATS`` normals into
-    buffers allocated once, and each block is reduced while it is still in
-    cache.  Every operation is the one of ``sample_realization`` and of the
-    sums over its ``(s, v)``, with the same operands in the same order, so
-    ``V`` and ``Y`` are bit-identical to those sums for any block size.
+    The draws share ``n_r``, so each trial's normals are sampled once and
+    reduced once per draw.  The trials are sampled in blocks of about
+    ``_CHUNK_FLOATS`` normals into buffers allocated once, and each block is
+    reduced while it is still in cache; the reduction only reads the
+    normals.  Every operation is the one of ``sample_realization`` and of
+    the sums over its ``(s, v)``, with the same operands in the same order,
+    so ``V`` and ``Y`` are bit-identical to those sums for any block size
+    and any set of draws sampled together.
     """
-    config = d.config
-    n = config.n_r
-    scale_s, scale_z = _component_scales(config)
-    a = lmmse_coefficient(config)
+    n = draws[0].config.n_r
+    reductions = [(d, d.config.pilot, *_component_scales(d.config), lmmse_coefficient(d.config))
+                  for d in draws]
     normals = BlockSampler(seed).normals
     rows = min(max(1, _CHUNK_FLOATS // (4 * n)), stop - start)
     w = np.empty((rows, 4 * n))
@@ -190,49 +193,78 @@ def _draw_block(d: Draw, seed: int, start: int, stop: int) -> None:
         wb, sb, vb, tb, qb = w[:m], s[:m], v[:m], t[:m], q[:m]
         for index, row in zip(range(lo, lo + m), w_rows):
             normals(index, row)
-        # s = (w_1 + 1j w_2) scale_s and v = s pilot + (w_3 + 1j w_4) scale_z
-        np.add(wb[:, :n], np.multiply(1j, wb[:, n : 2 * n], out=sb), out=sb)
-        np.multiply(sb, scale_s, out=sb)
-        np.add(wb[:, 2 * n : 3 * n], np.multiply(1j, wb[:, 3 * n :], out=tb), out=tb)
-        np.multiply(tb, scale_z, out=tb)
-        np.add(np.multiply(sb, config.pilot, out=vb), tb, out=vb)
-        # V = sum |v|^2
-        np.square(np.abs(vb, out=qb), out=qb)
-        np.sum(qb, axis=1, out=d.v_energy[lo : lo + m])
-        # Y = sum conj(s - a v) v
-        np.subtract(sb, np.multiply(a, vb, out=tb), out=sb)
-        np.multiply(np.conjugate(sb, out=sb), vb, out=sb)
-        np.sum(sb, axis=1, out=d.residual[lo : lo + m])
+        for d, pilot, scale_s, scale_z, a in reductions:
+            # s = (w_1 + 1j w_2) scale_s and v = s pilot + (w_3 + 1j w_4) scale_z
+            np.add(wb[:, :n], np.multiply(1j, wb[:, n : 2 * n], out=sb), out=sb)
+            np.multiply(sb, scale_s, out=sb)
+            np.add(wb[:, 2 * n : 3 * n], np.multiply(1j, wb[:, 3 * n :], out=tb), out=tb)
+            np.multiply(tb, scale_z, out=tb)
+            np.add(np.multiply(sb, pilot, out=vb), tb, out=vb)
+            # V = sum |v|^2
+            np.square(np.abs(vb, out=qb), out=qb)
+            np.sum(qb, axis=1, out=d.v_energy[lo : lo + m])
+            # Y = sum conj(s - a v) v; the product goes to tb, not back into
+            # sb, since numpy's in-place product of a one-element complex
+            # array rounds unlike its vector loop, so a one-trial block at
+            # n_r = 1 would change the last bits of Y
+            np.subtract(sb, np.multiply(a, vb, out=tb), out=sb)
+            np.multiply(np.conjugate(sb, out=sb), vb, out=tb)
+            np.sum(tb, axis=1, out=d.residual[lo : lo + m])
 
 
-def draw(config: ChannelConfig, trials: int, seed: int, *, workers: int = 1) -> Draw:
-    """Draw trials ``0..trials-1`` of ``(config, seed)`` and reduce each to
-    ``(V, Y)``.
+def draw_many(
+    configs: Sequence[ChannelConfig], trials: int, seed: int, *, workers: int = 1
+) -> list[Draw]:
+    """Draw trials ``0..trials-1`` of ``seed`` once and reduce them to one
+    :class:`Draw` per config.
 
-    This is the only sampling path of the package.  Besides the result (24
-    bytes per trial), each worker samples into buffers of ``88 n_r`` bytes
-    per trial of a block of about ``_CHUNK_FLOATS / (4 n_r)`` trials, about
+    The configs must share ``n_r``: trial ``i``'s normals depend only on
+    ``n_r`` and ``(seed, i)``, so they are sampled once and reduced once per
+    config, and entry ``k`` of the result is bit-identical to
+    ``draw(configs[k], trials, seed)``.  Besides the results (24 bytes per
+    trial each), each worker samples into buffers of ``88 n_r`` bytes per
+    trial of a block of about ``_CHUNK_FLOATS / (4 n_r)`` trials, about
     0.7 MB whatever the trial count, and the block size never changes a
     result.  ``workers`` only splits the trial range across threads; the
-    result is bit-identical for any worker count.  ``trials``, ``seed`` and
-    ``workers`` must be integers below ``2**64`` (``np.integer`` included);
-    anything else is refused with a :class:`~lsrsim.channel.ConfigError`.
+    result is bit-identical for any worker count.  An empty ``configs``, or
+    one that mixes antenna counts, is refused with a
+    :class:`~lsrsim.channel.ConfigError` naming ``configs``; so are
+    ``trials``, ``seed`` and ``workers`` unless they are integers below
+    ``2**64`` (``np.integer`` included).
     """
+    configs = list(configs)
+    _check(len(configs) > 0, "configs", "must be nonempty")
+    antennas = sorted({c.n_r for c in configs})
+    _check(len(antennas) == 1, "configs", f"must share one n_r, got {antennas}")
     trials = _check_integer("trials", trials, low=1)
     workers = _check_integer("workers", workers, low=1)
     seed = _check_integer("seed", seed)
 
-    d = Draw(config, np.empty(trials), np.empty(trials, dtype=np.complex128))
+    draws = [Draw(c, np.empty(trials), np.empty(trials, dtype=np.complex128)) for c in configs]
     nw = min(workers, trials)
     if nw == 1:
-        _draw_block(d, seed, 0, trials)
-        return d
+        _draw_block(draws, seed, 0, trials)
+        return draws
     bounds = [trials * k // nw for k in range(nw + 1)]
     with ThreadPoolExecutor(max_workers=nw) as pool:
-        futures = [pool.submit(_draw_block, d, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        futures = [pool.submit(_draw_block, draws, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         for f in futures:
             f.result()
-    return d
+    return draws
+
+
+def draw(config: ChannelConfig, trials: int, seed: int, *, workers: int = 1) -> Draw:
+    """Draw trials ``0..trials-1`` of ``(config, seed)`` and reduce each to
+    ``(V, Y)``: ``draw_many([config], trials, seed, workers=workers)[0]``.
+
+    :func:`draw_many` is the only sampling path of the package; it samples
+    the normals of several configs that share ``n_r`` once.  The result
+    takes 24 bytes per trial, and the sampling buffers about 0.7 MB per
+    worker whatever the trial count.  Neither the block size nor
+    ``workers`` (threads that split the trial range) changes a bit of the
+    result.
+    """
+    return draw_many([config], trials, seed, workers=workers)[0]
 
 
 def gmi_samples_multi_b(

@@ -1,10 +1,12 @@
 import math
 import pickle
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import lsrsim.experiments
 import lsrsim.outage
 from lsrsim import (
     ConfigError,
@@ -33,6 +35,7 @@ from lsrsim.experiments import (
     B_SWEEP_COLUMNS,
     B_VS_SNR_COLUMNS,
     GMI_HISTOGRAM_COLUMNS,
+    KINDS,
     OUTAGE_CURVE_COLUMNS,
 )
 
@@ -196,27 +199,95 @@ class TestRunOutageCurve:
         assert [(r["n_r"], r["rate_bits"]) for r in table.rows] == [(2, 0.5), (4, 1.0)]
 
 
-class TestOneDrawPerPoint:
+def counting_sampler(monkeypatch) -> list:
+    """Record the index of every trial the sampler draws."""
+    indices = []
+
+    class CountingSampler(lsrsim.outage.BlockSampler):
+        def normals(self, index, out):
+            indices.append(index)
+            super().normals(index, out)
+
+    monkeypatch.setattr(lsrsim.outage, "BlockSampler", CountingSampler)
+    return indices
+
+
+class TestOneDrawPerAntennaCount:
     @pytest.mark.parametrize(
-        "overrides, points",
+        "overrides, antenna_counts",
         [
-            (dict(kind="outage_curve"), 2),
+            (dict(kind="outage_curve"), 1),
             (dict(kind="gmi_histogram", snr_db=[5.0], bins=8), 1),
+            (dict(kind="outage_curve", n_r_list=[2, 8, 2]), 2),
+            (dict(kind="asymptotic_scan", snr_db=[0.0, 3.0], n_r_list=[2, 16, 2]), 2),
         ],
     )
-    def test_each_trial_sampled_once_per_point(self, monkeypatch, overrides, points):
-        indices = []
-
-        class CountingSampler(lsrsim.outage.BlockSampler):
-            def normals(self, index, out):
-                indices.append(index)
-                super().normals(index, out)
-
-        monkeypatch.setattr(lsrsim.outage, "BlockSampler", CountingSampler)
+    def test_each_trial_sampled_once_per_antenna_count(self, monkeypatch, overrides, antenna_counts):
+        indices = counting_sampler(monkeypatch)
         cfg = small_cfg(trials=500, **overrides)
         run_experiment(cfg)
-        assert len(indices) == points * cfg.trials
-        assert sorted(indices) == sorted(list(range(cfg.trials)) * points)
+        assert len(indices) == antenna_counts * cfg.trials
+        assert sorted(indices) == sorted(list(range(cfg.trials)) * antenna_counts)
+
+
+# one config per kind, each with a repeated antenna count
+GRIDS = {
+    "outage_curve": dict(kind="outage_curve"),
+    "b_vs_snr": dict(kind="b_vs_snr"),
+    "gmi_histogram": dict(kind="gmi_histogram", bins=4),
+    "b_sweep": dict(kind="b_sweep", b_over_a=[0.5, 1.0]),
+    "asymptotic_scan": dict(kind="asymptotic_scan", n_r_list=[2, 16, 2]),
+}
+
+
+def grid_cfg(kind: str) -> ExperimentConfig:
+    params = dict(snr_db=[3.0, 6.0, 4.5], n_r_list=[2, 4, 2], rate_bits=[0.5, 1.0, 1.5], trials=300)
+    params.update(GRIDS[kind])
+    return small_cfg(**params)
+
+
+def one_snr_tables(cfg: ExperimentConfig, include_lsr: bool) -> list[dict]:
+    """The rows of ``cfg``, in its row order, each from a grid of one SNR
+    (and one antenna count, for the n_r-major kinds)."""
+    if KINDS[cfg.kind].snr_major:
+        subs = [replace(cfg, snr_db=[snr]) for snr in cfg.snr_db]
+    else:
+        subs = [
+            replace(cfg, snr_db=[snr], n_r_list=[n_r], rate_bits=[rate])
+            for n_r, rate in zip(cfg.n_r_list, cfg._rates())
+            for snr in cfg.snr_db
+        ]
+    return [row for sub in subs for row in run_experiment(sub, include_lsr=include_lsr).rows]
+
+
+class TestSharedDraws:
+    """Sampling an antenna count once for several SNRs changes no bit of a table."""
+
+    @pytest.mark.parametrize("kind, include_lsr", [(k, True) for k in GRIDS] + [("outage_curve", False)])
+    def test_grid_equals_its_one_snr_grids(self, kind, include_lsr):
+        cfg = grid_cfg(kind)
+        rows = run_experiment(cfg, include_lsr=include_lsr).rows
+        assert repr(rows) == repr(one_snr_tables(cfg, include_lsr))
+
+    @pytest.mark.parametrize("kind", GRIDS)
+    @pytest.mark.parametrize("points_per_chunk", [1, 2])
+    def test_chunk_size_changes_no_bit(self, monkeypatch, kind, points_per_chunk):
+        cfg = grid_cfg(kind)
+        expected = run_experiment(cfg).rows
+        indices = counting_sampler(monkeypatch)
+        monkeypatch.setattr(lsrsim.experiments, "_DRAW_GROUP_BYTES", points_per_chunk * 24 * cfg.trials)
+        assert repr(run_experiment(cfg).rows) == repr(expected)
+        # one sampling pass per chunk: n_r = 2 has 6 points (two pairs at 3
+        # SNRs) and the other antenna count 3
+        chunks = {1: 9, 2: 3 + 2}[points_per_chunk]
+        assert len(indices) == chunks * cfg.trials
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_count_changes_no_bit(self, monkeypatch, workers):
+        cfg = grid_cfg("outage_curve")
+        expected = run_experiment(cfg).rows
+        monkeypatch.setattr(lsrsim.experiments, "_DRAW_GROUP_BYTES", 2 * 24 * cfg.trials)
+        assert repr(run_experiment(cfg, workers=workers).rows) == repr(expected)
 
 
 class TestOtherRunners:
@@ -297,6 +368,22 @@ class TestSnrGain:
             rows=[{"snr_db": 1.0, "p_lmmse": 0.5}, {"snr_db": 2.0, "p_lmmse": 0.2}],
         )
         assert curve_points(table, "p_lmmse") == [(1.0, 0.5), (2.0, 0.2)]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(n_r_list=[2, 8]), dict(n_r_list=[4, 4], rate_bits=[0.5, 1.0])],
+    )
+    def test_curve_points_refuses_several_curves(self, overrides):
+        # snr_gain on the joined rows of n_r = 2 and 8 read a gain of
+        # neither curve
+        cfg = small_cfg(snr_db=[0.0, 4.0, 8.0], trials=1500, seed=3, **overrides)
+        table = run_experiment(cfg)
+        for column in ("p_lmmse", "p_lsr"):
+            with pytest.raises(ConfigError) as exc:
+                curve_points(table, column)
+            assert exc.value.path == "n_r_list"
+        one = run_experiment(replace(cfg, n_r_list=[8], rate_bits=1.0))
+        assert curve_points(one, "p_lsr") == [(r["snr_db"], r["p_lsr"]) for r in one.rows]
 
 
 class TestEmitResults:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from scipy import stats as scipy_stats
 
 from lsrsim import (
     ChannelConfig,
+    ConfigError,
     Draw,
     build_channel_config,
     draw,
+    draw_many,
     estimate_outage,
     gmi_histogram,
     gmi_samples_multi_b,
@@ -225,6 +228,20 @@ class TestBlocks:
             assert d.v_energy[i] == np.sum(np.abs(real.v) ** 2)
             assert d.residual[i] == np.sum(np.conj(real.s - a * real.v) * real.v)
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_one_antenna_one_trial_blocks_match_scalar_path(self, monkeypatch, workers):
+        # a one-trial block at n_r = 1 reduces one-element arrays, which
+        # numpy multiplies in place with a different rounding
+        cfg = complex_pilot_config(n_r=1)
+        monkeypatch.setattr(outage, "_CHUNK_FLOATS", 4)
+        a = lmmse_coefficient(cfg)
+        trials, seed = 40, 22
+        d = draw(cfg, trials, seed, workers=workers)
+        for i in range(trials):
+            real = sample_realization(cfg, substream(seed, i))
+            assert d.v_energy[i] == np.sum(np.abs(real.v) ** 2)
+            assert d.residual[i] == np.sum(np.conj(real.s - a * real.v) * real.v)
+
     def test_large_antenna_count_one_trial_per_block(self):
         # at n_r = 8192 a block is one trial
         cfg = build_channel_config(3.0, 8192)
@@ -280,6 +297,56 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak <= 4 * 8 * trials
         np.testing.assert_array_equal(first, second)
+
+
+class TestDrawMany:
+    """Configs that share n_r are sampled once and reduced once each."""
+
+    @staticmethod
+    def configs(n_r):
+        base = complex_pilot_config(n_r)
+        return [
+            base,
+            replace(base, fading_var=0.6),
+            replace(base, pilot_noise_var=0.0),
+            build_channel_config(9.0, n_r),
+            base,
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_r", [1, 5])
+    @pytest.mark.parametrize("block_trials", [3, None])
+    def test_same_bytes_as_separate_draws(self, monkeypatch, workers, n_r, block_trials):
+        # 11 trials: no multiple of a 3-trial block, and split unevenly over
+        # 2 and 3 workers
+        if block_trials is not None:
+            monkeypatch.setattr(outage, "_CHUNK_FLOATS", 4 * n_r * block_trials)
+        configs = self.configs(n_r)
+        trials, seed = 11, 7 * workers + n_r
+        joint = draw_many(configs, trials, seed, workers=workers)
+        assert [d.config for d in joint] == configs
+        for d, cfg in zip(joint, configs):
+            alone = draw(cfg, trials, seed)
+            assert d.v_energy.tobytes() == alone.v_energy.tobytes()
+            assert d.residual.tobytes() == alone.residual.tobytes()
+
+    def test_each_trial_sampled_once(self, monkeypatch):
+        indices = []
+
+        class CountingSampler(outage.BlockSampler):
+            def normals(self, index, out):
+                indices.append(index)
+                super().normals(index, out)
+
+        monkeypatch.setattr(outage, "BlockSampler", CountingSampler)
+        draw_many(self.configs(3), 40, 1, workers=2)
+        assert sorted(indices) == list(range(40))
+
+    def test_refuses_empty_and_mixed_antenna_counts(self):
+        for configs in ([], [complex_pilot_config(4), complex_pilot_config(5)]):
+            with pytest.raises(ConfigError) as exc:
+                draw_many(configs, 10, 1)
+            assert exc.value.path == "configs"
 
 
 class TestArgumentTypes:
