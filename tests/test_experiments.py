@@ -212,6 +212,29 @@ def counting_sampler(monkeypatch) -> list:
     return indices
 
 
+class TestOneDrawPerPoint:
+    @pytest.mark.parametrize(
+        "overrides, points",
+        [
+            (dict(kind="outage_curve"), 2),
+            (dict(kind="gmi_histogram", snr_db=[5.0], bins=8), 1),
+        ],
+    )
+    def test_each_trial_sampled_once_per_point(self, monkeypatch, overrides, points):
+        """Each grid point run on its own samples every trial once, and the
+        whole grid samples no trial more often than that."""
+        indices = counting_sampler(monkeypatch)
+        cfg = small_cfg(trials=500, **overrides)
+        for snr in cfg.snr_db:
+            run_experiment(replace(cfg, snr_db=[snr]))
+        assert len(indices) == points * cfg.trials
+        assert sorted(indices) == sorted(list(range(cfg.trials)) * points)
+        indices.clear()
+        run_experiment(cfg)
+        assert len(indices) <= points * cfg.trials
+        assert set(indices) == set(range(cfg.trials))
+
+
 class TestOneDrawPerAntennaCount:
     @pytest.mark.parametrize(
         "overrides, antenna_counts",
