@@ -116,14 +116,16 @@ class ExperimentConfig:
         _check_integer("trials", self.trials, 1)
         _check_integer("seed", self.seed)
         _check_integer("bins", self.bins, 2)
-        if self.kind == "b_sweep":
+        # every kind type-checks b_over_a and b_scale; only the kind that
+        # reads one requires it or restricts its value
+        if self.b_over_a is not None or self.kind == "b_sweep":
             _check_list("b_over_a", self.b_over_a, _check_real, 0)
+        _check_real("b_scale", self.b_scale)
         if self.kind == "asymptotic_scan":
             _check(
                 max(self.n_r_list) >= 8 * min(self.n_r_list),
                 "n_r_list", "asymptotic_scan needs a span of at least 3 octaves",
             )
-            _check_real("b_scale", self.b_scale)
             _check(self.b_scale != 1.0, "b_scale", "must differ from 1 (the matched rule)")
 
     def _rates(self) -> list[float]:
@@ -340,12 +342,13 @@ KINDS = {
 def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True, workers: int = 1) -> ResultTable:
     """Run every grid point of ``cfg`` and collect the rows of its kind.
 
-    Each antenna count's normals are sampled once per chunk of its grid
-    points and reduced once per point (``workers`` threads share the
-    sampling, see :func:`~lsrsim.outage.draw_many`); every row of a point
-    reads that point's draw.  A chunk holds as many points as fit
-    ``_DRAW_GROUP_BYTES`` at 24 bytes per trial and point, at least one.
-    Rows come out in grid order whatever the chunking.
+    Each antenna count's normals are sampled once per chunk of its distinct
+    ``(n_r, rate_bits, snr_db)`` points and reduced once per point
+    (``workers`` threads share the sampling, see
+    :func:`~lsrsim.outage.draw_many`); every row of a point reads that
+    point's draw, and a repeated point's rows are copies.  A chunk holds as
+    many points as fit ``_DRAW_GROUP_BYTES`` at 24 bytes per trial and
+    point, at least one.  Rows come out in grid order whatever the chunking.
 
     ``include_lsr=False`` applies to ``outage_curve`` only: it skips the
     shrinkage search and emits the LMMSE columns alone, which equal those of
@@ -358,30 +361,27 @@ def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True, workers: 
                f"False applies to outage_curve only, not {cfg.kind}")
         columns, point_rows = OUTAGE_CURVE_COLUMNS_LMMSE_ONLY, _lmmse_rows
     grid = list(_grid(cfg, snr_major=kind.snr_major))
-    by_n_r: dict[int, list[int]] = {}
-    for i, p in enumerate(grid):
-        by_n_r.setdefault(p.n_r, []).append(i)
+    points = {(p.n_r, p.rate_bits, p.snr_db): p for p in grid}
+    by_n_r: dict[int, list[tuple]] = {}
+    for key in points:
+        by_n_r.setdefault(key[0], []).append(key)
     per_chunk = max(1, _DRAW_GROUP_BYTES // (24 * cfg.trials))
-    point_table: list[list[dict]] = [[] for _ in grid]
-    for positions in by_n_r.values():
-        for lo in range(0, len(positions), per_chunk):
-            chunk = positions[lo : lo + per_chunk]
-            draws = draw_many([grid[i].config for i in chunk], cfg.trials, cfg.seed, workers=workers)
-            for i in chunk:
-                p = grid[i]
-                common = {
-                    "snr_db": p.snr_db,
-                    "n_r": p.n_r,
-                    "rate_bits": p.rate_bits,
-                    "trials": cfg.trials,
-                    "seed": cfg.seed,
-                }
-                # popping releases each draw, with its solve workspace,
-                # once its rows are built
-                for cells in point_rows(cfg, p, draws.pop(0)):
-                    row = {**common, **cells}
-                    point_table[i].append({c: row[c] for c in columns})
-    return ResultTable(columns=columns, rows=[row for rows in point_table for row in rows])
+    cells: dict[tuple, list[dict]] = {}
+    for keys in by_n_r.values():
+        for lo in range(0, len(keys), per_chunk):
+            chunk = keys[lo : lo + per_chunk]
+            draws = draw_many([points[k].config for k in chunk], cfg.trials, cfg.seed, workers=workers)
+            # popping releases each draw, with its solve workspace, once its cells are built
+            for k in chunk:
+                cells[k] = point_rows(cfg, points[k], draws.pop(0))
+    rows = []
+    for p in grid:
+        # grid columns from each entry: snr_db -0.0 and 0.0 share a key but print differently
+        common = dict(snr_db=p.snr_db, n_r=p.n_r, rate_bits=p.rate_bits, trials=cfg.trials, seed=cfg.seed)
+        for point_cells in cells[p.n_r, p.rate_bits, p.snr_db]:
+            row = {**common, **point_cells}
+            rows.append({c: row[c] for c in columns})
+    return ResultTable(columns=columns, rows=rows)
 
 
 def curve_points(table: ResultTable, p_column: str) -> list[tuple[float, float]]:
@@ -427,6 +427,12 @@ def _crossing_snr(curve: Sequence[tuple[float, float]], target: float) -> float:
             if l0 == l1:
                 return s0
             return s0 + (s1 - s0) * (log_t - l0) / (l1 - l0)
+        if (p0 - target) * (p1 - target) < 0:
+            raise NotBracketedError(
+                f"the curve crosses target outage {target}, but its estimate is 0 at "
+                f"snr_db = {s0 if p0 == 0 else s1}, which log interpolation cannot reach; "
+                "increase trials"
+            )
     if pts[-1][1] == target:
         return pts[-1][0]
     raise NotBracketedError(

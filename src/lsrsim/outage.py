@@ -44,9 +44,10 @@ __all__ = [
 # two-sided 95% normal quantile, Phi^{-1}(0.975)
 _Z95 = 1.959963984540054
 
-# normals per sampling block (256 KB); with its reduction buffers a block
-# takes about 0.7 MB per worker, whatever the trial count (one trial's
-# worth, 88 n_r bytes, when n_r exceeds 8192)
+# normals per sampling block (256 KB); with the temporaries of its
+# reduction a block peaks at about 1.1 MB per worker (tracemalloc), whatever
+# the trial count (one trial's worth, about 100 n_r bytes, when n_r exceeds
+# 8192)
 _CHUNK_FLOATS = 32_768
 
 # trials per block of Draw.gmi's solve; its workspace takes 114 bytes per
@@ -172,44 +173,29 @@ def _draw_block(draws: Sequence[Draw], seed: int, start: int, stop: int) -> None
 
     The draws share ``n_r``, so each trial's normals are sampled once and
     reduced once per draw.  The trials are sampled in blocks of about
-    ``_CHUNK_FLOATS`` normals into buffers allocated once, and each block is
-    reduced while it is still in cache; the reduction only reads the
-    normals.  Every operation is the one of ``sample_realization`` and of
-    the sums over its ``(s, v)``, with the same operands in the same order,
-    so ``V`` and ``Y`` are bit-identical to those sums for any block size
-    and any set of draws sampled together.
+    ``_CHUNK_FLOATS`` normals into one buffer allocated once, and each block
+    is reduced while it is still in cache by ``sample_realization``'s own
+    expressions, one trial per row, with ``V = sum |v|^2`` and
+    ``Y = sum conj(s - a v) v`` summed over each row.  So ``V`` and ``Y``
+    are bit-identical to those sums for any block size and any set of draws
+    sampled together.
     """
     n = draws[0].config.n_r
-    reductions = [(d, d.config.pilot, *_component_scales(d.config), lmmse_coefficient(d.config))
-                  for d in draws]
     normals = BlockSampler(seed).normals
     rows = min(max(1, _CHUNK_FLOATS // (4 * n)), stop - start)
     w = np.empty((rows, 4 * n))
     w_rows = list(w)
-    s, v, t = (np.empty((rows, n), dtype=np.complex128) for _ in range(3))
-    q = np.empty((rows, n))
     for lo in range(start, stop, rows):
-        m = min(rows, stop - lo)
-        wb, sb, vb, tb, qb = w[:m], s[:m], v[:m], t[:m], q[:m]
-        for index, row in zip(range(lo, lo + m), w_rows):
+        wb = w[: min(rows, stop - lo)]
+        hi = lo + len(wb)
+        for index, row in zip(range(lo, hi), w_rows):
             normals(index, row)
-        for d, pilot, scale_s, scale_z, a in reductions:
-            # s = (w_1 + 1j w_2) scale_s and v = s pilot + (w_3 + 1j w_4) scale_z
-            np.add(wb[:, :n], np.multiply(1j, wb[:, n : 2 * n], out=sb), out=sb)
-            np.multiply(sb, scale_s, out=sb)
-            np.add(wb[:, 2 * n : 3 * n], np.multiply(1j, wb[:, 3 * n :], out=tb), out=tb)
-            np.multiply(tb, scale_z, out=tb)
-            np.add(np.multiply(sb, pilot, out=vb), tb, out=vb)
-            # V = sum |v|^2
-            np.square(np.abs(vb, out=qb), out=qb)
-            np.sum(qb, axis=1, out=d.v_energy[lo : lo + m])
-            # Y = sum conj(s - a v) v; the product goes to tb, not back into
-            # sb, since numpy's in-place product of a one-element complex
-            # array rounds unlike its vector loop, so a one-trial block at
-            # n_r = 1 would change the last bits of Y
-            np.subtract(sb, np.multiply(a, vb, out=tb), out=sb)
-            np.multiply(np.conjugate(sb, out=sb), vb, out=tb)
-            np.sum(tb, axis=1, out=d.residual[lo : lo + m])
+        for d in draws:
+            scale_s, scale_z = _component_scales(d.config)
+            s = (wb[:, :n] + 1j * wb[:, n : 2 * n]) * scale_s
+            v = s * d.config.pilot + (wb[:, 2 * n : 3 * n] + 1j * wb[:, 3 * n :]) * scale_z
+            d.v_energy[lo:hi] = np.sum(np.abs(v) ** 2, axis=1)
+            d.residual[lo:hi] = np.sum(np.conj(s - lmmse_coefficient(d.config) * v) * v, axis=1)
 
 
 def draw_many(
@@ -221,13 +207,14 @@ def draw_many(
     The configs must share ``n_r``: trial ``i``'s normals depend only on
     ``n_r`` and ``(seed, i)``, so they are sampled once and reduced once per
     config, and entry ``k`` of the result is bit-identical to
-    ``draw(configs[k], trials, seed)``.  Besides the results (24 bytes per
-    trial each), each worker samples into buffers of ``88 n_r`` bytes per
-    trial of a block of about ``_CHUNK_FLOATS / (4 n_r)`` trials, about
-    0.7 MB whatever the trial count, and the block size never changes a
-    result.  ``workers`` only splits the trial range across threads; the
-    result is bit-identical for any worker count.  An empty ``configs``, or
-    one that mixes antenna counts, is refused with a
+    ``draw(configs[k], trials, seed)``.  Each block of about
+    ``_CHUNK_FLOATS / (4 n_r)`` trials is reduced by ``sample_realization``'s
+    expressions, one trial per row.  Besides the results (24 bytes per trial
+    each), each worker then holds about 100 ``n_r`` bytes per trial of a
+    block, about 1.1 MB whatever the trial count, and the block size never
+    changes a result.  ``workers`` only splits the trial range across
+    threads; the result is bit-identical for any worker count.  An empty
+    ``configs``, or one that mixes antenna counts, is refused with a
     :class:`~lsrsim.channel.ConfigError` naming ``configs``; so are
     ``trials``, ``seed`` and ``workers`` unless they are integers below
     ``2**64`` (``np.integer`` included).
@@ -259,8 +246,8 @@ def draw(config: ChannelConfig, trials: int, seed: int, *, workers: int = 1) -> 
 
     :func:`draw_many` is the only sampling path of the package; it samples
     the normals of several configs that share ``n_r`` once.  The result
-    takes 24 bytes per trial, and the sampling buffers about 0.7 MB per
-    worker whatever the trial count.  Neither the block size nor
+    takes 24 bytes per trial, and the sampling about 1.1 MB per worker
+    whatever the trial count.  Neither the block size nor
     ``workers`` (threads that split the trial range) changes a bit of the
     result.
     """

@@ -177,6 +177,9 @@ class TestConfigBoundary:
             ("outage-curve", {"search": {"coarse_points": "x"}}, "search.coarse_points"),
             ("outage-curve", {"snr_db": [5.0, 150.5]}, "snr_db[1]"),
             ("outage-curve", {"trials": 2**64}, "trials"),
+            ("outage-curve", {"b_scale": "x"}, "b_scale"),
+            ("outage-curve", {"b_over_a": "junk"}, "b_over_a"),
+            ("outage-curve", {"b_over_a": [float("nan")]}, "b_over_a[0]"),
         ],
     )
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, command, overrides, path):

@@ -24,6 +24,7 @@ from lsrsim import (
     emit_results,
     gmi_samples_multi_b,
     k_ls,
+    optimize_b,
     rate_bits_to_nats,
     read_results,
     run_experiment,
@@ -101,6 +102,28 @@ class TestConfigValidation:
     def test_asymptotic_scan_rejects_unit_scale(self):
         with pytest.raises(ConfigError, match="b_scale"):
             small_cfg(kind="asymptotic_scan", n_r_list=[8, 64], b_scale=1.0)
+
+    @pytest.mark.parametrize("kind", ["outage_curve", "b_vs_snr", "gmi_histogram"])
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            (dict(b_scale="x"), "b_scale"),
+            (dict(b_scale=float("nan")), "b_scale"),
+            (dict(b_over_a="junk"), "b_over_a"),
+            (dict(b_over_a=[float("nan")]), "b_over_a[0]"),
+            (dict(b_over_a=[]), "b_over_a"),
+        ],
+    )
+    def test_every_kind_type_checks_b_scale_and_b_over_a(self, kind, overrides, path):
+        with pytest.raises(ConfigError) as exc:
+            small_cfg(kind=kind, **overrides)
+        assert exc.value.path == path
+
+    def test_kind_specific_rules_stay_kind_specific(self):
+        # b_scale = 1 is refused by asymptotic_scan alone, and only b_sweep
+        # requires b_over_a
+        small_cfg(b_scale=1.0, b_over_a=None)
+        small_cfg(kind="b_vs_snr", b_scale=1.0, b_over_a=[0.5])
 
     def test_search_settings_validated(self):
         with pytest.raises(ConfigError, match="search.coarse_points"):
@@ -313,6 +336,49 @@ class TestSharedDraws:
         assert repr(run_experiment(cfg, workers=workers).rows) == repr(expected)
 
 
+def counting_searches(monkeypatch) -> list:
+    """Record the config of every ``optimize_b`` call of the runner."""
+    configs = []
+
+    def counted(d, *args):
+        configs.append(d.config)
+        return optimize_b(d, *args)
+
+    monkeypatch.setattr(lsrsim.experiments, "optimize_b", counted)
+    return configs
+
+
+class TestRepeatedPoints:
+    """A repeated ``(n_r, rate, snr)`` point is drawn and searched once."""
+
+    @pytest.mark.parametrize(
+        "overrides, searches",
+        [
+            (dict(n_r_list=[2, 8, 2]), 6),
+            (dict(n_r_list=[8, 8]), 3),
+            (dict(snr_db=[3.0, 6.0, 3.0]), 2),
+            (dict(kind="gmi_histogram", n_r_list=[4, 4], bins=4), 3),
+        ],
+    )
+    def test_each_distinct_point_searched_once(self, monkeypatch, overrides, searches):
+        cfg = small_cfg(**{"snr_db": [3.0, 6.0, 9.0], "trials": 300, **overrides})
+        expected = one_snr_tables(cfg, include_lsr=True)
+        configs = counting_searches(monkeypatch)
+        rows = run_experiment(cfg).rows
+        assert len(configs) == searches
+        assert repr(rows) == repr(expected)
+        # a repeated point's rows are copies, not the same dicts
+        assert len({id(row) for row in rows}) == len(rows)
+
+    def test_signed_zero_entries_keep_their_sign(self):
+        cfg = small_cfg(snr_db=[0.0, -0.0], n_r_list=[2, 2], rate_bits=[0.5, -0.0], trials=300)
+        rows = run_experiment(cfg).rows
+        assert [(repr(r["snr_db"]), repr(r["rate_bits"])) for r in rows] == [
+            ("0.0", "0.5"), ("-0.0", "0.5"), ("0.0", "-0.0"), ("-0.0", "-0.0"),
+        ]
+        assert repr(rows) == repr(one_snr_tables(cfg, include_lsr=True))
+
+
 class TestOtherRunners:
     def test_b_vs_snr_schema(self):
         table = run_experiment(small_cfg(kind="b_vs_snr", snr_db=[5.0]))
@@ -380,6 +446,13 @@ class TestSnrGain:
         curve = [(0.0, 0.5), (2.0, 0.2)]
         with pytest.raises(NotBracketedError):
             snr_gain(curve, curve, 1e-3)
+
+    def test_zero_estimate_names_its_snr(self):
+        # the curve crosses 1e-2 between 5 and 10 dB, but log interpolation
+        # cannot reach the zero estimate at 10 dB
+        curve = [(0.0, 0.5), (5.0, 0.02), (10.0, 0.0)]
+        with pytest.raises(NotBracketedError, match=r"0 at snr_db = 10\.0.*increase trials"):
+            snr_gain(curve, curve, 1e-2)
 
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError):
