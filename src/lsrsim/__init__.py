@@ -1,8 +1,9 @@
 """Outage simulation for linear-shrinkage nearest-neighbor receivers.
 
 A SIMO block-fading link with pilot-based imperfect CSI is simulated by
-Monte Carlo: each trial draws a fading/pilot realization, reduced once to
-``||v||^2`` and ``(s - a v)^H v``, the achievable rate of the scaled nearest-neighbor
+Monte Carlo: each trial draws the two numbers of a fading/pilot
+realization that the receiver reads, ``||v||^2`` and ``(s - a v)^H v``,
+from their law; the achievable rate of the scaled nearest-neighbor
 decoder is computed from them in closed form for every coefficient, and
 outage statistics, optimal shrinkage coefficients, and antenna-scaling
 trends are derived from the per-trial rates.
@@ -35,7 +36,6 @@ from .outage import (
     GmiHistogram,
     OutageEstimate,
     draw,
-    draw_many,
     estimate_outage,
     gmi_histogram,
     gmi_samples_multi_b,
@@ -61,7 +61,6 @@ __all__ = [
     "GmiHistogram",
     "wilson_interval",
     "draw",
-    "draw_many",
     "estimate_outage",
     "gmi_histogram",
     "gmi_samples_multi_b",
@@ -84,4 +83,4 @@ __all__ = [
     "BlockSampler",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

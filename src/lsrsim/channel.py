@@ -5,8 +5,8 @@ phase sees ``Y = S x + Z`` with i.i.d. circularly symmetric complex Gaussian
 noise of per-antenna variance ``noise_var``, and the receiver learns the
 fading vector ``S`` only through one received pilot vector
 ``V = S * pilot + Z_p``.  Fading stays fixed over a codeword and is redrawn
-independently across codewords, so each Monte Carlo trial draws one ``(S, V)``
-pair.
+independently across codewords, so each Monte Carlo trial is one independent
+``(S, V)`` pair.
 
 It also owns input validation: :class:`ConfigError` and the ``_check*``
 helpers, which every other module calls instead of defining its own rules.
@@ -27,6 +27,7 @@ __all__ = [
     "ChannelRealization",
     "GmiStatistics",
     "lmmse_coefficient",
+    "gram_variances",
     "sample_realization",
     "statistics",
 ]
@@ -180,17 +181,23 @@ def lmmse_coefficient(config: ChannelConfig) -> complex:
     ``a = fading_var * conj(pilot) / (fading_var * |pilot|^2 +
     pilot_noise_var)``; with a noiseless pilot this reduces to ``1 / pilot``.
     """
+    pilot_var, _ = gram_variances(config)
+    return config.fading_var * config.pilot.conjugate() / pilot_var
+
+
+def gram_variances(config: ChannelConfig) -> tuple[float, float]:
+    """Per-antenna variances ``(sigma_v^2, sigma_e^2)`` of the pilot
+    observation ``v`` and of the LMMSE error ``s - a v``.
+
+    ``sigma_v^2 = fading_var |pilot|^2 + pilot_noise_var`` and
+    ``sigma_e^2 = fading_var pilot_noise_var / sigma_v^2``.  The error is
+    independent of ``v``, so ``V = ||v||^2`` is ``sigma_v^2`` times a
+    ``Gamma(n_r, 1)`` variate and, given ``V``, ``Y = (s - a v)^H v`` is
+    ``CN(0, sigma_e^2 V)``; a noiseless pilot gives ``sigma_e^2 = 0``.
+    """
     xp = config.pilot
-    denom = config.fading_var * (xp.real**2 + xp.imag**2) + config.pilot_noise_var
-    return config.fading_var * xp.conjugate() / denom
-
-
-def _component_scales(config: ChannelConfig) -> tuple[float, float]:
-    # per-component std dev of S and Z_p (variance split evenly over Re/Im)
-    return (
-        math.sqrt(config.fading_var / 2.0),
-        math.sqrt(config.pilot_noise_var / 2.0),
-    )
+    pilot_var = config.fading_var * (xp.real**2 + xp.imag**2) + config.pilot_noise_var
+    return pilot_var, config.fading_var * config.pilot_noise_var / pilot_var
 
 
 def sample_realization(
@@ -200,12 +207,15 @@ def sample_realization(
 
     Consumes exactly one ``standard_normal(4 * n_r)`` call: the first
     ``2 n_r`` variates are the real then imaginary parts of ``s``, the last
-    ``2 n_r`` those of the pilot noise.  This draw layout is part of the
-    reproducibility contract and matches the batched sampler used by the
-    Monte Carlo engine bit for bit.
+    ``2 n_r`` those of the pilot noise.  The Monte Carlo engine does not
+    call it: it draws each trial's ``V = ||v||^2`` and ``(s - a v)^H v``
+    from their law (:func:`gram_variances`), and this per-antenna path is
+    the test suite's oracle for that law.
     """
     n = config.n_r
-    scale_s, scale_z = _component_scales(config)
+    # per-component std dev of S and Z_p (variance split evenly over Re/Im)
+    scale_s = math.sqrt(config.fading_var / 2.0)
+    scale_z = math.sqrt(config.pilot_noise_var / 2.0)
     w = stream.standard_normal(4 * n)
     s = (w[:n] + 1j * w[n : 2 * n]) * scale_s
     z = (w[2 * n : 3 * n] + 1j * w[3 * n :]) * scale_z

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import (ChannelConfig, _check, _check_antennas, _check_integer, _check_list,
                       _check_real, lmmse_coefficient)
-from .outage import Draw, draw_many, gmi_histogram
+from .outage import Draw, draw, gmi_histogram
 from .shrinkage import SearchSpec, optimize_b
 
 __all__ = [
@@ -46,20 +46,14 @@ __all__ = [
 
 LN2 = math.log(2.0)
 
-# Largest accepted SNR.  The pilot observation v is held in float64, so the
-# estimation error s - a v, of size about ||s|| / sqrt(power), is known only
-# to about 1e-16 ||s||, and the GMI's relative error grows like
-# 1e-16 sqrt(power): about 1e-10 at 150 dB and 2.5e-8 at 200 dB (near
-# 500 dB the solver's B^2 overflows).  The cap keeps the GMI within 1e-9.
+# Largest accepted SNR.  A draw holds V and Y themselves, and Draw.gmi reads
+# them within about 4e-16 relative of a 50-digit evaluation from 30 to
+# 200 dB.  The cap comes from the rest: the scalar reference path
+# statistics -> theta_star, the oracle the draw is tested against, forms
+# s - b v from a float64 pilot observation v, so its relative error grows
+# like 1e-16 sqrt(power), about 1e-10 at 150 dB and 2.5e-8 at 200 dB; and
+# near 500 dB the solver's B^2 overflows.  The cap keeps both within 1e-9.
 MAX_SNR_DB = 150.0
-
-# Largest total size of the draws that run_experiment samples together: a
-# point holds 24 bytes per trial (V and Y), so the draws of a chunk of one
-# antenna count's points take at most this much, or one point's draw when
-# that is larger.  At 1e4 trials a chunk holds 279 points; above about
-# 1.4e6 trials it holds one.
-_DRAW_GROUP_BYTES = 64 * 2**20
-
 
 class NotBracketedError(RuntimeError):
     """A curve does not cross the requested target outage within its range."""
@@ -342,13 +336,13 @@ KINDS = {
 def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True, workers: int = 1) -> ResultTable:
     """Run every grid point of ``cfg`` and collect the rows of its kind.
 
-    Each antenna count's normals are sampled once per chunk of its distinct
-    ``(n_r, rate_bits, snr_db)`` points and reduced once per point
+    Each distinct ``(n_r, rate_bits, snr_db)`` point is drawn once
     (``workers`` threads share the sampling, see
-    :func:`~lsrsim.outage.draw_many`); every row of a point reads that
-    point's draw, and a repeated point's rows are copies.  A chunk holds as
-    many points as fit ``_DRAW_GROUP_BYTES`` at 24 bytes per trial and
-    point, at least one.  Rows come out in grid order whatever the chunking.
+    :func:`~lsrsim.outage.draw`), and its draw is released once its rows
+    are built; every row of a point reads that point's draw, and a repeated
+    point's rows are copies.  The SNR points of one antenna count read the
+    same standardized variates, so they share their randomness without
+    being drawn together.
 
     ``include_lsr=False`` applies to ``outage_curve`` only: it skips the
     shrinkage search and emits the LMMSE columns alone, which equal those of
@@ -361,24 +355,15 @@ def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True, workers: 
                f"False applies to outage_curve only, not {cfg.kind}")
         columns, point_rows = OUTAGE_CURVE_COLUMNS_LMMSE_ONLY, _lmmse_rows
     grid = list(_grid(cfg, snr_major=kind.snr_major))
-    points = {(p.n_r, p.rate_bits, p.snr_db): p for p in grid}
-    by_n_r: dict[int, list[tuple]] = {}
-    for key in points:
-        by_n_r.setdefault(key[0], []).append(key)
-    per_chunk = max(1, _DRAW_GROUP_BYTES // (24 * cfg.trials))
     cells: dict[tuple, list[dict]] = {}
-    for keys in by_n_r.values():
-        for lo in range(0, len(keys), per_chunk):
-            chunk = keys[lo : lo + per_chunk]
-            draws = draw_many([points[k].config for k in chunk], cfg.trials, cfg.seed, workers=workers)
-            # popping releases each draw, with its solve workspace, once its cells are built
-            for k in chunk:
-                cells[k] = point_rows(cfg, points[k], draws.pop(0))
     rows = []
     for p in grid:
+        key = (p.n_r, p.rate_bits, p.snr_db)
+        if key not in cells:
+            cells[key] = point_rows(cfg, p, draw(p.config, cfg.trials, cfg.seed, workers=workers))
         # grid columns from each entry: snr_db -0.0 and 0.0 share a key but print differently
         common = dict(snr_db=p.snr_db, n_r=p.n_r, rate_bits=p.rate_bits, trials=cfg.trials, seed=cfg.seed)
-        for point_cells in cells[p.n_r, p.rate_bits, p.snr_db]:
+        for point_cells in cells[key]:
             row = {**common, **point_cells}
             rows.append({c: row[c] for c in columns})
     return ResultTable(columns=columns, rows=rows)

@@ -1,17 +1,29 @@
-"""Monte Carlo draws reduced to per-trial statistics; outage and GMI histograms.
+"""Monte Carlo draws of per-trial statistics; outage and GMI histograms.
 
-Trial ``i`` of a run draws its realization ``(s, v)`` from the substream
-derived from ``(seed, i)`` (see :mod:`lsrsim.streams`).  With ``a`` the LMMSE
-coefficient, write ``s^H v = conj(a) V + Y`` where ``V = ||v||^2`` and
-``Y = (s - a v)^H v``.  For any coefficient ``b`` the GMI reads a trial only
-through ``c = |b|^2 V``, ``r = Re(b conj(a)) V + Re(b Y)`` and
-``d = |b|^2 |(conj(b) - conj(a)) V - Y|^2`` (see :mod:`lsrsim.gmi`), and none
-of these is formed as a difference of nearly equal numbers.
-:func:`draw_many` reduces each trial once per config to ``(V, Y)``, and
-every ``b`` is then read from that :class:`Draw`, so all coefficients share
-the same realizations (common random numbers) and per-trial outcomes are a
-pure function of ``(config, b, seed, trial index)``, independent of worker
-count, block sizes, the configs drawn together and execution order.
+With ``a`` the LMMSE coefficient, the GMI of any coefficient ``b`` reads a
+trial's realization ``(s, v)`` only through ``V = ||v||^2`` and
+``Y = (s - a v)^H v``, so that ``s^H v = conj(a) V + Y``: through
+``c = |b|^2 V``, ``r = Re(b conj(a)) V + Re(b Y)`` and
+``d = |b|^2 |(conj(b) - conj(a)) V - Y|^2`` (see :mod:`lsrsim.gmi`), none of
+which is formed as a difference of nearly equal numbers.  The LMMSE error
+``s - a v`` is independent of ``v``, so :func:`draw` samples the pair from
+its law, two variates per trial whatever ``n_r``, with ``sigma_v^2`` and
+``sigma_e^2`` from :func:`~lsrsim.channel.gram_variances`::
+
+    V = sigma_v^2 G                         G ~ Gamma(n_r, 1)
+    Re Y = t z1,  Im Y = t z2,  t = sqrt((sigma_e^2 / 2) V),  z1, z2 ~ N(0, 1)
+
+Stream contract, version 2: trials come in chunks of ``CHUNK_TRIALS = C``
+(4096).  Chunk ``k`` reads substream ``(seed, k)`` of :mod:`lsrsim.streams`:
+first ``standard_gamma(n_r, size=C)``, then ``standard_normal(2 C)``.  Trial
+``i`` is row ``j = i % C`` of chunk ``i // C``: ``G = gamma[j]``,
+``z1 = normals[j]`` and ``z2 = normals[C + j]``.  Every chunk is drawn
+whole, so trial ``i`` depends only on ``(config, seed, i)``, not on the
+trial count, the worker count or the other configs drawn.  ``G``, ``z1``
+and ``z2`` depend only on ``(seed, n_r, i)``, so every SNR point of one
+antenna count reads the same standardized variates, and every ``b`` is read
+from one :class:`Draw`: receivers and coefficients are compared on common
+random numbers.
 """
 
 from __future__ import annotations
@@ -25,9 +37,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelConfig, _check, _check_integer, _component_scales, lmmse_coefficient
+from .channel import ChannelConfig, _check, _check_integer, gram_variances, lmmse_coefficient
 from .gmi import _solve_theta, _Workspace
-from .streams import BlockSampler
+from .streams import CHUNK_TRIALS, BlockSampler
 
 __all__ = [
     "Draw",
@@ -35,7 +47,6 @@ __all__ = [
     "GmiHistogram",
     "wilson_interval",
     "draw",
-    "draw_many",
     "gmi_samples_multi_b",
     "estimate_outage",
     "gmi_histogram",
@@ -43,12 +54,6 @@ __all__ = [
 
 # two-sided 95% normal quantile, Phi^{-1}(0.975)
 _Z95 = 1.959963984540054
-
-# normals per sampling block (256 KB); with the temporaries of its
-# reduction a block peaks at about 1.1 MB per worker (tracemalloc), whatever
-# the trial count (one trial's worth, about 100 n_r bytes, when n_r exceeds
-# 8192)
-_CHUNK_FLOATS = 32_768
 
 # trials per block of Draw.gmi's solve; its workspace takes 114 bytes per
 # trial of a block (3.7 MB at this cap).  Larger blocks fall out of cache
@@ -100,10 +105,9 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
 class Draw:
     """Per-trial statistics of trials ``0..trials-1`` of one run.
 
-    Entry ``i`` of each array belongs to the realization ``(s, v)`` of
-    substream ``(seed, i)``: ``v_energy = ||v||^2`` and
-    ``residual = (s - a v)^H v`` with ``a = lmmse_coefficient(config)``.
-    Built by :func:`draw` or :func:`draw_many`.
+    Entry ``i`` of each array is trial ``i`` of the module's stream
+    contract: ``v_energy = V = ||v||^2`` and ``residual = Y = (s - a v)^H v``
+    with ``a = lmmse_coefficient(config)``.  Built by :func:`draw`.
     """
 
     config: ChannelConfig
@@ -168,90 +172,53 @@ class Draw:
         )
 
 
-def _draw_block(draws: Sequence[Draw], seed: int, start: int, stop: int) -> None:
-    """Fill the statistics of trials ``[start, stop)`` of every draw in ``draws``.
+def _draw_chunks(d: Draw, seed: int, first: int, stop: int) -> None:
+    """Fill the trials of chunks ``[first, stop)`` of ``d`` by the contract."""
+    pilot_var, error_var = gram_variances(d.config)
+    half_error_var = error_var / 2.0
+    stream = BlockSampler(seed).stream
+    for k in range(first, stop):
+        rng = stream(k)
+        g = rng.standard_gamma(d.config.n_r, size=CHUNK_TRIALS)
+        z = rng.standard_normal(2 * CHUNK_TRIALS)
+        lo = k * CHUNK_TRIALS
+        n = min(CHUNK_TRIALS, d.v_energy.size - lo)
+        rows = slice(lo, lo + n)
+        v = d.v_energy[rows] = pilot_var * g[:n]
+        t = np.sqrt(half_error_var * v)
+        d.residual.real[rows] = t * z[:n]
+        d.residual.imag[rows] = t * z[CHUNK_TRIALS : CHUNK_TRIALS + n]
 
-    The draws share ``n_r``, so each trial's normals are sampled once and
-    reduced once per draw.  The trials are sampled in blocks of about
-    ``_CHUNK_FLOATS`` normals into one buffer allocated once, and each block
-    is reduced while it is still in cache by ``sample_realization``'s own
-    expressions, one trial per row, with ``V = sum |v|^2`` and
-    ``Y = sum conj(s - a v) v`` summed over each row.  So ``V`` and ``Y``
-    are bit-identical to those sums for any block size and any set of draws
-    sampled together.
+
+def draw(config: ChannelConfig, trials: int, seed: int, *, workers: int = 1) -> Draw:
+    """Draw trials ``0..trials-1`` of ``(config, seed)``, each as its ``(V, Y)``.
+
+    The result takes 24 bytes per trial, and the sampling about 0.25 MB
+    per worker (one chunk's variates and their temporaries) whatever
+    ``trials`` and ``n_r``; a draw of fewer trials than a chunk still
+    samples the whole chunk, 0.2-0.5 ms.  ``workers`` threads split the
+    chunk range; the result is bit-identical for any worker count, and its
+    first ``T`` trials are those of ``draw(config, T, seed)``.  ``trials``,
+    ``seed`` and ``workers`` are refused with a
+    :class:`~lsrsim.channel.ConfigError` naming them unless they are
+    integers below ``2**64`` (``np.integer`` included), the counts positive.
     """
-    n = draws[0].config.n_r
-    normals = BlockSampler(seed).normals
-    rows = min(max(1, _CHUNK_FLOATS // (4 * n)), stop - start)
-    w = np.empty((rows, 4 * n))
-    w_rows = list(w)
-    for lo in range(start, stop, rows):
-        wb = w[: min(rows, stop - lo)]
-        hi = lo + len(wb)
-        for index, row in zip(range(lo, hi), w_rows):
-            normals(index, row)
-        for d in draws:
-            scale_s, scale_z = _component_scales(d.config)
-            s = (wb[:, :n] + 1j * wb[:, n : 2 * n]) * scale_s
-            v = s * d.config.pilot + (wb[:, 2 * n : 3 * n] + 1j * wb[:, 3 * n :]) * scale_z
-            d.v_energy[lo:hi] = np.sum(np.abs(v) ** 2, axis=1)
-            d.residual[lo:hi] = np.sum(np.conj(s - lmmse_coefficient(d.config) * v) * v, axis=1)
-
-
-def draw_many(
-    configs: Sequence[ChannelConfig], trials: int, seed: int, *, workers: int = 1
-) -> list[Draw]:
-    """Draw trials ``0..trials-1`` of ``seed`` once and reduce them to one
-    :class:`Draw` per config.
-
-    The configs must share ``n_r``: trial ``i``'s normals depend only on
-    ``n_r`` and ``(seed, i)``, so they are sampled once and reduced once per
-    config, and entry ``k`` of the result is bit-identical to
-    ``draw(configs[k], trials, seed)``.  Each block of about
-    ``_CHUNK_FLOATS / (4 n_r)`` trials is reduced by ``sample_realization``'s
-    expressions, one trial per row.  Besides the results (24 bytes per trial
-    each), each worker then holds about 100 ``n_r`` bytes per trial of a
-    block, about 1.1 MB whatever the trial count, and the block size never
-    changes a result.  ``workers`` only splits the trial range across
-    threads; the result is bit-identical for any worker count.  An empty
-    ``configs``, or one that mixes antenna counts, is refused with a
-    :class:`~lsrsim.channel.ConfigError` naming ``configs``; so are
-    ``trials``, ``seed`` and ``workers`` unless they are integers below
-    ``2**64`` (``np.integer`` included).
-    """
-    configs = list(configs)
-    _check(len(configs) > 0, "configs", "must be nonempty")
-    antennas = sorted({c.n_r for c in configs})
-    _check(len(antennas) == 1, "configs", f"must share one n_r, got {antennas}")
     trials = _check_integer("trials", trials, low=1)
     workers = _check_integer("workers", workers, low=1)
     seed = _check_integer("seed", seed)
 
-    draws = [Draw(c, np.empty(trials), np.empty(trials, dtype=np.complex128)) for c in configs]
-    nw = min(workers, trials)
+    d = Draw(config, np.empty(trials), np.empty(trials, dtype=np.complex128))
+    chunks = -(-trials // CHUNK_TRIALS)
+    nw = min(workers, chunks)
     if nw == 1:
-        _draw_block(draws, seed, 0, trials)
-        return draws
-    bounds = [trials * k // nw for k in range(nw + 1)]
+        _draw_chunks(d, seed, 0, chunks)
+        return d
+    bounds = [chunks * k // nw for k in range(nw + 1)]
     with ThreadPoolExecutor(max_workers=nw) as pool:
-        futures = [pool.submit(_draw_block, draws, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        futures = [pool.submit(_draw_chunks, d, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         for f in futures:
             f.result()
-    return draws
-
-
-def draw(config: ChannelConfig, trials: int, seed: int, *, workers: int = 1) -> Draw:
-    """Draw trials ``0..trials-1`` of ``(config, seed)`` and reduce each to
-    ``(V, Y)``: ``draw_many([config], trials, seed, workers=workers)[0]``.
-
-    :func:`draw_many` is the only sampling path of the package; it samples
-    the normals of several configs that share ``n_r`` once.  The result
-    takes 24 bytes per trial, and the sampling about 1.1 MB per worker
-    whatever the trial count.  Neither the block size nor
-    ``workers`` (threads that split the trial range) changes a bit of the
-    result.
-    """
-    return draw_many([config], trials, seed, workers=workers)[0]
+    return d
 
 
 def gmi_samples_multi_b(

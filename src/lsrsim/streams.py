@@ -2,8 +2,10 @@
 
 Every random draw in this package is tied to a ``(seed, index)`` pair, where
 ``seed`` is the user's master 64-bit seed and ``index`` is a nonnegative
-substream index (typically a Monte Carlo trial number).  The derivation is
-part of the package contract and will not change between versions:
+substream index.  The Monte Carlo engine (:func:`lsrsim.outage.draw`) reads
+trials in chunks of ``CHUNK_TRIALS``: substream ``k`` holds the variates of
+trials ``[k * CHUNK_TRIALS, (k + 1) * CHUNK_TRIALS)``, so an index is a chunk
+number.  The derivation is part of the package contract:
 
 * the 128-bit Philox key for a master seed is
   ``np.random.SeedSequence(seed).generate_state(2, np.uint64)``;
@@ -22,7 +24,11 @@ import numpy as np
 
 from .channel import _U64_MAX, _check_integer
 
-__all__ = ["philox_key", "substream", "BlockSampler"]
+__all__ = ["CHUNK_TRIALS", "philox_key", "substream", "BlockSampler"]
+
+# trials per substream of the Monte Carlo engine; part of the contract, so
+# changing it changes every result
+CHUNK_TRIALS = 4096
 
 
 def philox_key(seed: int) -> np.ndarray:
@@ -50,15 +56,14 @@ class BlockSampler:
     generator per index while producing bit-identical output (verified by
     the test suite against :func:`substream`).
 
-    Each :meth:`normals` call writes the whole Philox state through its
-    public ``state`` setter: the key, the counter ``[0, 0, 0, index]``, an
-    empty output buffer (``buffer_pos = 4``, so the first draw generates a
-    fresh block) and no cached 32-bit half.  Nothing of the previous index
-    survives, so a trial's draws depend only on ``(seed, index)``, however
-    many words the ziggurat consumed before.  The template holds plain
-    Python ints, not numpy's ``uint64`` arrays: the setter reads the words
-    one by one, and reading an array element boxes a numpy scalar each
-    time, which made the reset cost about three times as much.
+    :meth:`stream` writes the whole Philox state through its public
+    ``state`` setter: the key, the counter ``[0, 0, 0, index]``, an empty
+    output buffer (``buffer_pos = 4``, so the first draw generates a fresh
+    block) and no cached 32-bit half.  Nothing of the previous index
+    survives, however many words the previous draws consumed.  The template
+    holds plain Python ints, not numpy's ``uint64`` arrays: the setter reads
+    the words one by one, and reading an array element boxes a numpy scalar
+    each time, which made the reset cost about three times as much.
 
     ``index`` must be an integer in ``[0, 2**64)`` (``np.integer``
     included); a bool, a float or any other value is refused with the
@@ -68,8 +73,8 @@ class BlockSampler:
     def __init__(self, seed: int):
         key = philox_key(seed)
         self._bitgen = np.random.Philox(key=key)
-        self._standard_normal = np.random.Generator(self._bitgen).standard_normal
-        # template state reapplied before every block; normals() writes
+        self._generator = np.random.Generator(self._bitgen)
+        # template state reapplied by every stream() call, which writes
         # counter[3]
         self._counter = [0, 0, 0, 0]
         self._state = {
@@ -81,10 +86,15 @@ class BlockSampler:
             "uinteger": 0,
         }
 
-    def normals(self, index: int, out: np.ndarray) -> None:
-        """Fill ``out`` with standard normals from substream ``index``."""
+    def stream(self, index: int) -> np.random.Generator:
+        """The sampler's one Generator, reset to the start of substream
+        ``index``; the next call resets it again."""
         if not (type(index) is int and 0 <= index <= _U64_MAX):
             index = _check_integer("stream index", index)
         self._counter[3] = index
         self._bitgen.state = self._state
-        self._standard_normal(out=out)
+        return self._generator
+
+    def normals(self, index: int, out: np.ndarray) -> None:
+        """Fill ``out`` with the first standard normals of substream ``index``."""
+        self.stream(index).standard_normal(out=out)

@@ -2,10 +2,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import lsrsim.cli
-from lsrsim import read_results
+from lsrsim import build_channel_config, draw, read_results
+from lsrsim.channel import gram_variances
 from lsrsim.cli import main
 
 
@@ -189,6 +191,16 @@ class TestConfigBoundary:
 
     def test_integral_float_antenna_count_still_accepted(self, tmp_path):
         assert run(tmp_path, "outage-curve", "--lmmse-only", n_r_list=[4.0], snr_db=[5]) == 0
+
+    def test_huge_antenna_count_runs(self, tmp_path):
+        # a point's memory does not depend on n_r, so 2**40 antennas run;
+        # V / (n_r sigma_v^2) is within about 1e-6 of 1 there
+        n_r = 2**40
+        assert run(tmp_path, "outage-curve", "--lmmse-only", n_r_list=[n_r], trials=10) == 0
+        assert [r["n_r"] for r in read_results(tmp_path / "r.csv").rows] == [n_r, n_r]
+        cfg = build_channel_config(4.0, n_r)
+        ratio = draw(cfg, 10, 3).v_energy / (n_r * gram_variances(cfg)[0])
+        assert np.all(np.abs(ratio - 1.0) <= 1e-4)
 
     def test_snr_at_cap_accepted(self, tmp_path):
         assert run(tmp_path, "outage-curve", "--lmmse-only", snr_db=[150]) == 0

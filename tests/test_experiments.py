@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import lsrsim.experiments
-import lsrsim.outage
 from lsrsim import (
     ConfigError,
     ExperimentConfig,
@@ -222,17 +221,16 @@ class TestRunOutageCurve:
         assert [(r["n_r"], r["rate_bits"]) for r in table.rows] == [(2, 0.5), (4, 1.0)]
 
 
-def counting_sampler(monkeypatch) -> list:
-    """Record the index of every trial the sampler draws."""
-    indices = []
+def counting_draws(monkeypatch) -> list:
+    """Record the config of every draw the runner makes."""
+    configs = []
 
-    class CountingSampler(lsrsim.outage.BlockSampler):
-        def normals(self, index, out):
-            indices.append(index)
-            super().normals(index, out)
+    def counted(config, *args, **kwargs):
+        configs.append(config)
+        return draw(config, *args, **kwargs)
 
-    monkeypatch.setattr(lsrsim.outage, "BlockSampler", CountingSampler)
-    return indices
+    monkeypatch.setattr(lsrsim.experiments, "draw", counted)
+    return configs
 
 
 class TestOneDrawPerPoint:
@@ -241,39 +239,16 @@ class TestOneDrawPerPoint:
         [
             (dict(kind="outage_curve"), 2),
             (dict(kind="gmi_histogram", snr_db=[5.0], bins=8), 1),
+            (dict(kind="outage_curve", n_r_list=[2, 8, 2]), 4),
+            (dict(kind="asymptotic_scan", snr_db=[0.0, 3.0], n_r_list=[2, 16, 2]), 4),
         ],
     )
-    def test_each_trial_sampled_once_per_point(self, monkeypatch, overrides, points):
-        """Each grid point run on its own samples every trial once, and the
-        whole grid samples no trial more often than that."""
-        indices = counting_sampler(monkeypatch)
-        cfg = small_cfg(trials=500, **overrides)
-        for snr in cfg.snr_db:
-            run_experiment(replace(cfg, snr_db=[snr]))
-        assert len(indices) == points * cfg.trials
-        assert sorted(indices) == sorted(list(range(cfg.trials)) * points)
-        indices.clear()
-        run_experiment(cfg)
-        assert len(indices) <= points * cfg.trials
-        assert set(indices) == set(range(cfg.trials))
-
-
-class TestOneDrawPerAntennaCount:
-    @pytest.mark.parametrize(
-        "overrides, antenna_counts",
-        [
-            (dict(kind="outage_curve"), 1),
-            (dict(kind="gmi_histogram", snr_db=[5.0], bins=8), 1),
-            (dict(kind="outage_curve", n_r_list=[2, 8, 2]), 2),
-            (dict(kind="asymptotic_scan", snr_db=[0.0, 3.0], n_r_list=[2, 16, 2]), 2),
-        ],
-    )
-    def test_each_trial_sampled_once_per_antenna_count(self, monkeypatch, overrides, antenna_counts):
-        indices = counting_sampler(monkeypatch)
+    def test_each_distinct_point_drawn_once(self, monkeypatch, overrides, points):
+        configs = counting_draws(monkeypatch)
         cfg = small_cfg(trials=500, **overrides)
         run_experiment(cfg)
-        assert len(indices) == antenna_counts * cfg.trials
-        assert sorted(indices) == sorted(list(range(cfg.trials)) * antenna_counts)
+        assert len(configs) == points
+        assert len({(c.n_r, c.power) for c in configs}) == points
 
 
 # one config per kind, each with a repeated antenna count
@@ -307,7 +282,7 @@ def one_snr_tables(cfg: ExperimentConfig, include_lsr: bool) -> list[dict]:
 
 
 class TestSharedDraws:
-    """Sampling an antenna count once for several SNRs changes no bit of a table."""
+    """A point's rows do not depend on the other points of its grid."""
 
     @pytest.mark.parametrize("kind, include_lsr", [(k, True) for k in GRIDS] + [("outage_curve", False)])
     def test_grid_equals_its_one_snr_grids(self, kind, include_lsr):
@@ -315,24 +290,10 @@ class TestSharedDraws:
         rows = run_experiment(cfg, include_lsr=include_lsr).rows
         assert repr(rows) == repr(one_snr_tables(cfg, include_lsr))
 
-    @pytest.mark.parametrize("kind", GRIDS)
-    @pytest.mark.parametrize("points_per_chunk", [1, 2])
-    def test_chunk_size_changes_no_bit(self, monkeypatch, kind, points_per_chunk):
-        cfg = grid_cfg(kind)
-        expected = run_experiment(cfg).rows
-        indices = counting_sampler(monkeypatch)
-        monkeypatch.setattr(lsrsim.experiments, "_DRAW_GROUP_BYTES", points_per_chunk * 24 * cfg.trials)
-        assert repr(run_experiment(cfg).rows) == repr(expected)
-        # one sampling pass per chunk: n_r = 2 has 6 points (two pairs at 3
-        # SNRs) and the other antenna count 3
-        chunks = {1: 9, 2: 3 + 2}[points_per_chunk]
-        assert len(indices) == chunks * cfg.trials
-
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_worker_count_changes_no_bit(self, monkeypatch, workers):
+    def test_worker_count_changes_no_bit(self, workers):
         cfg = grid_cfg("outage_curve")
         expected = run_experiment(cfg).rows
-        monkeypatch.setattr(lsrsim.experiments, "_DRAW_GROUP_BYTES", 2 * 24 * cfg.trials)
         assert repr(run_experiment(cfg, workers=workers).rows) == repr(expected)
 
 

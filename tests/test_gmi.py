@@ -230,18 +230,44 @@ def literal_gmi(real: ChannelRealization, b: complex, power: float, noise_var: f
             xr += sr * ur + si * ui  # conj(s_k) b v_k
             xi += sr * ui - si * ur
             m += (sr - ur) ** 2 + (si - ui) ** 2
-        pw, nv = Decimal(power), Decimal(noise_var)
-        p, q = pw / nv, xr * xr + xi * xi
-        u1, u2 = m - s_energy, c + p * q
-        qa = p * p * u1 * c * c + u2 * p * c
-        qb = p * c * c - 2 * u2 - 2 * p * u1 * c
-        qc = u1 - c
-        if qc >= 0:
-            return 0.0
-        theta = (-qb - (qb * qb - 4 * qa * qc).sqrt()) / (2 * qa) / nv
-        den = 1 - pw * theta * c
-        value = theta * pw * u1 + den.ln() - pw * theta * theta * (c * nv + pw * q) / den
-        return float(value)
+        return _literal_functional(c, xr, xi, m - s_energy, power, noise_var)
+
+
+def literal_gmi_of_draw(v_energy: float, residual: complex, a: complex, b: complex,
+                        power: float, noise_var: float) -> float:
+    """GMI of one trial of a draw, ``(V, Y)``, and ``b`` at 50 digits.
+
+    With ``s^H v = conj(a) V + Y``: ``c = |b|^2 V``, the cross term
+    ``x = b s^H v`` and ``||s - b v||^2 - ||s||^2 = c - 2 Re x``.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        br, bi = Decimal(b.real), Decimal(b.imag)
+        v = Decimal(v_energy)
+        # s^H v = conj(a) V + Y
+        gr = Decimal(a.real) * v + Decimal(residual.real)
+        gi = -Decimal(a.imag) * v + Decimal(residual.imag)
+        c = (br * br + bi * bi) * v
+        xr, xi = br * gr - bi * gi, br * gi + bi * gr
+        return _literal_functional(c, xr, xi, c - 2 * xr, power, noise_var)
+
+
+def _literal_functional(c, xr, xi, u1, power: float, noise_var: float) -> float:
+    """The functional at its smaller stationary root, in the current
+    ``decimal`` context, from ``c = ||b v||^2``, ``x = s^H (b v)`` and
+    ``u1 = ||s - b v||^2 - ||s||^2``."""
+    pw, nv = Decimal(power), Decimal(noise_var)
+    p, q = pw / nv, xr * xr + xi * xi
+    u2 = c + p * q
+    qa = p * p * u1 * c * c + u2 * p * c
+    qb = p * c * c - 2 * u2 - 2 * p * u1 * c
+    qc = u1 - c
+    if qc >= 0:
+        return 0.0
+    theta = (-qb - (qb * qb - 4 * qa * qc).sqrt()) / (2 * qa) / nv
+    den = 1 - pw * theta * c
+    value = theta * pw * u1 + den.ln() - pw * theta * theta * (c * nv + pw * q) / den
+    return float(value)
 
 
 class TestHighSnrAccuracy:
@@ -250,16 +276,15 @@ class TestHighSnrAccuracy:
     def test_draw_gmi_matches_50_digit_reference(self, n_r, snr_db):
         # up to the largest SNR an experiment accepts (150 dB), the GMI of
         # every trial is within 1e-9 relative of the 50-digit reference
+        # evaluated on the draw's own V and Y
         cfg = build_channel_config(snr_db, n_r)
         a = lmmse_coefficient(cfg)
-        trials, seed = 60, 20240
-        d = draw(cfg, trials, seed)
-        reals = [sample_realization(cfg, substream(seed, i)) for i in range(trials)]
+        d = draw(cfg, 60, 20240)
         for ratio in (1.0, 0.999, 1.3):
             b = ratio * a
             gmi = d.gmi(b)
-            for i, real in enumerate(reals):
-                ref = literal_gmi(real, b, cfg.power, cfg.noise_var)
+            for i, (v, y) in enumerate(zip(d.v_energy, d.residual)):
+                ref = literal_gmi_of_draw(float(v), complex(y), a, b, cfg.power, cfg.noise_var)
                 assert ref > 0.0
                 assert abs(gmi[i] - ref) <= 1e-9 * ref, (ratio, i, gmi[i], ref)
 

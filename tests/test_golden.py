@@ -41,7 +41,7 @@ RUNS = {
         snr_db=[5.0], n_r_list=[4], rate_bits=1.5, trials=300, bins=6)),
     "asymptotic_scan": ("asymptotic-scan", [], dict(
         snr_db=[0.0, 4.0], n_r_list=[2, 16, 2], rate_bits=1.0, trials=300)),
-    # 8,193 trials at n_r = 1 end in a one-trial sampling block
+    # 8,193 = 2 * 4096 + 1 trials at n_r = 1 end in a one-trial chunk
     "outage_curve_lmmse_only_nr1": ("outage-curve", ["--lmmse-only"], dict(
         snr_db=[5.0, 10.0], n_r_list=[1], rate_bits=1.0, trials=8193)),
 }

@@ -8,11 +8,9 @@ from scipy import stats as scipy_stats
 
 from lsrsim import (
     ChannelConfig,
-    ConfigError,
     Draw,
     build_channel_config,
     draw,
-    draw_many,
     estimate_outage,
     gmi_histogram,
     gmi_samples_multi_b,
@@ -20,10 +18,11 @@ from lsrsim import (
     sample_realization,
     statistics,
     substream,
-    theta_star,
     wilson_interval,
 )
 from lsrsim import outage
+from lsrsim.channel import gram_variances
+from lsrsim.streams import CHUNK_TRIALS
 
 
 def perfect_csi_config(power=10.0, n_r=1):
@@ -98,27 +97,6 @@ class TestEstimateOutage:
         truth = analytic_perfect_csi_outage(rate, cfg.power)
         est = draw(cfg, 50_000, 99).outage(abs(lmmse_coefficient(cfg)), rate)
         assert est.ci95_low <= truth <= est.ci95_high
-
-    def test_per_trial_contract_matches_scalar_path(self):
-        # the draw's V and Y reproduce the sums over sample_realization bit
-        # for bit, trial by trial; its GMI agrees with statistics ->
-        # theta_star up to rounding, since the two paths form the GMI's
-        # inputs from different sums
-        cfg = ChannelConfig(
-            n_r=5, power=4.0, noise_var=1.5, pilot_noise_var=0.8,
-            fading_var=1.2, pilot=1.3 - 0.4j,
-        )
-        b = 0.35 + 0.05j
-        trials, seed = 800, 42
-        d = draw(cfg, trials, seed)
-        a = lmmse_coefficient(cfg)
-        batch = d.gmi(b)
-        for i in range(trials):
-            real = sample_realization(cfg, substream(seed, i))
-            assert d.v_energy[i] == np.sum(np.abs(real.v) ** 2)
-            assert d.residual[i] == np.sum(np.conj(real.s - a * real.v) * real.v)
-            res = theta_star(statistics(real, b), cfg.power, cfg.noise_var)
-            assert batch[i] == pytest.approx(res.gmi_nats, rel=1e-12, abs=0.0)
 
     def test_single_point_helper_reads_one_draw(self):
         cfg = perfect_csi_config(power=4.0)
@@ -207,50 +185,123 @@ def whole_array_gmi(d: Draw, b: complex) -> np.ndarray:
     return np.where(attained, val, 0.0)
 
 
-class TestBlocks:
-    """The sampler and the solve run in fixed blocks; no block size changes a bit."""
+C = CHUNK_TRIALS
+
+
+def contract_trial(cfg: ChannelConfig, seed: int, i: int) -> tuple[float, complex]:
+    """Trial ``i``'s ``(V, Y)`` by the documented recipe, from a fresh
+    substream and with Python floats."""
+    rng = substream(seed, i // C)
+    g = rng.standard_gamma(cfg.n_r, size=C)
+    z = rng.standard_normal(2 * C)
+    j = i % C
+    pilot_var, error_var = gram_variances(cfg)
+    v = pilot_var * float(g[j])
+    t = math.sqrt(error_var / 2.0 * v)
+    return v, complex(t * float(z[j]), t * float(z[C + j]))
+
+
+class TestStreamContract:
+    """Trial ``i`` is row ``i % C`` of chunk ``i // C``, read from substream
+    ``(seed, i // C)``: gamma variates first, then normals."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("block_trials", [1, 3, None])
-    def test_draw_matches_scalar_path_across_block_edges(self, monkeypatch, workers, block_trials):
-        # 11 trials: no multiple of a 3-trial block, and split unevenly over
-        # 2 and 3 workers; None keeps the default block (all 11 in one).
-        # Each case has its own seed, so that a trial the sampler skipped
-        # cannot pass by reading memory freed by the previous case.
-        cfg = complex_pilot_config()
-        if block_trials is not None:
-            monkeypatch.setattr(outage, "_CHUNK_FLOATS", 4 * cfg.n_r * block_trials)
-        a = lmmse_coefficient(cfg)
-        trials, seed = 11, 100 * workers + (block_trials or 0)
-        d = draw(cfg, trials, seed, workers=workers)
-        for i in range(trials):
-            real = sample_realization(cfg, substream(seed, i))
-            assert d.v_energy[i] == np.sum(np.abs(real.v) ** 2)
-            assert d.residual[i] == np.sum(np.conj(real.s - a * real.v) * real.v)
+    @pytest.mark.parametrize("n_r", [1, 8, 1024])
+    def test_trials_follow_the_documented_recipe(self, n_r, workers):
+        # 2C + 2 trials make three chunks, the last of two trials, split
+        # unevenly over 2 and 3 workers
+        cfg = replace(complex_pilot_config(), n_r=n_r)
+        seed = 10 * n_r + workers
+        d = draw(cfg, 2 * C + 2, seed, workers=workers)
+        for i in (0, C - 1, C, C + 1, 2 * C + 1):
+            v, y = contract_trial(cfg, seed, i)
+            assert d.v_energy[i] == v
+            assert d.residual[i] == y
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_one_antenna_one_trial_blocks_match_scalar_path(self, monkeypatch, workers):
-        # a one-trial block at n_r = 1 reduces one-element arrays, which
-        # numpy multiplies in place with a different rounding
-        cfg = complex_pilot_config(n_r=1)
-        monkeypatch.setattr(outage, "_CHUNK_FLOATS", 4)
-        a = lmmse_coefficient(cfg)
-        trials, seed = 40, 22
-        d = draw(cfg, trials, seed, workers=workers)
-        for i in range(trials):
-            real = sample_realization(cfg, substream(seed, i))
-            assert d.v_energy[i] == np.sum(np.abs(real.v) ** 2)
-            assert d.residual[i] == np.sum(np.conj(real.s - a * real.v) * real.v)
+    @pytest.mark.parametrize("trials", [1, C - 1, C, 2 * C])
+    def test_prefix_stable(self, trials):
+        cfg = complex_pilot_config(n_r=3)
+        short, long = draw(cfg, trials, 8), draw(cfg, trials + 1, 8)
+        assert short.v_energy.tobytes() == long.v_energy[:trials].tobytes()
+        assert short.residual.tobytes() == long.residual[:trials].tobytes()
 
-    def test_large_antenna_count_one_trial_per_block(self):
-        # at n_r = 8192 a block is one trial
-        cfg = build_channel_config(3.0, 8192)
-        a = lmmse_coefficient(cfg)
-        d = draw(cfg, 3, 5)
-        for i in range(3):
-            real = sample_realization(cfg, substream(5, i))
-            assert d.v_energy[i] == np.sum(np.abs(real.v) ** 2)
-            assert d.residual[i] == np.sum(np.conj(real.s - a * real.v) * real.v)
+    def test_noiseless_pilot_gives_zero_residual(self):
+        cfg = replace(complex_pilot_config(), pilot_noise_var=0.0)
+        d = draw(cfg, 1000, 4)
+        assert np.all(d.residual == 0)
+        assert np.all(d.v_energy > 0)
+
+    def test_snr_points_of_one_antenna_count_share_variates(self):
+        # G = V / sigma_v^2 and z = Y / sqrt(sigma_e^2 V / 2) depend on
+        # (seed, n_r, i) only, so every config of one n_r reads them
+        base = complex_pilot_config(n_r=6)
+        configs = [base, replace(base, fading_var=0.6), build_channel_config(9.0, 6),
+                   build_channel_config(-3.0, 6)]
+        standardized = []
+        for cfg in configs:
+            d = draw(cfg, C + 5, 12)
+            pilot_var, error_var = gram_variances(cfg)
+            standardized.append((d.v_energy / pilot_var, d.residual / np.sqrt(error_var / 2.0 * d.v_energy)))
+        for g, z in standardized[1:]:
+            np.testing.assert_allclose(g, standardized[0][0], rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(z, standardized[0][1], rtol=1e-14, atol=0.0)
+
+
+def oracle_draw(cfg: ChannelConfig, trials: int, seed: int) -> Draw:
+    """A :class:`Draw` made by the per-antenna path: independent
+    ``sample_realization`` calls on one stream, each reduced by
+    ``statistics`` at ``b = a`` to ``V = ||a v||^2 / |a|^2`` and
+    ``Y = (s - a v)^H (a v) / a``."""
+    a = lmmse_coefficient(cfg)
+    rng = substream(seed, 0)
+    v = np.empty(trials)
+    y = np.empty(trials, dtype=np.complex128)
+    for i in range(trials):
+        st = statistics(sample_realization(cfg, rng), a)
+        v[i] = st.csi_energy / abs(a) ** 2
+        y[i] = st.error_cross / a
+    return Draw(cfg, v, y)
+
+
+class TestLawAgreement:
+    """The two-draw sampler and the per-antenna oracle draw one law."""
+
+    # (config, rate in bits) with the outage at b = a away from 0 and 1
+    POINTS = {
+        "nr1_5dB": (build_channel_config(5.0, 1), 0.5),
+        "nr8_5dB": (build_channel_config(5.0, 8), 3.0),
+        "nr8_9dB": (build_channel_config(9.0, 8), 4.4),
+        "nr64_-3dB": (build_channel_config(-3.0, 64), 2.8),
+        "nr1024_0dB": (build_channel_config(0.0, 1024), 8.0),
+        "perfect_csi": (perfect_csi_config(power=10.0, n_r=2), 3.0),
+    }
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_same_law_as_per_antenna_oracle(self, point):
+        cfg, rate_bits = self.POINTS[point]
+        new, ref = draw(cfg, 200_000, 2024), oracle_draw(cfg, 20_000, 2024)
+        pilot_var, error_var = gram_variances(cfg)
+        law = scipy_stats.gamma(cfg.n_r, scale=pilot_var)
+        for d in (new, ref):
+            # V ~ sigma_v^2 Gamma(n_r), for each sampler
+            assert scipy_stats.kstest(d.v_energy, law.cdf).pvalue > 1e-3
+            # E|Y|^2 = sigma_e^2 E V: the mean of |Y|^2 - sigma_e^2 V is 0
+            excess = np.abs(d.residual) ** 2 - error_var * d.v_energy
+            if error_var == 0.0:
+                assert np.all(np.abs(excess) <= 1e-24 * d.v_energy**2)
+            else:
+                assert abs(excess.mean()) <= 4.0 * excess.std() / math.sqrt(excess.size)
+        # 12 outage comparisons over the points, each at 99.9% (z = 3.29)
+        a = abs(lmmse_coefficient(cfg))
+        rate = rate_bits * math.log(2.0)
+        for ratio in (1.0, 0.758875):
+            p_new, p_ref = new.outage(ratio * a, rate), ref.outage(ratio * a, rate)
+            se = math.sqrt(sum(e.p_hat * (1.0 - e.p_hat) / e.trials for e in (p_new, p_ref)))
+            assert abs(p_new.p_hat - p_ref.p_hat) <= 3.29 * se, (ratio, p_new.p_hat, p_ref.p_hat)
+
+
+class TestBlocks:
+    """The solve runs in fixed blocks; no block size changes a bit."""
 
     @pytest.mark.parametrize("block", [7, None])
     def test_gmi_matches_whole_array_formula(self, monkeypatch, block):
@@ -266,11 +317,11 @@ class TestBlocks:
             got = d.gmi(b)
             assert got.tobytes() == whole_array_gmi(d, complex(b)).tobytes()
 
-    def test_draw_memory_does_not_grow_with_trials(self):
-        # n_r = 1024, 2000 trials: the result takes 48 kB and the sampling
-        # buffers about 0.7 MB; a reduction over all trials at once would
-        # take over 100 MB
-        cfg = build_channel_config(0.0, 1024)
+    @pytest.mark.parametrize("n_r", [1024, 2**40])
+    def test_draw_memory_does_not_grow_with_trials(self, n_r):
+        # 2000 trials: the result takes 48 kB and the sampling one chunk's
+        # variates and their temporaries, about 0.25 MB, whatever n_r
+        cfg = build_channel_config(0.0, n_r)
         tracemalloc.start()
         try:
             draw(cfg, 2000, 1)
@@ -297,56 +348,6 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak <= 4 * 8 * trials
         np.testing.assert_array_equal(first, second)
-
-
-class TestDrawMany:
-    """Configs that share n_r are sampled once and reduced once each."""
-
-    @staticmethod
-    def configs(n_r):
-        base = complex_pilot_config(n_r)
-        return [
-            base,
-            replace(base, fading_var=0.6),
-            replace(base, pilot_noise_var=0.0),
-            build_channel_config(9.0, n_r),
-            base,
-        ]
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("n_r", [1, 5])
-    @pytest.mark.parametrize("block_trials", [3, None])
-    def test_same_bytes_as_separate_draws(self, monkeypatch, workers, n_r, block_trials):
-        # 11 trials: no multiple of a 3-trial block, and split unevenly over
-        # 2 and 3 workers
-        if block_trials is not None:
-            monkeypatch.setattr(outage, "_CHUNK_FLOATS", 4 * n_r * block_trials)
-        configs = self.configs(n_r)
-        trials, seed = 11, 7 * workers + n_r
-        joint = draw_many(configs, trials, seed, workers=workers)
-        assert [d.config for d in joint] == configs
-        for d, cfg in zip(joint, configs):
-            alone = draw(cfg, trials, seed)
-            assert d.v_energy.tobytes() == alone.v_energy.tobytes()
-            assert d.residual.tobytes() == alone.residual.tobytes()
-
-    def test_each_trial_sampled_once(self, monkeypatch):
-        indices = []
-
-        class CountingSampler(outage.BlockSampler):
-            def normals(self, index, out):
-                indices.append(index)
-                super().normals(index, out)
-
-        monkeypatch.setattr(outage, "BlockSampler", CountingSampler)
-        draw_many(self.configs(3), 40, 1, workers=2)
-        assert sorted(indices) == list(range(40))
-
-    def test_refuses_empty_and_mixed_antenna_counts(self):
-        for configs in ([], [complex_pilot_config(4), complex_pilot_config(5)]):
-            with pytest.raises(ConfigError) as exc:
-                draw_many(configs, 10, 1)
-            assert exc.value.path == "configs"
 
 
 class TestArgumentTypes:

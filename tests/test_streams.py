@@ -46,6 +46,16 @@ def test_block_sampler_is_order_independent():
     np.testing.assert_array_equal(a, a2)
 
 
+def test_block_sampler_stream_resets_after_gamma_draws():
+    # the gamma sampler rejects, so it stops at a chance position in the
+    # stream; the next stream() call must start its substream afresh
+    sampler = BlockSampler(77)
+    for index in (5, 0, 5, 2**64 - 1):
+        rng, ref = sampler.stream(index), substream(77, index)
+        np.testing.assert_array_equal(rng.standard_gamma(3, size=99), ref.standard_gamma(3, size=99))
+        np.testing.assert_array_equal(rng.standard_normal(7), ref.standard_normal(7))
+
+
 @pytest.mark.parametrize("index", [2**63, 2**64 - 1])
 def test_block_sampler_matches_substream_at_top_indices(index):
     sampler = BlockSampler(2024)
@@ -95,6 +105,8 @@ def test_block_sampler_refuses_bad_index(index):
     sampler = BlockSampler(3)
     with pytest.raises(ValueError, match="stream index"):
         sampler.normals(index, np.empty(4))
+    with pytest.raises(ValueError, match="stream index"):
+        sampler.stream(index)
 
 
 def test_block_sampler_accepts_numpy_integer_index():
