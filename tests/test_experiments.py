@@ -38,6 +38,7 @@ from lsrsim.experiments import (
     KINDS,
     OUTAGE_CURVE_COLUMNS,
 )
+from lsrsim.streams import CHUNK_TRIALS
 
 
 def small_cfg(**overrides):
@@ -293,6 +294,15 @@ class TestSharedDraws:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_worker_count_changes_no_bit(self, workers):
         cfg = grid_cfg("outage_curve")
+        expected = run_experiment(cfg).rows
+        assert repr(run_experiment(cfg, workers=workers).rows) == repr(expected)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("kind", GRIDS)
+    def test_worker_split_across_chunks_changes_no_bit(self, kind, workers):
+        # 2C + 1 trials make three chunks of the stream, so the workers of
+        # each point's draw split its chunk range
+        cfg = replace(grid_cfg(kind), trials=2 * CHUNK_TRIALS + 1)
         expected = run_experiment(cfg).rows
         assert repr(run_experiment(cfg, workers=workers).rows) == repr(expected)
 

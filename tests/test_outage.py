@@ -8,6 +8,7 @@ from scipy import stats as scipy_stats
 
 from lsrsim import (
     ChannelConfig,
+    ChannelRealization,
     Draw,
     build_channel_config,
     draw,
@@ -18,6 +19,7 @@ from lsrsim import (
     sample_realization,
     statistics,
     substream,
+    theta_star,
     wilson_interval,
 )
 from lsrsim import outage
@@ -97,6 +99,26 @@ class TestEstimateOutage:
         truth = analytic_perfect_csi_outage(rate, cfg.power)
         est = draw(cfg, 50_000, 99).outage(abs(lmmse_coefficient(cfg)), rate)
         assert est.ci95_low <= truth <= est.ci95_high
+
+    def test_per_trial_contract_matches_scalar_path(self):
+        # each trial's GMI agrees with statistics -> theta_star on a
+        # one-antenna realization with the trial's Gram numbers,
+        # v = sqrt(V) and s = a v + conj(Y) / sqrt(V), up to rounding, since
+        # the two paths form the GMI's inputs from different sums; 2C + 3
+        # trials cross two chunk edges
+        cfg = complex_pilot_config()
+        b = 0.35 + 0.05j
+        trials, seed = 2 * CHUNK_TRIALS + 3, 42
+        d = draw(cfg, trials, seed, workers=2)
+        a = lmmse_coefficient(cfg)
+        batch = d.gmi(b)
+        for i in range(0, trials, 7):
+            root = math.sqrt(d.v_energy[i])
+            real = ChannelRealization(s=[a * root + d.residual[i].conjugate() / root], v=[root])
+            assert np.sum(np.abs(real.v) ** 2) == pytest.approx(d.v_energy[i], rel=1e-15)
+            assert np.sum(np.conj(real.s - a * real.v) * real.v) == pytest.approx(d.residual[i], rel=1e-12)
+            res = theta_star(statistics(real, b), cfg.power, cfg.noise_var)
+            assert batch[i] == pytest.approx(res.gmi_nats, rel=1e-12, abs=0.0)
 
     def test_single_point_helper_reads_one_draw(self):
         cfg = perfect_csi_config(power=4.0)
@@ -224,6 +246,17 @@ class TestStreamContract:
         short, long = draw(cfg, trials, 8), draw(cfg, trials + 1, 8)
         assert short.v_energy.tobytes() == long.v_energy[:trials].tobytes()
         assert short.residual.tobytes() == long.residual[:trials].tobytes()
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    @pytest.mark.parametrize("n_r", [1, 8])
+    def test_same_bytes_for_any_worker_count(self, n_r, workers):
+        # 3C + 5 trials make four chunks, split unevenly over the workers
+        cfg = complex_pilot_config(n_r=n_r)
+        trials, seed = 3 * C + 5, 7 * workers + n_r
+        alone = draw(cfg, trials, seed)
+        split = draw(cfg, trials, seed, workers=workers)
+        assert split.v_energy.tobytes() == alone.v_energy.tobytes()
+        assert split.residual.tobytes() == alone.residual.tobytes()
 
     def test_noiseless_pilot_gives_zero_residual(self):
         cfg = replace(complex_pilot_config(), pilot_noise_var=0.0)
