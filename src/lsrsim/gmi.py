@@ -28,6 +28,7 @@ cross-check the closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,9 @@ import numpy as np
 from .channel import GmiStatistics, _check, _check_integer
 
 __all__ = ["GmiResult", "GridSpec", "k_ls", "theta_star", "gmi_grid_oracle"]
+
+# unit roundoff of float64
+_EPS = 2.0**-53
 
 
 @dataclass
@@ -140,20 +144,28 @@ def _solve_theta(c, r, d, power, noise_var, ws: _Workspace):
     positive rate; elsewhere the GMI is 0, the ``theta -> 0`` limit, and
     ``theta`` and ``gmi`` hold no meaning.
 
-    The stationary points solve ``A t^2 + B t + C = 0`` in the unit-noise
-    parameterization ``t = noise_var * theta`` with reduced power
-    ``p = power / noise_var`` (an exact reparameterization of ``k_ls``):
+    In the unit-noise parameterization ``t = noise_var * theta`` with
+    reduced power ``p = power / noise_var`` (an exact reparameterization of
+    ``k_ls``), the stationary points solve
 
-        A = p c (c + p d),  B = p c^2 - 2 c - 2 p d,  C = -2 r.
+        p c (c + p d) t^2 + (p c^2 - 2 c - 2 p d) t - 2 r = 0.
 
+    With ``tau = c t`` and ``delta = d / c`` this is ``A tau^2 + B tau + C = 0``:
+
+        A = p (1 + p delta),  B = p c - 2 - 2 p delta,  C = -2 r,
+
+    which is solved for ``tau``, and ``theta = tau / (c noise_var)``.
     ``A > 0`` whenever ``c > 0``.  Since ``log(1 + y) <= y``,
     ``k_ls(t) <= p t C``, so ``C >= 0`` gives a GMI of 0.  If ``C < 0`` then
     ``Q(0) = C < 0 < Q(-inf)``: the quadratic has exactly one negative root,
     the smaller one, ``k_ls`` rises up to it and falls toward 0 as
     ``t -> 0``, so that root is the maximizer and its value is positive.
     Only the smaller root, in cancellation-free form, is therefore solved
-    for.  Where ``c`` is so small that ``c^2`` underflows, that root is not
-    resolved and the GMI, then below about 1e-160 nats, may read 0.
+    for.  No coefficient is a power of ``c``, so the root is resolved as
+    long as ``c = |b|^2 V`` is a normal float: below about
+    ``|b| = 1e-150 |a|`` the GMI reads its ``b -> 0`` limit.  Where ``c``
+    itself underflows, ``|b|^2 V`` below about 1e-308, ``delta`` is not
+    finite and the GMI reads 0.
 
     Every intermediate is written into the workspace, whose shape is that of
     the arguments, so a call allocates no array.
@@ -161,12 +173,13 @@ def _solve_theta(c, r, d, power, noise_var, ws: _Workspace):
     p = power / noise_var
     t = ws.t
 
-    qb = np.multiply(p, c, out=ws.qb)
-    qa = np.multiply(qb, np.add(c, np.multiply(p, d, out=ws.qa), out=ws.qa), out=ws.qa)
-    np.subtract(np.multiply(qb, c, out=qb), np.multiply(2.0, c, out=t), out=qb)
-    np.subtract(qb, np.multiply(2.0 * p, d, out=t), out=qb)
-    qc = np.multiply(-2.0, r, out=ws.qc)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # p delta = p d / c
+        pdelta = np.divide(np.multiply(p, d, out=ws.qa), c, out=ws.qa)
+        qb = np.subtract(np.multiply(p, c, out=ws.qb), 2.0, out=ws.qb)
+        np.subtract(qb, np.multiply(2.0, pdelta, out=t), out=qb)
+        qa = np.multiply(p, np.add(1.0, pdelta, out=ws.qa), out=ws.qa)
+        qc = np.multiply(-2.0, r, out=ws.qc)
         sq = np.multiply(qb, qb, out=ws.sq)
         np.sqrt(np.subtract(sq, np.multiply(np.multiply(4.0, qa, out=t), qc, out=t), out=sq), out=sq)
         # the smaller root: 2 C / (sq - B) where B < 0, else (-B - sq) / (2 A)
@@ -174,7 +187,7 @@ def _solve_theta(c, r, d, power, noise_var, ws: _Workspace):
         np.divide(root, np.multiply(2.0, qa, out=t), out=root)
         np.divide(np.multiply(2.0, qc, out=t), np.subtract(sq, qb, out=ws.x), out=t)
         np.copyto(root, t, where=np.less(qb, 0.0, out=ws.mask))
-        theta = np.divide(root, noise_var, out=root)
+        theta = np.divide(root, np.multiply(c, noise_var, out=t), out=root)
         val = _k_ls_into(ws, theta, c, r, d, power, noise_var)
 
     ok, mask = ws.ok, ws.mask
@@ -183,6 +196,118 @@ def _solve_theta(c, r, d, power, noise_var, ws: _Workspace):
     np.logical_and(ok, np.isfinite(val, out=mask), out=ok)
     np.logical_and(ok, np.greater(val, 0.0, out=mask), out=ok)
     return theta, val, ok
+
+
+# A trial's GMI as a function of real b > 0.  With rho = Re(s^H v) > 0 and
+# kappa = ((Im s^H v)^2 + noise_var ||v||^2 / power) / rho^2, it depends on b
+# only through q = rho / (b ||v||^2):
+#
+#     GMI = sup_{x > 0} [log(1 + x) - x (1 - 2q + x ((1 - q)^2 + kappa q^2)) / (1 + x)],
+#
+# peaks at q = 1 with log1p(1 / kappa), and tends to 1 / (1 + kappa) as
+# b -> 0+.  The set {GMI >= R} is one interval of q around 1 (README, "How
+# the search counts outages").  Its ends lie on the curve traced, for
+# s = log(1 + x) at the maximizing x, by
+#
+#     q(s) = 1 + (e^s + 1)(R - s) / (2 expm1(s)),
+#     kappa(s) = [(1 + (R - s) / expm1(s)) / expm1(s) - (q - 1)^2] / q^2,
+#
+# (kappa's bracket equals (s + 2q - R) / (2 expm1(s)) - (1 - q)^2, the form
+# in the README, with q(s) substituted), with kappa monotone on each of two branches.  On 0 < s < R, the lower end
+# in b (q > 1), kappa rises from 1/R - 1 at s -> 0 to 1 / expm1(R) at s = R;
+# on s > R, the upper end (q < 1), it falls from 1 / expm1(R) to 0, which it
+# meets at some q > 0.
+
+# nodes per branch of the table that starts each end's Newton step; with
+# 513 the step leaves ends within 3e-12 relative, 400 times inside the
+# counter's tolerance
+_END_TABLE_POINTS = 513
+
+
+def _end_kappa(s, rate):
+    """``(x, v, u, q, kappa)`` at ``s`` of the end curve, with ``x = expm1(s)``,
+    ``v = (rate - s) / x`` and ``u = q - 1``."""
+    x = np.expm1(s)
+    v = (rate - s) / x
+    u = 0.5 * (x + 2.0) * v
+    q = 1.0 + u
+    return x, v, u, q, ((1.0 + v) / x - u * u) / (q * q)
+
+
+def _end_curve(s, rate):
+    """``(x, q, kappa, dq/ds, dkappa/ds, scale)`` at ``s`` of the end curve.
+
+    ``scale`` is the size of the terms that ``kappa`` is the difference of,
+    over ``q^2``, which bounds its rounding error.
+    """
+    x, v, u, q, kappa = _end_kappa(s, rate)
+    y = x + 1.0
+    big = (1.0 + v) / x
+    qq = q * q
+    dv = -(1.0 + v * y) / x
+    du = 0.5 * (y * v + (x + 2.0) * dv)
+    dkappa = (dv / x - big * y / x - 2.0 * du * (u + kappa * q)) / qq
+    return x, q, kappa, du, dkappa, (np.abs(big) + u * u) / qq
+
+
+@functools.lru_cache(maxsize=32)
+def _end_tables(rate: float):
+    """``(kappa_max, step, s)``: the largest feasible ``kappa``,
+    ``1 / expm1(rate)``, and rows ``s[0]`` (lower branch) and ``s[1]``
+    (upper branch) with ``s[:, j]`` the points of the end curve where
+    ``kappa = kappa_max - (j step)^2``.
+
+    The nodes are uniform in ``sqrt(kappa_max - kappa)``, in which ``s`` is
+    smooth through the peak ``s = rate``, down to ``kappa = 0``; each is
+    bisected to about 1e-9, since ``kappa`` is monotone on each branch.  The
+    upper branch meets ``kappa = 0`` before ``s = rate + 3``.  The lower one
+    tends to ``kappa = 1/rate - 1`` as ``s -> 0``, so for a rate below 1
+    nat its nodes under that ``kappa`` sit at ``s`` near 0.
+    """
+    kappa_max = 1.0 / math.expm1(rate)
+    t = np.linspace(0.0, math.sqrt(kappa_max), _END_TABLE_POINTS)
+    target = kappa_max - t * t
+    near_side = np.full((2, t.size), rate)
+    far_side = np.array([[0.0], [rate + 3.0]]).repeat(t.size, axis=1)
+    with np.errstate(all="ignore"):
+        for _ in range(32):
+            mid = 0.5 * (near_side + far_side)
+            above = _end_kappa(mid, rate)[4] > target
+            near_side = np.where(above, mid, near_side)
+            far_side = np.where(above, far_side, mid)
+    return kappa_max, t[1], 0.5 * (near_side + far_side)
+
+
+def _feasible_end(kappa, kappa_err, rate: float, upper: bool):
+    """One end of each trial's feasible interval, as its ``q``: the lower
+    end (``q > 1``) or the upper one (``q < 1``).
+
+    A ``kappa`` (with absolute error ``kappa_err``) in
+    ``(max(1/rate - 1, 0), 1 / expm1(rate))`` has both ends; for any other
+    the results hold no meaning.  The end starts from the table of
+    :func:`_end_tables` and takes one Newton step on ``kappa(s)``.  Returns
+    ``(q, err, slope, ok)``: ``err`` bounds the end's relative error in
+    ``b``, ``slope`` is ``|dGMI / dlog b|`` there, and ``ok`` is False where
+    the step left the branch or produced a non-finite number.
+    """
+    kappa_max, step, nodes = _end_tables(rate)
+    nodes = nodes[int(upper)]
+    pos = np.sqrt(np.fmax(kappa_max - kappa, 0.0)) / step
+    cell = np.minimum(np.floor(pos), nodes.size - 2.0)
+    j = cell.astype(np.intp)
+    left = nodes[j]
+    s = left + (pos - cell) * (nodes[j + 1] - left)
+    with np.errstate(all="ignore"):
+        _, _, k, _, dk, _ = _end_curve(s, rate)
+        s = s - (k - kappa) / dk
+        x, q, k, dq, dk, scale = _end_curve(s, rate)
+        # the end moves by (kappa error) / (dkappa/ds) in s, times dlog q/ds in log b
+        miss = np.abs(k - kappa) + 8.0 * _EPS * (scale + np.abs(k)) + kappa_err
+        err = np.abs(dq / q) * miss / np.abs(dk) + 16.0 * _EPS
+        # dGMI/dlog b = -q dh/dq at the maximizing x (envelope theorem)
+        slope = q * (2.0 * x / (x + 1.0)) * np.abs(1.0 + x * (1.0 - q) - x * kappa * q)
+        ok = np.isfinite(err) & np.isfinite(slope) & (q > 0.0) & ((q < 1.0) if upper else (q > 1.0))
+    return q, err, slope, ok
 
 
 def k_ls(stats: GmiStatistics, power: float, noise_var: float, theta: float) -> float:

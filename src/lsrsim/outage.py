@@ -38,11 +38,12 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelConfig, _check, _check_integer, gram_variances, lmmse_coefficient
-from .gmi import _solve_theta, _Workspace
+from .gmi import _EPS, _feasible_end, _solve_theta, _Workspace
 from .streams import CHUNK_TRIALS, BlockSampler
 
 __all__ = [
     "Draw",
+    "OutageCounter",
     "OutageEstimate",
     "GmiHistogram",
     "wilson_interval",
@@ -101,6 +102,11 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     return min(max(0.0, center - half), p), max(min(1.0, center + half), p)
 
 
+def _check_rate(rate_nats: float) -> None:
+    _check(0 <= rate_nats < math.inf, "rate_nats",
+           f"must be finite and nonnegative, got {rate_nats}")
+
+
 @dataclass(frozen=True, eq=False)
 class Draw:
     """Per-trial statistics of trials ``0..trials-1`` of one run.
@@ -125,17 +131,22 @@ class Draw:
         """
         b = complex(b)
         _check(cmath.isfinite(b), "b", f"must be finite, got {b}")
+        return self._solve(b, self.v_energy, self.residual)
+
+    def _solve(self, b: complex, v_energy: np.ndarray, residual: np.ndarray) -> np.ndarray:
+        """:meth:`gmi` of the trials ``(v_energy, residual)``, any subset of
+        this draw's, each bit-identical to its value in ``gmi(b)``."""
         a = lmmse_coefficient(self.config)
         b_abs2 = b.real * b.real + b.imag * b.imag
         b_a = (b * a.conjugate()).real
         b_minus_a = (b - a).conjugate()
         power, noise_var = self.config.power, self.config.noise_var
-        trials = self.v_energy.size
+        trials = v_energy.size
         gmi = np.zeros(trials)
         for lo in range(0, trials, self._workspace.size):
             hi = min(lo + self._workspace.size, trials)
             ws = self._workspace.first(hi - lo)
-            v, y = self.v_energy[lo:hi], self.residual[lo:hi]
+            v, y = v_energy[lo:hi], residual[lo:hi]
             # r = Re(b conj(a)) V + Re(b Y)
             r = np.add(np.multiply(b_a, v, out=ws.r), np.multiply(b, y, out=ws.z).real, out=ws.r)
             # d = |b|^2 |e|^2 with e = (conj(b) - conj(a)) V - Y
@@ -158,18 +169,158 @@ class Draw:
         The outage event uses a strict inequality, so a zero rate can never
         count an outage (the GMI is nonnegative).
         """
-        _check(0 <= rate_nats < math.inf, "rate_nats",
-               f"must be finite and nonnegative, got {rate_nats}")
+        _check_rate(rate_nats)
         gmi = self.gmi(b)
-        failures = int(np.count_nonzero(gmi < rate_nats))
-        low, high = wilson_interval(failures, gmi.size)
-        return OutageEstimate(
-            p_hat=failures / gmi.size,
-            trials=gmi.size,
-            failures=failures,
-            ci95_low=low,
-            ci95_high=high,
-        )
+        return _estimate(int(np.count_nonzero(gmi < rate_nats)), gmi.size)
+
+
+def _estimate(failures: int, trials: int) -> OutageEstimate:
+    low, high = wilson_interval(failures, trials)
+    return OutageEstimate(
+        p_hat=failures / trials,
+        trials=trials,
+        failures=failures,
+        ci95_low=low,
+        ci95_high=high,
+    )
+
+
+# relative half-width, in b, of the window around each end of a trial's
+# feasible interval inside which the counter does not trust the end
+_END_WINDOW = 1e-8
+# absolute GMI margin, in units of (rate + 2) nats, that a certified trial
+# keeps from the rate outside those windows; Draw.gmi's own error where the
+# GMI crosses the rate stays below 1e-15 in the same units (tests/test_counter.py)
+_GMI_MARGIN = 1e-12
+# largest first-order relative error of a trial's kappa (from cancellation
+# in Re and Im of s^H v) for which the counter certifies its ends
+_KAPPA_ERROR = 1e-13
+# trials per block of the counter's build
+_COUNT_BLOCK = 1024
+# smallest b^2 min(V) the counter reads from its ends; below it c = b^2 V
+# nears underflow and Draw.gmi no longer reads the small-b limit
+_TINY_C = 1e-290
+
+
+class OutageCounter:
+    """Outage of one draw at one rate for any real ``b``, counted from each
+    trial's feasible interval in ``b``.
+
+    Every estimate equals ``d.outage(b, rate_nats)``, failure for failure.
+    A trial's set ``{b > 0 : GMI(b) >= rate}`` is one interval
+    ``[lo, hi]`` (see :mod:`lsrsim.gmi`), so the feasible trials at ``b``
+    number ``#{lo <= b} - #{hi < b}``: two binary searches on the sorted
+    ends.  The ends are built once, in blocks of ``_COUNT_BLOCK`` trials,
+    from each trial's ``rho = Re(s^H v)`` and ``kappa``; the counter keeps
+    16 bytes per trial, the sorted ends.
+
+    A trial's ends are certified when they are known to within a relative
+    ``_END_WINDOW / 8`` and its GMI stays ``_GMI_MARGIN (rate + 2)`` nats
+    away from the rate outside a window of ``_END_WINDOW`` around each end.
+    A trial that cannot be certified is re-solved by ``Draw.gmi``'s own
+    solve at every ``b``: a peak GMI within a small margin of the rate, an
+    end where the GMI is nearly flat in ``b`` or whose Newton step did not
+    converge, or Gram numbers whose ``s^H v`` cancels.  A ``b`` with any end
+    within ``2 _END_WINDOW`` of it, a ``b <= 0`` and a ``b`` so small that
+    ``b^2 V`` nears underflow are read by ``d.outage`` whole.
+    """
+
+    def __init__(self, d: Draw, rate_nats: float):
+        _check_rate(rate_nats)
+        self.draw, self.rate = d, float(rate_nats)
+        trials = d.v_energy.size
+        self._lo, self._hi = np.full(trials, np.inf), np.full(trials, np.inf)
+        unsure = np.zeros(trials, dtype=bool)
+        if self.rate == 0.0:
+            self._lo.fill(0.0)  # a GMI is never below 0
+        else:
+            # the last block ends at the last trial and overlaps the one
+            # before (those trials are computed twice, alike), so every
+            # block's temporaries have one size and reuse the same memory
+            size = min(_COUNT_BLOCK, trials)
+            for start in range(0, trials, size):
+                start = min(start, trials - size)
+                self._fill(slice(start, start + size), unsure)
+        self._unsure = np.flatnonzero(unsure)
+        self._lo.sort()
+        self._hi.sort()
+        self._v_min = float(d.v_energy.min())
+
+    def _fill(self, rows: slice, unsure: np.ndarray) -> None:
+        """Store the certified ends of the trials ``rows`` and mark in
+        ``unsure`` those left to re-solve."""
+        d, rate = self.draw, self.rate
+        a = lmmse_coefficient(d.config)
+        v, y = d.v_energy[rows], d.residual[rows]
+        # s^H v = conj(a) V + Y = rho + i im, each with a rounding bound
+        rho = a.real * v + y.real
+        im = y.imag - a.imag * v
+        rho_err = 4.0 * _EPS * (abs(a.real) * v + np.abs(y.real))
+        im_err = 4.0 * _EPS * (abs(a.imag) * v + np.abs(y.imag))
+        noise = (d.config.noise_var / d.config.power) * v
+        num = im * im + noise
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            kappa = num / (rho * rho)
+            rel = 2.0 * rho_err / np.abs(rho) + 2.0 * np.abs(im) * im_err / num + 8.0 * _EPS
+            kappa_low = (np.maximum(np.abs(im) - im_err, 0.0) ** 2 + noise) / (np.abs(rho) + rho_err) ** 2
+
+            # a peak GMI log1p(1 / kappa) a margin below the rate, or rho < 0
+            # (a GMI of 0), is an outage at every b; one a margin above it
+            # has an interval with two ends
+            kappa_max = 1.0 / math.expm1(rate)
+            tol = _GMI_MARGIN * (rate + 2.0)
+            margin = 1e-7 + 4.0 * tol * (1.0 + kappa_max)
+            dead = ((rho < -rho_err) & (rate > tol)) | (kappa_low > kappa_max * (1.0 + margin))
+            certified = (rho > 0.0) & (rel <= _KAPPA_ERROR)
+            certified &= kappa * (1.0 + rel) < kappa_max * (1.0 - margin)
+
+            # every trial of the block is solved; only the certified are kept
+            k_err = kappa * rel
+            for upper, ends in ((False, self._lo), (True, self._hi)):
+                q, err, slope, ok = _feasible_end(kappa, k_err, rate, upper)
+                sure = ok & (err + rel <= _END_WINDOW / 8.0) & (slope * _END_WINDOW >= 8.0 * tol)
+                if not upper:
+                    # for kappa <= 1/rate - 1 the interval reaches b -> 0+,
+                    # where the GMI tends to 1 / (1 + kappa)
+                    to_zero = kappa <= 1.0 / rate - 1.0
+                    q[to_zero] = np.inf
+                    sure[to_zero] = (rate + 2.0 * tol) * (1.0 + kappa + k_err)[to_zero] <= 1.0
+                certified &= sure
+                ends[rows] = rho / v / q
+        self._lo[rows][~certified] = np.inf
+        self._hi[rows][~certified] = np.inf
+        unsure[rows] = ~(dead | certified)
+
+    def outage(self, b: float) -> OutageEstimate:
+        """``d.outage(b, rate_nats)``, counted."""
+        return self.outages([b])[0]
+
+    def outages(self, b_values: Sequence[float]) -> list[OutageEstimate]:
+        """``[d.outage(b, rate_nats) for b in b_values]``, counted."""
+        b = np.asarray(b_values, dtype=float)
+        lo, hi = self._lo, self._hi
+        w_lo, w_hi = b * (1.0 - 2.0 * _END_WINDOW), b * (1.0 + 2.0 * _END_WINDOW)
+        with np.errstate(over="ignore"):
+            counted = np.isfinite(b) & (b > 0.0) & (b * b * self._v_min >= _TINY_C)
+        # #{ends <= x} (side "right") and #{ends < x} (side "left"), as lists
+        searches = ((lo, b, "right"), (hi, b, "left"),
+                    (lo, w_hi, "right"), (lo, w_lo, "left"), (hi, w_hi, "right"), (hi, w_lo, "left"))
+        lo_le, hi_lt, lo_le_w, lo_lt_w, hi_le_w, hi_lt_w = (
+            np.searchsorted(ends, x, side).tolist() for ends, x, side in searches)
+        trials = lo.size
+        d, redo = self.draw, self._unsure
+        estimates = []
+        for i, bi in enumerate(b.tolist()):
+            near = lo_le_w[i] != lo_lt_w[i] or hi_le_w[i] != hi_lt_w[i]
+            if near or not counted[i]:
+                estimates.append(d.outage(bi, self.rate))
+                continue
+            failures = trials - (lo_le[i] - hi_lt[i])
+            if redo.size:
+                gmi = d._solve(complex(bi), d.v_energy[redo], d.residual[redo])
+                failures -= int(np.count_nonzero(gmi >= self.rate))
+            estimates.append(_estimate(failures, trials))
+        return estimates
 
 
 def _draw_chunks(d: Draw, seed: int, first: int, stop: int) -> None:

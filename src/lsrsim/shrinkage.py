@@ -2,10 +2,14 @@
 
 The objective ``b -> p(GMI(b) < rate)`` is evaluated by common-random-number
 Monte Carlo: every evaluation reads the same :class:`~lsrsim.outage.Draw`,
-which makes the objective a deterministic piecewise-constant function of
-``b``.  A coarse grid over ``b / a`` (``a`` = LMMSE coefficient magnitude)
-followed by grid refinement around the incumbent is therefore more robust
-than bracketing line searches that assume smoothness.
+which makes the objective a deterministic step function of ``b`` whose
+steps sit at the ends of the trials' feasible intervals.  :func:`optimize_b`
+reads a coarse grid over ``b / a`` (``a`` = LMMSE coefficient magnitude) and
+grids refined around the incumbent from one
+:class:`~lsrsim.outage.OutageCounter`, two binary searches per ``b`` on the
+sorted ends, instead of solving every trial at every ``b``.  The exact
+minimizer of the step function would be a sweep over those ends; the grid
+is kept, and with it every result table.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import _check, _check_integer, _check_real, lmmse_coefficient
-from .outage import Draw, OutageEstimate
+from .outage import Draw, OutageCounter, OutageEstimate
 
 __all__ = ["SearchSpec", "BOptimum", "optimize_b"]
 
@@ -66,14 +70,16 @@ def optimize_b(d: Draw, rate_nats: float, spec: SearchSpec = SearchSpec()) -> BO
     point.  Each refinement pass re-grids ``coarse_points`` values across the
     interval spanned by the evaluated neighbors of the incumbent.  Ties are
     broken toward smaller ``b``.  Fully deterministic for fixed arguments.
+    Every outage is read from one :class:`~lsrsim.outage.OutageCounter`
+    and equals ``d.outage(b, rate_nats)``.
     """
     a = abs(lmmse_coefficient(d.config))
+    counter = OutageCounter(d, rate_nats)
     evaluated: dict[float, OutageEstimate] = {}
 
     def run(b_list: list[float]) -> None:
-        for b in b_list:
-            if b not in evaluated:
-                evaluated[b] = d.outage(b, rate_nats)
+        new = [b for b in dict.fromkeys(b_list) if b not in evaluated]
+        evaluated.update(zip(new, counter.outages(new)))
 
     def incumbent() -> float:
         return min(evaluated, key=lambda b: (evaluated[b].p_hat, b))

@@ -192,13 +192,14 @@ def whole_array_gmi(d: Draw, b: complex) -> np.ndarray:
     dd = b_abs2 * (e.real * e.real + e.imag * e.imag)
     c = b_abs2 * v
     p = power / noise_var
-    qa = p * c * (c + p * dd)
-    qb = p * c * c - 2.0 * c - 2.0 * p * dd
-    qc = -2.0 * r
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pdelta = p * dd / c
+        qa = p * (1.0 + pdelta)
+        qb = p * c - 2.0 - 2.0 * pdelta
+        qc = -2.0 * r
         sqrt_d = np.sqrt(qb * qb - 4.0 * qa * qc)
         root = np.where(qb < 0.0, 2.0 * qc / (sqrt_d - qb), (-qb - sqrt_d) / (2.0 * qa))
-        theta = root / noise_var
+        theta = root / (c * noise_var)
         w = -theta * power * c
         val = np.log1p(w) + theta * power * (
             c - 2.0 * r - noise_var * theta * c - power * theta * dd
