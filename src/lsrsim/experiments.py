@@ -139,6 +139,11 @@ class ExperimentConfig:
         search = kwargs.pop("search", None)
         if search is not None:
             _check(isinstance(search, dict), "search", "must be an object")
+            # the knobs of the grid search the exact sweep replaced: checked, then ignored
+            search = dict(search)
+            for key, low in (("coarse_points", 3), ("refine_iters", 0)):
+                if key in search:
+                    _check_integer(f"search.{key}", search.pop(key), low)
             search_fields = {f.name for f in fields(SearchSpec)}
             for key in search:
                 _check(key in search_fields, f"search.{key}", "unknown configuration field")
@@ -215,8 +220,9 @@ def _lmmse_rows(cfg: ExperimentConfig, p: GridPoint, d: Draw) -> list[dict]:
 
 
 def _outage_curve_rows(cfg: ExperimentConfig, p: GridPoint, d: Draw) -> list[dict]:
-    # the search grid contains b = a, hence p_lsr <= p_lmmse holds exactly
-    # row by row
+    # optimize_b falls back to b = a when a is in the search domain and
+    # reads fewer failures, so then p_lsr <= p_lmmse holds exactly row by
+    # row; with ratio 1 outside the domain p_lsr may exceed p_lmmse
     [row] = _lmmse_rows(cfg, p, d)
     opt = optimize_b(d, p.rate_nats, cfg.search)
     row.update(

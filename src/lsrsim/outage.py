@@ -133,13 +133,14 @@ class Draw:
         _check(cmath.isfinite(b), "b", f"must be finite, got {b}")
         return self._solve(b, self.v_energy, self.residual)
 
-    def _solve(self, b: complex, v_energy: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    def _solve(self, b: complex | np.ndarray, v_energy: np.ndarray, residual: np.ndarray) -> np.ndarray:
         """:meth:`gmi` of the trials ``(v_energy, residual)``, any subset of
-        this draw's, each bit-identical to its value in ``gmi(b)``."""
+        this draw's, each bit-identical to its value in ``gmi(b)``.  ``b`` may
+        also hold one real coefficient per trial: the same operations with
+        ``Im b = 0``, whose terms drop out exactly, give trial ``i`` the bits
+        of ``gmi(b[i])``."""
         a = lmmse_coefficient(self.config)
-        b_abs2 = b.real * b.real + b.imag * b.imag
-        b_a = (b * a.conjugate()).real
-        b_minus_a = (b - a).conjugate()
+        per_trial = isinstance(b, np.ndarray)
         power, noise_var = self.config.power, self.config.noise_var
         trials = v_energy.size
         gmi = np.zeros(trials)
@@ -147,14 +148,21 @@ class Draw:
             hi = min(lo + self._workspace.size, trials)
             ws = self._workspace.first(hi - lo)
             v, y = v_energy[lo:hi], residual[lo:hi]
-            # r = Re(b conj(a)) V + Re(b Y)
-            r = np.add(np.multiply(b_a, v, out=ws.r), np.multiply(b, y, out=ws.z).real, out=ws.r)
-            # d = |b|^2 |e|^2 with e = (conj(b) - conj(a)) V - Y
-            e = np.subtract(np.multiply(b_minus_a, v, out=ws.z), y, out=ws.z)
-            d = np.multiply(e.real, e.real, out=ws.d)
-            np.add(d, np.multiply(e.imag, e.imag, out=ws.t), out=d)
-            np.multiply(b_abs2, d, out=d)
-            c = np.multiply(b_abs2, v, out=ws.c)
+            bk = b[lo:hi] if per_trial else b
+            br, bi = (bk, 0.0) if per_trial else (b.real, b.imag)
+            # a large b overflows d and c to inf, and the GMI reads 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                b_abs2 = br * br + bi * bi
+                # r = Re(b conj(a)) V + Re(b Y)
+                r = np.multiply(br * a.real + bi * a.imag, v, out=ws.r)
+                np.add(r, np.multiply(bk, y, out=ws.z).real, out=r)
+                # d = |b|^2 |e|^2 with e = (conj(b) - conj(a)) V - Y
+                e_re = np.subtract(np.multiply(br - a.real, v, out=ws.qa), y.real, out=ws.qa)
+                e_im = np.subtract(np.multiply(a.imag - bi, v, out=ws.qb), y.imag, out=ws.qb)
+                d = np.multiply(e_re, e_re, out=ws.d)
+                np.add(d, np.multiply(e_im, e_im, out=ws.t), out=d)
+                np.multiply(b_abs2, d, out=d)
+                c = np.multiply(b_abs2, v, out=ws.c)
             _, val, attained = _solve_theta(c, r, d, power, noise_var, ws)
             np.copyto(gmi[lo:hi], val, where=attained)
         return gmi
@@ -221,8 +229,8 @@ class OutageCounter:
     solve at every ``b``: a peak GMI within a small margin of the rate, an
     end where the GMI is nearly flat in ``b`` or whose Newton step did not
     converge, or Gram numbers whose ``s^H v`` cancels.  A ``b`` with any end
-    within ``2 _END_WINDOW`` of it, a ``b <= 0`` and a ``b`` so small that
-    ``b^2 V`` nears underflow are read by ``d.outage`` whole.
+    within ``2 _END_WINDOW`` of it, a ``b <= 0`` and a ``b`` below ``b_min``,
+    where ``b^2 V`` nears underflow, are read by ``d.outage`` whole.
     """
 
     def __init__(self, d: Draw, rate_nats: float):
@@ -244,7 +252,9 @@ class OutageCounter:
         self._unsure = np.flatnonzero(unsure)
         self._lo.sort()
         self._hi.sort()
-        self._v_min = float(d.v_energy.min())
+        v_min = float(d.v_energy.min())
+        # the smallest b counted from the ends
+        self.b_min = math.sqrt(_TINY_C / v_min) if v_min > 0.0 else math.inf
 
     def _fill(self, rows: slice, unsure: np.ndarray) -> None:
         """Store the certified ends of the trials ``rows`` and mark in
@@ -291,17 +301,12 @@ class OutageCounter:
         self._hi[rows][~certified] = np.inf
         unsure[rows] = ~(dead | certified)
 
-    def outage(self, b: float) -> OutageEstimate:
-        """``d.outage(b, rate_nats)``, counted."""
-        return self.outages([b])[0]
-
     def outages(self, b_values: Sequence[float]) -> list[OutageEstimate]:
         """``[d.outage(b, rate_nats) for b in b_values]``, counted."""
         b = np.asarray(b_values, dtype=float)
         lo, hi = self._lo, self._hi
         w_lo, w_hi = b * (1.0 - 2.0 * _END_WINDOW), b * (1.0 + 2.0 * _END_WINDOW)
-        with np.errstate(over="ignore"):
-            counted = np.isfinite(b) & (b > 0.0) & (b * b * self._v_min >= _TINY_C)
+        counted = np.isfinite(b) & (b > 0.0) & (b >= self.b_min)
         # #{ends <= x} (side "right") and #{ends < x} (side "left"), as lists
         searches = ((lo, b, "right"), (hi, b, "left"),
                     (lo, w_hi, "right"), (lo, w_lo, "left"), (hi, w_hi, "right"), (hi, w_lo, "left"))
@@ -321,6 +326,36 @@ class OutageCounter:
                 failures -= int(np.count_nonzero(gmi >= self.rate))
             estimates.append(_estimate(failures, trials))
         return estimates
+
+    def intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every trial's feasible interval ``[lo, hi]`` in ``b >= b_min``: the
+        sorted lower ends and the sorted upper ends, ``inf`` for a trial
+        feasible at no such ``b`` and a lower end 0 for one feasible down to
+        ``b_min``.  The trials the counter re-solves are bisected in
+        ``log b`` by ``Draw.gmi``'s own solve, from their peak ``b = rho / V``
+        down to ``b_min`` and as far up, all at once, to ``2**-40`` relative.
+        """
+        d, rate, b_min, n = self.draw, self.rate, self.b_min, self._unsure.size
+        if not n:
+            return self._lo, self._hi
+        v, y = np.tile(d.v_energy[self._unsure], 2), np.tile(d.residual[self._unsure], 2)
+        peak = np.maximum((lmmse_coefficient(d.config).real * v[:n] + y[:n].real) / v[:n], b_min)
+        # a trial infeasible at its peak is feasible at no b
+        ok = d._solve(np.r_[peak, np.full(n, b_min)], v, y) >= rate
+        alive, down = ok[:n] & (peak > b_min), ok[n:]
+        inside, outside = np.r_[peak, peak], np.r_[np.full(n, b_min), peak * (peak / b_min)]
+        for _ in range(math.ceil(math.log2(max(math.log(peak.max() / b_min), 1.0))) + 40):
+            mid = np.sqrt(inside) * np.sqrt(outside)
+            ok = d._solve(mid, v, y) >= rate
+            np.copyto(inside, mid, where=ok)
+            np.copyto(outside, mid, where=~ok)
+        lo = np.where(alive, np.where(down, 0.0, inside[:n]), np.inf)
+        hi = np.where(alive, inside[n:], np.inf)
+        # the re-solved trials' inf ends are the last sorted; a stable sort
+        # merges two sorted runs
+        keep = self._lo.size - n
+        return (np.sort(np.r_[self._lo[:keep], lo], kind="stable"),
+                np.sort(np.r_[self._hi[:keep], hi], kind="stable"))
 
 
 def _draw_chunks(d: Draw, seed: int, first: int, stop: int) -> None:

@@ -1,24 +1,20 @@
-"""Line search for the outage-minimizing real shrinkage coefficient.
+"""The outage-minimizing real shrinkage coefficient of one draw.
 
-The objective ``b -> p(GMI(b) < rate)`` is evaluated by common-random-number
-Monte Carlo: every evaluation reads the same :class:`~lsrsim.outage.Draw`,
-which makes the objective a deterministic step function of ``b`` whose
-steps sit at the ends of the trials' feasible intervals.  :func:`optimize_b`
-reads a coarse grid over ``b / a`` (``a`` = LMMSE coefficient magnitude) and
-grids refined around the incumbent from one
-:class:`~lsrsim.outage.OutageCounter`, two binary searches per ``b`` on the
-sorted ends, instead of solving every trial at every ``b``.  The exact
-minimizer of the step function would be a sweep over those ends; the grid
-is kept, and with it every result table.
+Every ``b`` reads the same :class:`~lsrsim.outage.Draw`, so the Monte Carlo
+outage is a step function of ``b`` that steps at the ends of the trials'
+feasible intervals.  :func:`optimize_b` sweeps the sorted ends of one
+:class:`~lsrsim.outage.OutageCounter` for the exact minimizer, the
+sample-average-approximation optimum (Kleywegt, Shapiro & Homem-de-Mello,
+SIAM J. Optim. 12(2), 2002).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _check, _check_integer, _check_real, lmmse_coefficient
+from .channel import _check, _check_real, lmmse_coefficient
 from .outage import Draw, OutageCounter, OutageEstimate
 
 __all__ = ["SearchSpec", "BOptimum", "optimize_b"]
@@ -26,7 +22,8 @@ __all__ = ["SearchSpec", "BOptimum", "optimize_b"]
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Search domain of :func:`optimize_b`, validated on construction.
+    """Search domain ``[ratio_low, ratio_high] * a`` of :func:`optimize_b`,
+    ``a`` the LMMSE coefficient magnitude, validated on construction.
 
     Errors name the field as ``search.<field>``, its path in an experiment
     config.
@@ -34,72 +31,65 @@ class SearchSpec:
 
     ratio_low: float = 0.0
     ratio_high: float = 2.0
-    coarse_points: int = 41
-    refine_iters: int = 3
 
     def __post_init__(self):
         _check_real("search.ratio_low", self.ratio_low, 0)
         _check_real("search.ratio_high", self.ratio_high)
         _check(self.ratio_low < self.ratio_high, "search.ratio_low", "need ratio_low < ratio_high")
-        _check_integer("search.coarse_points", self.coarse_points, 3)
-        _check_integer("search.refine_iters", self.refine_iters)
 
 
-@dataclass
+@dataclass(eq=False)
 class BOptimum:
-    """Optimization result: incumbent, its outage estimate, and the trace."""
+    """The minimizer, its outage estimate, and the outage as a step function
+    ``sweep = (b, p_hat)``: ``p_hat[k]`` holds from ``b[k]`` to ``b[k + 1]``
+    (the last to the domain's end), and each step changes it."""
 
     b_star: float
     outage: OutageEstimate
-    sweep: list[tuple[float, float]] = field(default_factory=list)
-
-
-def _coarse_grid(spec: SearchSpec) -> np.ndarray:
-    grid = np.linspace(spec.ratio_low, spec.ratio_high, spec.coarse_points)
-    if spec.ratio_low <= 1.0 <= spec.ratio_high:
-        # pin the LMMSE point: nearest coarse ratio snaps to exactly 1
-        grid[int(np.argmin(np.abs(grid - 1.0)))] = 1.0
-    return grid
+    sweep: tuple[np.ndarray, np.ndarray]
 
 
 def optimize_b(d: Draw, rate_nats: float, spec: SearchSpec = SearchSpec()) -> BOptimum:
     """Minimize the outage of draw ``d`` over real ``b`` in ``[ratio_low, ratio_high] * a``.
 
-    The coarse grid always contains ``b = a`` exactly (when ratio 1 is inside
-    the search interval), so the optimum can never be worse than the LMMSE
-    point.  Each refinement pass re-grids ``coarse_points`` values across the
-    interval spanned by the evaluated neighbors of the incumbent.  Ties are
-    broken toward smaller ``b``.  Fully deterministic for fixed arguments.
-    Every outage is read from one :class:`~lsrsim.outage.OutageCounter`
-    and equals ``d.outage(b, rate_nats)``.
+    The sweep counts the outage between consecutive ends of the trials'
+    feasible intervals (:meth:`~lsrsim.outage.OutageCounter.intervals`),
+    from ``max(ratio_low a, b_min)`` on; a domain wholly below ``b_min``,
+    where ``b^2 V`` nears underflow, is one step read by ``d.outage`` at
+    its midpoint.  ``b_star`` is the midpoint of the leftmost step of least
+    outage, or ``a`` when ``a`` lies in the domain and reads fewer failures:
+    with ratio 1 in the domain the optimum is never worse than the LMMSE
+    point.  ``outage`` equals ``d.outage(b_star, rate_nats)``.
     """
     a = abs(lmmse_coefficient(d.config))
+    low, high = spec.ratio_low * a, spec.ratio_high * a
     counter = OutageCounter(d, rate_nats)
-    evaluated: dict[float, OutageEstimate] = {}
-
-    def run(b_list: list[float]) -> None:
-        new = [b for b in dict.fromkeys(b_list) if b not in evaluated]
-        evaluated.update(zip(new, counter.outages(new)))
-
-    def incumbent() -> float:
-        return min(evaluated, key=lambda b: (evaluated[b].p_hat, b))
-
-    run([float(r) * a for r in _coarse_grid(spec)])
-
-    for _ in range(spec.refine_iters):
-        best = incumbent()
-        points = sorted(evaluated)
-        i = points.index(best)
-        lo = points[i - 1] if i > 0 else points[i]
-        hi = points[i + 1] if i + 1 < len(points) else points[i]
-        before = len(evaluated)
-        run([float(b) for b in np.linspace(lo, hi, spec.coarse_points)])
-        if len(evaluated) == before:
-            break  # interval no longer resolves new points
-
-    best = incumbent()
-    return BOptimum(
-        b_star=best,
-        outage=evaluated[best],
-        sweep=[(b, evaluated[b].p_hat) for b in sorted(evaluated)],
-    )
+    if high <= counter.b_min:
+        starts, failures = np.array([low]), np.array([counter.outages([0.5 * low + 0.5 * high])[0].failures])
+    else:
+        start = max(low, counter.b_min)
+        lo, hi = counter.intervals()
+        i, i_end = np.searchsorted(lo, start, "right"), np.searchsorted(lo, high, "left")
+        j, j_end = np.searchsorted(hi, start, "right"), np.searchsorted(hi, high, "left")
+        ends = np.concatenate(([start], lo[i:i_end], hi[j:j_end]))
+        order = np.argsort(ends, kind="stable")
+        # just above start #{lo <= start} - #{hi <= start} trials are
+        # feasible; each lower end passed adds one, each upper end takes one
+        # away (every end lies above start, which stays first)
+        failures = np.where(order > i_end - i, 1, -1)
+        failures[0] = lo.size - i + j
+        np.cumsum(failures, out=failures)
+        starts = ends[order]
+        del ends, order  # 8 bytes per end each, at the search's memory peak
+        # a step starts after the last of equal ends, where the outage changes
+        last = np.r_[starts[1:] != starts[:-1], True]
+        starts, failures = starts[last], failures[last]
+        step = np.r_[True, failures[1:] != failures[:-1]]
+        starts, failures = starts[step], failures[step]
+    best = int(np.argmin(failures))
+    end = starts[best + 1] if best + 1 < starts.size else high
+    b_star = 0.5 * float(starts[best]) + 0.5 * float(end)
+    est, at_a = counter.outages([b_star, a])
+    if low <= a <= high and at_a.failures < est.failures:
+        b_star, est = a, at_a
+    return BOptimum(b_star=b_star, outage=est, sweep=(starts, failures / d.v_energy.size))

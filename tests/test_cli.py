@@ -33,6 +33,17 @@ class TestExitCodes:
                      "--out", str(out)]) == 0
         assert out.exists()
 
+    def test_legacy_search_keys_change_no_byte(self, tmp_path):
+        # coarse_points and refine_iters tuned the grid search that the
+        # exact sweep replaced: still accepted and checked, and ignored
+        tables = []
+        for name, search in (("legacy.json", {"coarse_points": 9, "refine_iters": 0}), ("plain.json", {})):
+            out = tmp_path / f"{name}.csv"
+            cfg = write_config(tmp_path, name, search=search)
+            assert main(["outage-curve", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["outage-curve", "--config", str(tmp_path / "nope.json"),
                      "--seed", "3", "--out", str(tmp_path / "r.csv")]) == 4

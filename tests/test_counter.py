@@ -12,13 +12,14 @@ failure.
 import cmath
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lsrsim import ChannelConfig, Draw, SearchSpec, build_channel_config, draw, lmmse_coefficient, optimize_b
+from lsrsim import ChannelConfig, Draw, build_channel_config, draw, lmmse_coefficient, optimize_b
 from lsrsim.outage import OutageCounter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -121,6 +122,20 @@ class TestGmiOfRealB:
         assert d.outage(ratio * lmmse_coefficient(cfg), 0.3).p_hat == 0.0
 
 
+    @pytest.mark.parametrize("ratio", [1e80, 1e150, 1e300])
+    def test_huge_b_reads_zero_without_warning(self, ratio):
+        # as b -> inf the GMI tends to 0; from about 1e80 a the reduction's
+        # d = |b|^2 |e|^2 overflows to inf, and the solve still reads 0
+        # with no numpy warning
+        cfg = build_channel_config(5.0, 4)
+        d = draw(cfg, 1000, 1)
+        b = ratio * lmmse_coefficient(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(d.gmi(b) == 0.0)
+            assert d.outage(b, 0.3).p_hat == 1.0
+
+
 COUNT_POINTS = [(n_r, snr, pilot) for n_r in (1, 8, 1024) for snr in (-3.0, 5.0, 30.0, 150.0)
                 for pilot in (build_channel_config, complex_pilot, noiseless_pilot)]
 
@@ -137,6 +152,24 @@ def assert_counts_match(d: Draw, rates, b_values) -> list[OutageCounter]:
             assert estimates[k].failures == np.count_nonzero(gmi < rate), (rate, b)
     assert counted[-1][0] == d.outage(b_values[0], rates[-1])
     return counters
+
+
+def assert_intervals_match(counter: OutageCounter, b_values) -> None:
+    """At each ``b``, ``#{lo <= b} - #{hi < b}`` over the counter's
+    :meth:`~lsrsim.outage.OutageCounter.intervals` counts the trials that
+    ``Draw.outage`` finds feasible, but for trials whose GMI lies within
+    ``Draw.gmi``'s own error, 1e-15 (rate + 2) nats, of the rate.  Where the
+    GMI is that flat in ``b`` (1 nat near the ``b -> 0+`` limit at 150 dB),
+    the direct solve flips such a trial's feasibility over a range of ``b``,
+    and a bisected end is one of those flips."""
+    lo, hi = counter.intervals()
+    d, rate = counter.draw, counter.rate
+    assert lo.size == hi.size == d.v_energy.size
+    for b in b_values:
+        gmi = d.gmi(b)
+        feasible = np.searchsorted(lo, b, "right") - np.searchsorted(hi, b, "left")
+        edge = np.count_nonzero(np.abs(gmi - rate) <= 1e-15 * (rate + 2.0))
+        assert abs(feasible - np.count_nonzero(gmi >= rate)) <= edge, b
 
 
 def spy_whole_reads(monkeypatch) -> list[float]:
@@ -160,8 +193,25 @@ class TestOutageCounter:
         a = abs(lmmse_coefficient(cfg))
         d = draw(cfg, 4097, 11)
         rng = np.random.default_rng([n_r, int(snr_db) + 10])
-        sweeps = {b for rate in RATES for b, _ in optimize_b(d, rate, SearchSpec(refine_iters=2)).sweep}
-        assert_counts_match(d, RATES, sorted(sweeps) + list(rng.uniform(0.0, 3.0 * a, 200)))
+        searched = {optimize_b(d, rate).b_star for rate in RATES}
+        assert_counts_match(d, RATES, sorted(searched) + list(rng.uniform(0.0, 3.0 * a, 200)))
+
+    @pytest.mark.parametrize("n_r,snr_db,pilot", COUNT_POINTS)
+    def test_intervals_count_draw_outage_between_ends(self, n_r, snr_db, pilot):
+        # between consecutive ends of the feasible intervals, certified or
+        # bisected, the count from the ends is Draw.outage's; a certified end
+        # is known to 1.25e-9 relative, so each b stays 2e-8 from the ends
+        cfg = pilot(snr_db, n_r)
+        d = draw(cfg, 4097, 11)
+        rng = np.random.default_rng([n_r, int(snr_db) + 20])
+        for rate in RATES[1:]:
+            counter = OutageCounter(d, rate)
+            ends = np.unique(np.concatenate(counter.intervals()))
+            ends = ends[(ends >= counter.b_min) & (ends < math.inf)]
+            wide = np.flatnonzero(ends[1:] > ends[:-1] * (1.0 + 4e-8))
+            if wide.size:
+                k = rng.choice(wide, size=20)
+                assert_intervals_match(counter, 0.5 * ends[k] + 0.5 * ends[k + 1])
 
     @pytest.mark.parametrize("pilot", [build_channel_config, complex_pilot])
     def test_one_trial(self, pilot):
@@ -192,8 +242,10 @@ class TestOutageCounter:
         rho, kappa = reduction(d)
         i = int(np.argmax(rho > 0.0))
         rate = math.log1p(1.0 / kappa[i])
-        [counter] = assert_counts_match(d, [rate], np.linspace(0.0, 3.0 * rho[i] / d.v_energy[i], 301))
+        b_values = np.linspace(0.0, 3.0 * rho[i] / d.v_energy[i], 301)
+        [counter] = assert_counts_match(d, [rate], b_values)
         assert i in counter._unsure
+        assert_intervals_match(counter, b_values[1:])
 
     def test_zero_and_underflowing_b(self, monkeypatch):
         cfg = build_channel_config(5.0, 4)
@@ -212,8 +264,11 @@ class TestOutageCounter:
         # is nearly flat in b, so every trial is re-solved, and still exact
         cfg = build_channel_config(30.0, 8)
         d = draw(cfg, 2000, 15)
-        [counter] = assert_counts_match(d, [1.0], np.linspace(0.0, 2.0 * abs(lmmse_coefficient(cfg)), 41))
+        b_values = np.linspace(0.0, 2.0 * abs(lmmse_coefficient(cfg)), 41)
+        [counter] = assert_counts_match(d, [1.0], b_values)
         assert counter._unsure.size == 2000
+        # and their bisected ends count the same
+        assert_intervals_match(counter, b_values[1:])
 
     def test_gmi_error_at_the_ends_is_far_below_the_margin(self):
         # the counter trusts Draw.gmi to 1e-12 (rate + 2) nats where the GMI
@@ -244,7 +299,7 @@ class TestOutageCounter:
         counter = OutageCounter(d, 0.5)
         for b in (math.nan, math.inf):
             with pytest.raises(ValueError, match="b: must be finite"):
-                counter.outage(b)
+                counter.outages([b])
 
     def test_negative_b_matches_draw_outage(self):
         cfg = complex_pilot(5.0, 4)

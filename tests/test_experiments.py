@@ -49,7 +49,6 @@ def small_cfg(**overrides):
         rate_bits=1.0,
         trials=2000,
         seed=11,
-        search=SearchSpec(coarse_points=11, refine_iters=0),
     )
     params.update(overrides)
     return ExperimentConfig(**params)
@@ -201,6 +200,18 @@ class TestRunOutageCurve:
             assert set(row) == set(OUTAGE_CURVE_COLUMNS)
             assert row["p_lsr"] <= row["p_lmmse"]
             assert row["ci_lo"] <= row["p_lmmse"] <= row["ci_hi"]
+
+    @pytest.mark.parametrize("ratio_low, lsr_wins", [(0.0, True), (0.8, True), (1.2, False)])
+    def test_lsr_never_loses_when_the_domain_holds_a(self, ratio_low, lsr_wins):
+        # p_lsr <= p_lmmse holds exactly when ratio 1 lies in the search
+        # domain, where b* falls back to a; above it every b shrinks too
+        # little, and b* = 1.2 a reads 0.1002 against a's 0.0344
+        cfg = small_cfg(snr_db=[5.0], n_r_list=[8], rate_bits=2.0, trials=5000, seed=3,
+                        search=SearchSpec(ratio_low=ratio_low))
+        [row] = run_experiment(cfg).rows
+        assert (row["p_lsr"] <= row["p_lmmse"]) == lsr_wins
+        if not lsr_wins:
+            assert (row["p_lsr"], row["p_lmmse"]) == (0.1002, 0.0344)
 
     def test_zero_rate_gives_zero_everywhere(self):
         table = run_experiment(small_cfg(rate_bits=0.0))

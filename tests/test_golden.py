@@ -18,9 +18,10 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lsrsim import read_results
+from lsrsim import build_channel_config, draw, optimize_b, read_results
 from lsrsim.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -79,6 +80,20 @@ def test_table_matches_golden(tmp_path, name):
         assert out.read_bytes() == golden.read_bytes()
     else:
         assert_cells_close(out, golden)
+
+
+@pytest.mark.parametrize("name", ["outage_curve", "b_vs_snr", "gmi_hist"])
+def test_sweep_counts_the_re_read_outage(name):
+    # at every searched point of a golden table, the outage the sweep counts
+    # at b* is the one optimize_b re-reads there
+    config = RUNS[name][2]
+    rates = config["rate_bits"] if isinstance(config["rate_bits"], list) else [config["rate_bits"]] * len(config["n_r_list"])
+    for n_r, rate_bits in zip(config["n_r_list"], rates):
+        for snr_db in config["snr_db"]:
+            d = draw(build_channel_config(snr_db, n_r), config["trials"], SEED)
+            opt = optimize_b(d, rate_bits * math.log(2.0))
+            starts, p_hat = opt.sweep
+            assert p_hat[np.searchsorted(starts, opt.b_star, "right") - 1] == opt.outage.p_hat
 
 
 if __name__ == "__main__":
