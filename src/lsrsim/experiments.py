@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import (ChannelConfig, _check, _check_antennas, _check_integer, _check_list,
                       _check_real, lmmse_coefficient)
-from .outage import Draw, draw, gmi_histogram
+from .outage import Draw, OutageCounter, OutageEstimate, _sample, _scale, gmi_histogram
 from .shrinkage import SearchSpec, optimize_b
 
 __all__ = [
@@ -209,29 +209,32 @@ def _grid(cfg: ExperimentConfig, *, snr_major: bool) -> Iterator[GridPoint]:
 # receivers are compared on identical realizations.
 
 
-def _lmmse_rows(cfg: ExperimentConfig, p: GridPoint, d: Draw) -> list[dict]:
-    est = d.outage(p.a, p.rate_nats)
-    return [{
+def _lmmse_cells(p: GridPoint, est: OutageEstimate) -> dict:
+    return {
         "b_lmmse": p.a,
         "p_lmmse": est.p_hat,
         "ci_lo": est.ci95_low,
         "ci_hi": est.ci95_high,
-    }]
+    }
+
+
+def _lmmse_rows(cfg: ExperimentConfig, p: GridPoint, d: Draw) -> list[dict]:
+    return [_lmmse_cells(p, d.outage(p.a, p.rate_nats))]
 
 
 def _outage_curve_rows(cfg: ExperimentConfig, p: GridPoint, d: Draw) -> list[dict]:
-    # optimize_b falls back to b = a when a is in the search domain and
-    # reads fewer failures, so then p_lsr <= p_lmmse holds exactly row by
-    # row; with ratio 1 outside the domain p_lsr may exceed p_lmmse
-    [row] = _lmmse_rows(cfg, p, d)
+    # the search reads the outage at b = a too, as d.outage reads it; it
+    # falls back to b = a when a is in the search domain and reads fewer
+    # failures, so then p_lsr <= p_lmmse holds exactly row by row; with
+    # ratio 1 outside the domain p_lsr may exceed p_lmmse
     opt = optimize_b(d, p.rate_nats, cfg.search)
-    row.update(
-        b_star=opt.b_star,
-        p_lsr=opt.outage.p_hat,
-        ci_lo_lsr=opt.outage.ci95_low,
-        ci_hi_lsr=opt.outage.ci95_high,
-    )
-    return [row]
+    return [{
+        **_lmmse_cells(p, opt.at_a),
+        "b_star": opt.b_star,
+        "p_lsr": opt.outage.p_hat,
+        "ci_lo_lsr": opt.outage.ci95_low,
+        "ci_hi_lsr": opt.outage.ci95_high,
+    }]
 
 
 def _b_vs_snr_rows(cfg: ExperimentConfig, p: GridPoint, d: Draw) -> list[dict]:
@@ -305,6 +308,7 @@ class ExperimentKind:
     columns: list[str]
     point_rows: Callable[[ExperimentConfig, GridPoint, Draw], list[dict]]
     snr_major: bool = False  # row order; every other kind is n_r-major
+    searches: bool = False  # its rows call optimize_b
 
 
 OUTAGE_CURVE_COLUMNS = [
@@ -329,9 +333,9 @@ ASYMPTOTIC_SCAN_COLUMNS = [
 ]
 
 KINDS = {
-    "outage_curve": ExperimentKind("outage-curve", OUTAGE_CURVE_COLUMNS, _outage_curve_rows),
-    "b_vs_snr": ExperimentKind("b-vs-snr", B_VS_SNR_COLUMNS, _b_vs_snr_rows),
-    "gmi_histogram": ExperimentKind("gmi-hist", GMI_HISTOGRAM_COLUMNS, _gmi_histogram_rows),
+    "outage_curve": ExperimentKind("outage-curve", OUTAGE_CURVE_COLUMNS, _outage_curve_rows, searches=True),
+    "b_vs_snr": ExperimentKind("b-vs-snr", B_VS_SNR_COLUMNS, _b_vs_snr_rows, searches=True),
+    "gmi_histogram": ExperimentKind("gmi-hist", GMI_HISTOGRAM_COLUMNS, _gmi_histogram_rows, searches=True),
     "b_sweep": ExperimentKind("b-sweep", B_SWEEP_COLUMNS, _b_sweep_rows),
     "asymptotic_scan": ExperimentKind(
         "asymptotic-scan", ASYMPTOTIC_SCAN_COLUMNS, _asymptotic_scan_rows, snr_major=True
@@ -342,34 +346,47 @@ KINDS = {
 def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True, workers: int = 1) -> ResultTable:
     """Run every grid point of ``cfg`` and collect the rows of its kind.
 
-    Each distinct ``(n_r, rate_bits, snr_db)`` point is drawn once
-    (``workers`` threads share the sampling, see
-    :func:`~lsrsim.outage.draw`), and its draw is released once its rows
-    are built; every row of a point reads that point's draw, and a repeated
-    point's rows are copies.  The SNR points of one antenna count read the
-    same standardized variates, so they share their randomness without
-    being drawn together.
+    The points are run one antenna count at a time.  The standardized
+    variates of each ``n_r`` are sampled once (``workers`` threads share
+    the sampling, see :func:`~lsrsim.outage.draw`) and scaled to each of
+    its distinct ``(rate_bits, snr_db)`` points in turn, which gives each
+    point ``draw(config, trials, seed)`` bit for bit while they share
+    their randomness.  A point's draw is released once its rows are built,
+    and the variates once the last point of their ``n_r`` is; every row
+    of a point reads that point's draw, and a repeated point's rows are
+    copies.  The rows come out in the grid's row order.
 
     ``include_lsr=False`` applies to ``outage_curve`` only: it skips the
     shrinkage search and emits the LMMSE columns alone, which equal those of
     the full table.
     """
     kind = KINDS[cfg.kind]
-    columns, point_rows = kind.columns, kind.point_rows
+    columns, point_rows, searches = kind.columns, kind.point_rows, kind.searches
     if not include_lsr:
         _check(cfg.kind == "outage_curve", "include_lsr",
                f"False applies to outage_curve only, not {cfg.kind}")
-        columns, point_rows = OUTAGE_CURVE_COLUMNS_LMMSE_ONLY, _lmmse_rows
+        columns, point_rows, searches = OUTAGE_CURVE_COLUMNS_LMMSE_ONLY, _lmmse_rows, False
     grid = list(_grid(cfg, snr_major=kind.snr_major))
+    if searches:
+        # the search's cached tables, built before the first draw, stay
+        # below every point's arrays, so the heap can shrink after each point
+        for rate in dict.fromkeys(p.rate_nats for p in grid):
+            OutageCounter.prepare(rate)
+    # the distinct points, first entries kept, grouped by antenna count
+    groups: dict[int, dict[tuple, GridPoint]] = {}
+    for p in grid:
+        groups.setdefault(p.n_r, {}).setdefault((p.n_r, p.rate_bits, p.snr_db), p)
     cells: dict[tuple, list[dict]] = {}
+    for n_r, points in groups.items():
+        variates = _sample(n_r, cfg.trials, cfg.seed, workers)
+        for key, p in points.items():
+            cells[key] = point_rows(cfg, p, _scale(p.config, *variates))
+        del variates
     rows = []
     for p in grid:
-        key = (p.n_r, p.rate_bits, p.snr_db)
-        if key not in cells:
-            cells[key] = point_rows(cfg, p, draw(p.config, cfg.trials, cfg.seed, workers=workers))
         # grid columns from each entry: snr_db -0.0 and 0.0 share a key but print differently
         common = dict(snr_db=p.snr_db, n_r=p.n_r, rate_bits=p.rate_bits, trials=cfg.trials, seed=cfg.seed)
-        for point_cells in cells[key]:
+        for point_cells in cells[(p.n_r, p.rate_bits, p.snr_db)]:
             row = {**common, **point_cells}
             rows.append({c: row[c] for c in columns})
     return ResultTable(columns=columns, rows=rows)

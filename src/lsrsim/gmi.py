@@ -225,29 +225,32 @@ _END_TABLE_POINTS = 513
 
 
 def _end_kappa(s, rate):
-    """``(x, v, u, q, kappa)`` at ``s`` of the end curve, with ``x = expm1(s)``,
-    ``v = (rate - s) / x`` and ``u = q - 1``."""
+    """``kappa`` at ``s`` of the end curve and the terms it is made of:
+    ``(kappa, x, v, u, q, big, qq, uu)`` with ``x = expm1(s)``,
+    ``v = (rate - s) / x``, ``u = q - 1``, ``big = (1 + v) / x``,
+    ``qq = q^2`` and ``uu = u^2``, so that ``kappa = (big - uu) / qq``."""
     x = np.expm1(s)
     v = (rate - s) / x
     u = 0.5 * (x + 2.0) * v
     q = 1.0 + u
-    return x, v, u, q, ((1.0 + v) / x - u * u) / (q * q)
+    big = (1.0 + v) / x
+    uu = u * u
+    qq = q * q
+    return (big - uu) / qq, x, v, u, q, big, qq, uu
 
 
 def _end_curve(s, rate):
-    """``(x, q, kappa, dq/ds, dkappa/ds, scale)`` at ``s`` of the end curve.
-
-    ``scale`` is the size of the terms that ``kappa`` is the difference of,
-    over ``q^2``, which bounds its rounding error.
-    """
-    x, v, u, q, kappa = _end_kappa(s, rate)
+    """``(x, q, kappa, dq/ds, dkappa/ds, big, qq, uu)`` at ``s`` of the end
+    curve, with ``big``, ``qq = q^2`` and ``uu = (q - 1)^2`` of
+    :func:`_end_kappa`: ``(|big| + uu) / qq`` is the size of the terms that
+    ``kappa`` is the difference of, over ``q^2``, which bounds its rounding
+    error."""
+    kappa, x, v, u, q, big, qq, uu = _end_kappa(s, rate)
     y = x + 1.0
-    big = (1.0 + v) / x
-    qq = q * q
     dv = -(1.0 + v * y) / x
     du = 0.5 * (y * v + (x + 2.0) * dv)
     dkappa = (dv / x - big * y / x - 2.0 * du * (u + kappa * q)) / qq
-    return x, q, kappa, du, dkappa, (np.abs(big) + u * u) / qq
+    return x, q, kappa, du, dkappa, big, qq, uu
 
 
 @functools.lru_cache(maxsize=32)
@@ -272,42 +275,46 @@ def _end_tables(rate: float):
     with np.errstate(all="ignore"):
         for _ in range(32):
             mid = 0.5 * (near_side + far_side)
-            above = _end_kappa(mid, rate)[4] > target
+            above = _end_kappa(mid, rate)[0] > target
             near_side = np.where(above, mid, near_side)
             far_side = np.where(above, far_side, mid)
     return kappa_max, t[1], 0.5 * (near_side + far_side)
 
 
-def _feasible_end(kappa, kappa_err, rate: float, upper: bool):
-    """One end of each trial's feasible interval, as its ``q``: the lower
-    end (``q > 1``) or the upper one (``q < 1``).
+def _feasible_ends(kappa, kappa_err, rate: float):
+    """Both ends of each trial's feasible interval, as their ``q``: the
+    lower end (``q > 1``) first, then the upper one (``q < 1``).
 
     A ``kappa`` (with absolute error ``kappa_err``) in
     ``(max(1/rate - 1, 0), 1 / expm1(rate))`` has both ends; for any other
-    the results hold no meaning.  The end starts from the table of
-    :func:`_end_tables` and takes one Newton step on ``kappa(s)``.  Returns
-    ``(q, err, slope, ok)``: ``err`` bounds the end's relative error in
-    ``b``, ``slope`` is ``|dGMI / dlog b|`` there, and ``ok`` is False where
-    the step left the branch or produced a non-finite number.
+    the results hold no meaning.  Each end starts from the table of
+    :func:`_end_tables`, at the same position in both branches, and takes
+    one Newton step on ``kappa(s)``.  Returns ``(q, err, slope, ok)`` per
+    end: ``err`` bounds the end's relative error in ``b``, ``slope`` is
+    ``|dGMI / dlog b|`` there, and ``ok`` is False where the step left the
+    branch or produced a non-finite number.
     """
     kappa_max, step, nodes = _end_tables(rate)
-    nodes = nodes[int(upper)]
     pos = np.sqrt(np.fmax(kappa_max - kappa, 0.0)) / step
-    cell = np.minimum(np.floor(pos), nodes.size - 2.0)
+    cell = np.minimum(np.floor(pos), nodes.shape[1] - 2.0)
     j = cell.astype(np.intp)
-    left = nodes[j]
-    s = left + (pos - cell) * (nodes[j + 1] - left)
+    frac, j_next = pos - cell, j + 1
+    ends = []
     with np.errstate(all="ignore"):
-        _, _, k, _, dk, _ = _end_curve(s, rate)
-        s = s - (k - kappa) / dk
-        x, q, k, dq, dk, scale = _end_curve(s, rate)
-        # the end moves by (kappa error) / (dkappa/ds) in s, times dlog q/ds in log b
-        miss = np.abs(k - kappa) + 8.0 * _EPS * (scale + np.abs(k)) + kappa_err
-        err = np.abs(dq / q) * miss / np.abs(dk) + 16.0 * _EPS
-        # dGMI/dlog b = -q dh/dq at the maximizing x (envelope theorem)
-        slope = q * (2.0 * x / (x + 1.0)) * np.abs(1.0 + x * (1.0 - q) - x * kappa * q)
-        ok = np.isfinite(err) & np.isfinite(slope) & (q > 0.0) & ((q < 1.0) if upper else (q > 1.0))
-    return q, err, slope, ok
+        for upper, branch in enumerate(nodes):
+            left = branch[j]
+            s = left + frac * (branch[j_next] - left)
+            _, _, k, _, dk, *_ = _end_curve(s, rate)
+            s = s - (k - kappa) / dk
+            x, q, k, dq, dk, big, qq, uu = _end_curve(s, rate)
+            # the end moves by (kappa error) / (dkappa/ds) in s, times dlog q/ds in log b
+            miss = np.abs(k - kappa) + 8.0 * _EPS * ((np.abs(big) + uu) / qq + np.abs(k)) + kappa_err
+            err = np.abs(dq / q) * miss / np.abs(dk) + 16.0 * _EPS
+            # dGMI/dlog b = -q dh/dq at the maximizing x (envelope theorem)
+            slope = q * (2.0 * x / (x + 1.0)) * np.abs(1.0 + x * (1.0 - q) - x * kappa * q)
+            ok = np.isfinite(err) & np.isfinite(slope) & (q > 0.0) & ((q < 1.0) if upper else (q > 1.0))
+            ends.append((q, err, slope, ok))
+    return ends
 
 
 def k_ls(stats: GmiStatistics, power: float, noise_var: float, theta: float) -> float:

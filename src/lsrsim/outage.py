@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -38,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelConfig, _check, _check_integer, gram_variances, lmmse_coefficient
-from .gmi import _EPS, _feasible_end, _solve_theta, _Workspace
+from .gmi import _EPS, _end_tables, _feasible_ends, _solve_theta, _Workspace
 from .streams import CHUNK_TRIALS, BlockSampler
 
 __all__ = [
@@ -203,8 +202,11 @@ _GMI_MARGIN = 1e-12
 # largest first-order relative error of a trial's kappa (from cancellation
 # in Re and Im of s^H v) for which the counter certifies its ends
 _KAPPA_ERROR = 1e-13
-# trials per block of the counter's build
-_COUNT_BLOCK = 1024
+# most trials per block of the counter's build.  Smaller blocks pay numpy's
+# per-call overhead more often, larger ones page-fault on their temporaries:
+# at 10,000 trials on a 2-core x86-64 VM a build took 6.5 ms in blocks of
+# 1,024, 4.7 ms in 3 blocks (at most 4,096) and 5.6 ms in one block
+_COUNT_BLOCK = 4096
 # smallest b^2 min(V) the counter reads from its ends; below it c = b^2 V
 # nears underflow and Draw.gmi no longer reads the small-b limit
 _TINY_C = 1e-290
@@ -218,9 +220,11 @@ class OutageCounter:
     A trial's set ``{b > 0 : GMI(b) >= rate}`` is one interval
     ``[lo, hi]`` (see :mod:`lsrsim.gmi`), so the feasible trials at ``b``
     number ``#{lo <= b} - #{hi < b}``: two binary searches on the sorted
-    ends.  The ends are built once, in blocks of ``_COUNT_BLOCK`` trials,
-    from each trial's ``rho = Re(s^H v)`` and ``kappa``; the counter keeps
-    16 bytes per trial, the sorted ends.
+    ends.  The ends are built once from each trial's ``rho = Re(s^H v)``
+    and ``kappa``, in the fewest evenly sized blocks of at most
+    ``_COUNT_BLOCK`` trials, whose temporaries take about 1.3 MB; only the
+    trials that pass the tests on ``rho`` and ``kappa`` below are solved
+    for their ends.  The counter keeps 16 bytes per trial, the sorted ends.
 
     A trial's ends are certified when they are known to within a relative
     ``_END_WINDOW / 8`` and its GMI stays ``_GMI_MARGIN (rate + 2)`` nats
@@ -238,30 +242,43 @@ class OutageCounter:
         self.draw, self.rate = d, float(rate_nats)
         trials = d.v_energy.size
         self._lo, self._hi = np.full(trials, np.inf), np.full(trials, np.inf)
-        unsure = np.zeros(trials, dtype=bool)
+        unsure = [np.zeros(0, dtype=np.intp)]
         if self.rate == 0.0:
             self._lo.fill(0.0)  # a GMI is never below 0
         else:
-            # the last block ends at the last trial and overlaps the one
-            # before (those trials are computed twice, alike), so every
-            # block's temporaries have one size and reuse the same memory
-            size = min(_COUNT_BLOCK, trials)
-            for start in range(0, trials, size):
-                start = min(start, trials - size)
-                self._fill(slice(start, start + size), unsure)
-        self._unsure = np.flatnonzero(unsure)
+            # the fewest blocks of at most _COUNT_BLOCK trials, evenly sized.
+            # Only the multiset of the ends counts, so the certified ends of
+            # each block are packed at the front and the inf rest sorts last
+            blocks = -(-trials // _COUNT_BLOCK)
+            bounds = [trials * k // blocks for k in range(blocks + 1)]
+            kept = 0
+            for start, stop in zip(bounds, bounds[1:]):
+                lo, hi, redo = self._ends(start, stop)
+                self._lo[kept : kept + lo.size], self._hi[kept : kept + hi.size] = lo, hi
+                kept += lo.size
+                unsure.append(redo + start)
+        self._unsure = np.concatenate(unsure)
         self._lo.sort()
         self._hi.sort()
         v_min = float(d.v_energy.min())
         # the smallest b counted from the ends
         self.b_min = math.sqrt(_TINY_C / v_min) if v_min > 0.0 else math.inf
 
-    def _fill(self, rows: slice, unsure: np.ndarray) -> None:
-        """Store the certified ends of the trials ``rows`` and mark in
-        ``unsure`` those left to re-solve."""
+    @staticmethod
+    def prepare(rate_nats: float) -> None:
+        """Build the tables that every counter of ``rate_nats`` reads now;
+        they are cached for the process."""
+        _check_rate(rate_nats)
+        if rate_nats > 0.0:
+            _end_tables(float(rate_nats))
+
+    def _ends(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The lower and upper ends of the certified trials among
+        ``start..stop-1``, and the offsets from ``start`` of the trials left
+        to re-solve."""
         d, rate = self.draw, self.rate
         a = lmmse_coefficient(d.config)
-        v, y = d.v_energy[rows], d.residual[rows]
+        v, y = d.v_energy[start:stop], d.residual[start:stop]
         # s^H v = conj(a) V + Y = rho + i im, each with a rounding bound
         rho = a.real * v + y.real
         im = y.imag - a.imag * v
@@ -284,22 +301,23 @@ class OutageCounter:
             certified = (rho > 0.0) & (rel <= _KAPPA_ERROR)
             certified &= kappa * (1.0 + rel) < kappa_max * (1.0 - margin)
 
-            # every trial of the block is solved; only the certified are kept
+            # only the trials certified so far are solved for their ends
+            live = np.flatnonzero(certified)
+            kappa, rel = kappa[live], rel[live]
             k_err = kappa * rel
-            for upper, ends in ((False, self._lo), (True, self._hi)):
-                q, err, slope, ok = _feasible_end(kappa, k_err, rate, upper)
-                sure = ok & (err + rel <= _END_WINDOW / 8.0) & (slope * _END_WINDOW >= 8.0 * tol)
-                if not upper:
-                    # for kappa <= 1/rate - 1 the interval reaches b -> 0+,
-                    # where the GMI tends to 1 / (1 + kappa)
-                    to_zero = kappa <= 1.0 / rate - 1.0
-                    q[to_zero] = np.inf
-                    sure[to_zero] = (rate + 2.0 * tol) * (1.0 + kappa + k_err)[to_zero] <= 1.0
-                certified &= sure
-                ends[rows] = rho / v / q
-        self._lo[rows][~certified] = np.inf
-        self._hi[rows][~certified] = np.inf
-        unsure[rows] = ~(dead | certified)
+            (q_lo, *lower), (q_hi, *upper) = _feasible_ends(kappa, k_err, rate)
+            sure_lo, sure_hi = ((ok & (err + rel <= _END_WINDOW / 8.0) & (slope * _END_WINDOW >= 8.0 * tol))
+                                for err, slope, ok in (lower, upper))
+            # for kappa <= 1/rate - 1 the interval reaches b -> 0+, where the
+            # GMI tends to 1 / (1 + kappa)
+            to_zero = kappa <= 1.0 / rate - 1.0
+            q_lo[to_zero] = np.inf
+            sure_lo[to_zero] = (rate + 2.0 * tol) * (1.0 + kappa + k_err)[to_zero] <= 1.0
+            sure = sure_lo & sure_hi
+            certified[live] = sure
+            # b = (rho / V) / q, with rho / V the peak
+            peak = rho[live][sure] / v[live][sure]
+        return peak / q_lo[sure], peak / q_hi[sure], np.flatnonzero(~(dead | certified))
 
     def outages(self, b_values: Sequence[float]) -> list[OutageEstimate]:
         """``[d.outage(b, rate_nats) for b in b_values]``, counted."""
@@ -358,53 +376,86 @@ class OutageCounter:
                 np.sort(np.r_[self._hi[:keep], hi], kind="stable"))
 
 
-def _draw_chunks(d: Draw, seed: int, first: int, stop: int) -> None:
-    """Fill the trials of chunks ``[first, stop)`` of ``d`` by the contract."""
-    pilot_var, error_var = gram_variances(d.config)
-    half_error_var = error_var / 2.0
+def _sample_chunks(gamma: np.ndarray, normals: np.ndarray, n_r: int, seed: int, first: int, stop: int) -> None:
+    """Fill the trials of chunks ``[first, stop)`` of ``gamma`` (``G``) and
+    ``normals`` (``z1 + i z2``) by the contract."""
     stream = BlockSampler(seed).stream
     for k in range(first, stop):
         rng = stream(k)
-        g = rng.standard_gamma(d.config.n_r, size=CHUNK_TRIALS)
-        z = rng.standard_normal(2 * CHUNK_TRIALS)
         lo = k * CHUNK_TRIALS
-        n = min(CHUNK_TRIALS, d.v_energy.size - lo)
+        n = min(CHUNK_TRIALS, gamma.size - lo)
         rows = slice(lo, lo + n)
-        v = d.v_energy[rows] = pilot_var * g[:n]
-        t = np.sqrt(half_error_var * v)
-        d.residual.real[rows] = t * z[:n]
-        d.residual.imag[rows] = t * z[CHUNK_TRIALS : CHUNK_TRIALS + n]
+        gamma[rows] = rng.standard_gamma(n_r, size=CHUNK_TRIALS)[:n]
+        z = rng.standard_normal(2 * CHUNK_TRIALS)
+        normals.real[rows] = z[:n]
+        normals.imag[rows] = z[CHUNK_TRIALS : CHUNK_TRIALS + n]
+
+
+def _sample(n_r: int, trials: int, seed: int, workers: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first stage of :func:`draw`: the standardized variates ``G`` and
+    ``z1 + i z2`` of trials ``0..trials-1``, which depend on ``(seed, n_r)``
+    alone; ``workers`` threads split the chunk range."""
+    gamma, normals = np.empty(trials), np.empty(trials, dtype=np.complex128)
+    chunks = -(-trials // CHUNK_TRIALS)
+    nw = min(workers, chunks)
+    if nw == 1:
+        _sample_chunks(gamma, normals, n_r, seed, 0, chunks)
+        return gamma, normals
+    # imported here: it pulls in logging, which a one-thread run never needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = [chunks * k // nw for k in range(nw + 1)]
+    with ThreadPoolExecutor(max_workers=nw) as pool:
+        futures = [pool.submit(_sample_chunks, gamma, normals, n_r, seed, lo, hi)
+                   for lo, hi in zip(bounds, bounds[1:])]
+        for f in futures:
+            f.result()
+    return gamma, normals
+
+
+def _scale(config: ChannelConfig, gamma: np.ndarray, normals: np.ndarray, *, in_place: bool = False) -> Draw:
+    """The second stage of :func:`draw`: the draw of ``config`` from the
+    variates of :func:`_sample` for its ``n_r``, scaled one chunk at a time
+    so that the temporaries stay one chunk's.  With ``in_place`` it
+    overwrites the variates and keeps them as its arrays."""
+    pilot_var, error_var = gram_variances(config)
+    half_error_var = error_var / 2.0
+    if in_place:
+        v, y = gamma, normals
+    else:
+        v, y = np.empty_like(gamma), np.empty_like(normals)
+    for lo in range(0, gamma.size, CHUNK_TRIALS):
+        rows = slice(lo, lo + CHUNK_TRIALS)
+        t = np.sqrt(half_error_var * np.multiply(pilot_var, gamma[rows], out=v[rows]))
+        np.multiply(t, normals.real[rows], out=y.real[rows])
+        np.multiply(t, normals.imag[rows], out=y.imag[rows])
+    return Draw(config, v, y)
 
 
 def draw(config: ChannelConfig, trials: int, seed: int, *, workers: int = 1) -> Draw:
     """Draw trials ``0..trials-1`` of ``(config, seed)``, each as its ``(V, Y)``.
 
-    The result takes 24 bytes per trial, and the sampling about 0.25 MB
-    per worker (one chunk's variates and their temporaries) whatever
-    ``trials`` and ``n_r``; a draw of fewer trials than a chunk still
-    samples the whole chunk, 0.2-0.5 ms.  ``workers`` threads split the
-    chunk range; the result is bit-identical for any worker count, and its
-    first ``T`` trials are those of ``draw(config, T, seed)``.  ``trials``,
-    ``seed`` and ``workers`` are refused with a
+    Two stages: it samples the standardized variates ``G`` and
+    ``z1 + i z2``, which depend on ``(seed, n_r)`` alone, into the result's
+    arrays, then scales them to ``config`` in place.  The SNR points of one
+    antenna count can so share the first stage, as
+    :func:`~lsrsim.experiments.run_experiment` does, and each still gets
+    this draw bit for bit.
+
+    The result takes 24 bytes per trial, and the sampling about 0.15 MB
+    per worker (one chunk's variates and their temporaries, tracemalloc)
+    whatever ``trials`` and ``n_r``; a draw of fewer trials than a chunk
+    still samples the whole chunk, 0.2-0.5 ms.  ``workers`` threads split
+    the chunk range; the result is bit-identical for any worker count, and
+    its first ``T`` trials are those of ``draw(config, T, seed)``.
+    ``trials``, ``seed`` and ``workers`` are refused with a
     :class:`~lsrsim.channel.ConfigError` naming them unless they are
     integers below ``2**64`` (``np.integer`` included), the counts positive.
     """
     trials = _check_integer("trials", trials, low=1)
     workers = _check_integer("workers", workers, low=1)
     seed = _check_integer("seed", seed)
-
-    d = Draw(config, np.empty(trials), np.empty(trials, dtype=np.complex128))
-    chunks = -(-trials // CHUNK_TRIALS)
-    nw = min(workers, chunks)
-    if nw == 1:
-        _draw_chunks(d, seed, 0, chunks)
-        return d
-    bounds = [chunks * k // nw for k in range(nw + 1)]
-    with ThreadPoolExecutor(max_workers=nw) as pool:
-        futures = [pool.submit(_draw_chunks, d, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        for f in futures:
-            f.result()
-    return d
+    return _scale(config, *_sample(config.n_r, trials, seed, workers), in_place=True)
 
 
 def gmi_samples_multi_b(

@@ -40,13 +40,16 @@ class SearchSpec:
 
 @dataclass(eq=False)
 class BOptimum:
-    """The minimizer, its outage estimate, and the outage as a step function
+    """The minimizer, its outage estimate, the outage as a step function
     ``sweep = (b, p_hat)``: ``p_hat[k]`` holds from ``b[k]`` to ``b[k + 1]``
-    (the last to the domain's end), and each step changes it."""
+    (the last to the domain's end), and each step changes it; and the
+    outage ``at_a`` of the LMMSE coefficient ``b = a``, in the domain or
+    not, which the search reads to compare with ``b_star``."""
 
     b_star: float
     outage: OutageEstimate
     sweep: tuple[np.ndarray, np.ndarray]
+    at_a: OutageEstimate
 
 
 def optimize_b(d: Draw, rate_nats: float, spec: SearchSpec = SearchSpec()) -> BOptimum:
@@ -59,7 +62,8 @@ def optimize_b(d: Draw, rate_nats: float, spec: SearchSpec = SearchSpec()) -> BO
     its midpoint.  ``b_star`` is the midpoint of the leftmost step of least
     outage, or ``a`` when ``a`` lies in the domain and reads fewer failures:
     with ratio 1 in the domain the optimum is never worse than the LMMSE
-    point.  ``outage`` equals ``d.outage(b_star, rate_nats)``.
+    point.  ``outage`` equals ``d.outage(b_star, rate_nats)`` and ``at_a``
+    equals ``d.outage(a, rate_nats)``, failure for failure.
     """
     a = abs(lmmse_coefficient(d.config))
     low, high = spec.ratio_low * a, spec.ratio_high * a
@@ -92,4 +96,4 @@ def optimize_b(d: Draw, rate_nats: float, spec: SearchSpec = SearchSpec()) -> BO
     est, at_a = counter.outages([b_star, a])
     if low <= a <= high and at_a.failures < est.failures:
         b_star, est = a, at_a
-    return BOptimum(b_star=b_star, outage=est, sweep=(starts, failures / d.v_energy.size))
+    return BOptimum(b_star=b_star, outage=est, sweep=(starts, failures / d.v_energy.size), at_a=at_a)

@@ -166,6 +166,15 @@ class TestFormatsAndCommands:
         assert proc.returncode == 0
         assert out.exists()
 
+    def test_import_loads_no_thread_pool(self, child_env):
+        # concurrent.futures, and logging through it, is imported only by a
+        # draw split over several threads, so a fresh interpreter's setup
+        # does not pay for it
+        code = "import sys, lsrsim.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 def run(tmp_path, command, *extra, **overrides):
     cfg = write_config(tmp_path, **overrides)

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from lsrsim import ChannelConfig, Draw, build_channel_config, draw, lmmse_coefficient, optimize_b
+from lsrsim import outage
 from lsrsim.outage import OutageCounter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -212,6 +213,28 @@ class TestOutageCounter:
             if wide.size:
                 k = rng.choice(wide, size=20)
                 assert_intervals_match(counter, 0.5 * ends[k] + 0.5 * ends[k + 1])
+
+    # at 1 nat and 20 dB about a third of the trials have certified ends
+    # and the rest are re-solved
+    @pytest.mark.parametrize("snr_db", [5.0, 20.0])
+    @pytest.mark.parametrize("pilot", [build_channel_config, complex_pilot])
+    @pytest.mark.parametrize("rate", [0.3, math.log(2.0), 1.0, 2.0 * math.log(2.0)])
+    def test_ends_do_not_depend_on_the_blocks(self, rate, pilot, snr_db):
+        # the counter builds the ends in blocks and packs each block's
+        # certified ends before the sort; counters on uneven pieces of the
+        # draw, one of them a single trial, hold the same sorted ends and
+        # re-solve the same trials, bit for bit
+        d = draw(pilot(snr_db, 8), 2 * outage._COUNT_BLOCK + 3, 22)
+        whole = OutageCounter(d, rate)
+        bounds = [0, 1, 700, 701, outage._COUNT_BLOCK + 5, d.v_energy.size]
+        pieces = [OutageCounter(Draw(d.config, d.v_energy[lo:hi], d.residual[lo:hi]), rate)
+                  for lo, hi in zip(bounds, bounds[1:])]
+        for name in ("_lo", "_hi"):
+            joined = np.sort(np.concatenate([getattr(c, name) for c in pieces]))
+            assert joined.tobytes() == getattr(whole, name).tobytes()
+        unsure = np.concatenate([c._unsure + lo for c, lo in zip(pieces, bounds)])
+        assert unsure.tobytes() == whole._unsure.tobytes()
+        assert np.count_nonzero(np.isfinite(whole._lo)) + whole._unsure.size > 0
 
     @pytest.mark.parametrize("pilot", [build_channel_config, complex_pilot])
     def test_one_trial(self, pilot):

@@ -233,16 +233,23 @@ class TestRunOutageCurve:
         assert [(r["n_r"], r["rate_bits"]) for r in table.rows] == [(2, 0.5), (4, 1.0)]
 
 
-def counting_draws(monkeypatch) -> list:
-    """Record the config of every draw the runner makes."""
-    configs = []
+def counting_draws(monkeypatch) -> tuple[list, list]:
+    """Record the config of every point's draw the runner makes, and the
+    antenna count of every sampling of standardized variates they scale."""
+    configs, samplings = [], []
+    scale, sample = lsrsim.experiments._scale, lsrsim.experiments._sample
 
-    def counted(config, *args, **kwargs):
+    def scaled(config, *args, **kwargs):
         configs.append(config)
-        return draw(config, *args, **kwargs)
+        return scale(config, *args, **kwargs)
 
-    monkeypatch.setattr(lsrsim.experiments, "draw", counted)
-    return configs
+    def sampled(n_r, *args):
+        samplings.append(n_r)
+        return sample(n_r, *args)
+
+    monkeypatch.setattr(lsrsim.experiments, "_scale", scaled)
+    monkeypatch.setattr(lsrsim.experiments, "_sample", sampled)
+    return configs, samplings
 
 
 class TestOneDrawPerPoint:
@@ -256,11 +263,13 @@ class TestOneDrawPerPoint:
         ],
     )
     def test_each_distinct_point_drawn_once(self, monkeypatch, overrides, points):
-        configs = counting_draws(monkeypatch)
+        configs, samplings = counting_draws(monkeypatch)
         cfg = small_cfg(trials=500, **overrides)
         run_experiment(cfg)
         assert len(configs) == points
         assert len({(c.n_r, c.power) for c in configs}) == points
+        # and each antenna count's variates are sampled once
+        assert sorted(samplings) == sorted(set(cfg.n_r_list))
 
 
 # one config per kind, each with a repeated antenna count
@@ -307,6 +316,52 @@ class TestSharedDraws:
         cfg = grid_cfg("outage_curve")
         expected = run_experiment(cfg).rows
         assert repr(run_experiment(cfg, workers=workers).rows) == repr(expected)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("kind", ["outage_curve", "asymptotic_scan"])
+    def test_each_point_reads_its_own_draw(self, monkeypatch, kind, workers):
+        # the points of one antenna count scale one sampling of its
+        # variates, and each gets draw(config, trials, seed) bit for bit;
+        # two antenna counts, n_r-major and SNR-major row order, and 2C + 1
+        # trials, which end in a one-trial chunk
+        cfg = replace(grid_cfg(kind), trials=2 * CHUNK_TRIALS + 1)
+        spec, seen = KINDS[kind], []
+
+        def point_rows(cfg, p, d):
+            expected = draw(p.config, cfg.trials, cfg.seed)
+            assert d.v_energy.tobytes() == expected.v_energy.tobytes()
+            assert d.residual.tobytes() == expected.residual.tobytes()
+            seen.append((p.n_r, p.rate_bits, p.snr_db))
+            return spec.point_rows(cfg, p, d)
+
+        monkeypatch.setitem(KINDS, kind, replace(spec, point_rows=point_rows))
+        run_experiment(cfg, workers=workers)
+        assert len(set(seen)) == len(seen) == 9
+        assert len({n_r for n_r, _, _ in seen}) == 2
+
+    @pytest.mark.parametrize(
+        "overrides, include_lsr",
+        [
+            (dict(), True),
+            # search domains without ratio 1, on each side of it
+            (dict(search=SearchSpec(ratio_low=1.2)), True),
+            (dict(search=SearchSpec(ratio_high=0.8)), True),
+            (dict(), False),
+            # near 1 nat at 30 dB the counter re-solves nearly every trial
+            (dict(snr_db=[30.0], rate_bits=1.0 / math.log(2.0)), True),
+        ],
+    )
+    def test_p_lmmse_is_the_draws_outage_at_a(self, overrides, include_lsr):
+        # the full table reads p_lmmse from the search's counter, the
+        # --lmmse-only table from Draw.outage; both are d.outage(a, rate)
+        cfg = small_cfg(**{"snr_db": [3.0, 6.0], "n_r_list": [2, 8], "rate_bits": [1.0, 2.0],
+                           "trials": 3000, "seed": 5, **overrides})
+        rows = run_experiment(cfg, include_lsr=include_lsr).rows
+        assert len(rows) == len(cfg.snr_db) * 2
+        for row in rows:
+            d = draw(build_channel_config(row["snr_db"], row["n_r"]), cfg.trials, cfg.seed)
+            est = d.outage(row["b_lmmse"], rate_bits_to_nats(row["rate_bits"]))
+            assert (row["p_lmmse"], row["ci_lo"], row["ci_hi"]) == (est.p_hat, est.ci95_low, est.ci95_high)
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("kind", GRIDS)
