@@ -351,9 +351,10 @@ def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True, workers: 
     the sampling, see :func:`~lsrsim.outage.draw`) and scaled to each of
     its distinct ``(rate_bits, snr_db)`` points in turn, which gives each
     point ``draw(config, trials, seed)`` bit for bit while they share
-    their randomness.  A point's draw is released once its rows are built,
-    and the variates once the last point of their ``n_r`` is; every row
-    of a point reads that point's draw, and a repeated point's rows are
+    their randomness.  The last point of each ``n_r`` is scaled in place,
+    so an antenna count of one point holds one draw, as ``draw`` does.  A
+    point's draw is released once its rows are built; every row of a
+    point reads that point's draw, and a repeated point's rows are
     copies.  The rows come out in the grid's row order.
 
     ``include_lsr=False`` applies to ``outage_curve`` only: it skips the
@@ -379,8 +380,9 @@ def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True, workers: 
     cells: dict[tuple, list[dict]] = {}
     for n_r, points in groups.items():
         variates = _sample(n_r, cfg.trials, cfg.seed, workers)
-        for key, p in points.items():
-            cells[key] = point_rows(cfg, p, _scale(p.config, *variates))
+        for i, (key, p) in enumerate(points.items(), 1):
+            # the last point needs the variates no more, and scales them in place
+            cells[key] = point_rows(cfg, p, _scale(p.config, *variates, in_place=i == len(points)))
         del variates
     rows = []
     for p in grid:

@@ -298,23 +298,26 @@ def _feasible_ends(kappa, kappa_err, rate: float):
     pos = np.sqrt(np.fmax(kappa_max - kappa, 0.0)) / step
     cell = np.minimum(np.floor(pos), nodes.shape[1] - 2.0)
     j = cell.astype(np.intp)
-    frac, j_next = pos - cell, j + 1
-    ends = []
+    frac = pos - cell
     with np.errstate(all="ignore"):
-        for upper, branch in enumerate(nodes):
-            left = branch[j]
-            s = left + frac * (branch[j_next] - left)
-            _, _, k, _, dk, *_ = _end_curve(s, rate)
-            s = s - (k - kappa) / dk
-            x, q, k, dq, dk, big, qq, uu = _end_curve(s, rate)
-            # the end moves by (kappa error) / (dkappa/ds) in s, times dlog q/ds in log b
-            miss = np.abs(k - kappa) + 8.0 * _EPS * ((np.abs(big) + uu) / qq + np.abs(k)) + kappa_err
-            err = np.abs(dq / q) * miss / np.abs(dk) + 16.0 * _EPS
-            # dGMI/dlog b = -q dh/dq at the maximizing x (envelope theorem)
-            slope = q * (2.0 * x / (x + 1.0)) * np.abs(1.0 + x * (1.0 - q) - x * kappa * q)
-            ok = np.isfinite(err) & np.isfinite(slope) & (q > 0.0) & ((q < 1.0) if upper else (q > 1.0))
-            ends.append((q, err, slope, ok))
-    return ends
+        return [_newton_end(branch[j], branch[j + 1], frac, kappa, kappa_err, rate, upper)
+                for upper, branch in enumerate(nodes)]
+
+
+def _newton_end(left, right, frac, kappa, kappa_err, rate: float, upper: int):
+    """One end of :func:`_feasible_ends`, from the table nodes ``left`` and
+    ``right`` around it; its temporaries are freed when it returns."""
+    s = left + frac * (right - left)
+    _, _, k, _, dk, *_ = _end_curve(s, rate)
+    s = s - (k - kappa) / dk
+    x, q, k, dq, dk, big, qq, uu = _end_curve(s, rate)
+    # the end moves by (kappa error) / (dkappa/ds) in s, times dlog q/ds in log b
+    miss = np.abs(k - kappa) + 8.0 * _EPS * ((np.abs(big) + uu) / qq + np.abs(k)) + kappa_err
+    err = np.abs(dq / q) * miss / np.abs(dk) + 16.0 * _EPS
+    # dGMI/dlog b = -q dh/dq at the maximizing x (envelope theorem)
+    slope = q * (2.0 * x / (x + 1.0)) * np.abs(1.0 + x * (1.0 - q) - x * kappa * q)
+    ok = np.isfinite(err) & np.isfinite(slope) & (q > 0.0) & ((q < 1.0) if upper else (q > 1.0))
+    return q, err, slope, ok
 
 
 def k_ls(stats: GmiStatistics, power: float, noise_var: float, theta: float) -> float:
