@@ -79,6 +79,19 @@ def _check_integer(path: str, value, low: int = 0) -> int:
     return int(value)
 
 
+# the most trials whose complex128 array, 16 bytes a trial, numpy can describe
+_MAX_TRIALS = np.iinfo(np.intp).max // 16
+
+
+def _check_trials(path: str, value) -> int:
+    """``value`` as a trial count: an integer in ``[1, 2**64)``, as
+    :func:`_check_integer` reads it, of at most ``_MAX_TRIALS``."""
+    trials = _check_integer(path, value, low=1)
+    _check(trials <= _MAX_TRIALS, path,
+           f"must be at most {_MAX_TRIALS}, the most whose complex128 array numpy can describe, got {trials}")
+    return trials
+
+
 def _check_antennas(path: str, value) -> int:
     """``value`` as an int antenna count: any integral real number in
     ``[1, 2**64)``, so ``8.0`` is accepted and a bool, NaN or fraction is

@@ -60,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--trials", type=int, default=None, help="override config trials")
-        p.add_argument("--workers", type=_worker_count, default=1, help="worker threads")
+        p.add_argument("--workers", type=_worker_count, default=1, help="checked and ignored: runs are "
+                       "single-threaded (kept for perfbench/run.py until ROADMAP item 1 rewrites it)")
         if kind == "outage_curve":
             exclusive = p.add_mutually_exclusive_group()
             exclusive.add_argument(
@@ -106,7 +107,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        table = run_experiment(cfg, include_lsr=not args.lmmse_only, workers=args.workers)
+        table = run_experiment(cfg, include_lsr=not args.lmmse_only)
     except MemoryError as exc:
         print(f"error: out of memory: {exc}; lower trials", file=sys.stderr)
         return 3

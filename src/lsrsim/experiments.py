@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .channel import (ChannelConfig, _check, _check_antennas, _check_integer, _check_list,
-                      _check_real, lmmse_coefficient)
+                      _check_real, _check_trials, lmmse_coefficient)
 from .outage import Draw, OutageCounter, OutageEstimate, _sample, _scale, gmi_histogram
 from .shrinkage import SearchSpec, optimize_b
 
@@ -107,7 +107,7 @@ class ExperimentConfig:
             _check_list("rate_bits", self.rate_bits, _check_real, 0)
         else:
             _check_real("rate_bits", self.rate_bits, 0)
-        _check_integer("trials", self.trials, 1)
+        _check_trials("trials", self.trials)
         _check_integer("seed", self.seed)
         _check_integer("bins", self.bins, 2)
         # every kind type-checks b_over_a and b_scale; only the kind that
@@ -343,13 +343,13 @@ KINDS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True, workers: int = 1) -> ResultTable:
+def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True) -> ResultTable:
     """Run every grid point of ``cfg`` and collect the rows of its kind.
 
     The points are run one antenna count at a time.  The standardized
-    variates of each ``n_r`` are sampled once (``workers`` threads share
-    the sampling, see :func:`~lsrsim.outage.draw`) and scaled to each of
-    its distinct ``(rate_bits, snr_db)`` points in turn, which gives each
+    variates of each ``n_r`` are sampled once (see
+    :func:`~lsrsim.outage.draw`) and scaled to each of its distinct
+    ``(rate_bits, snr_db)`` points in turn, which gives each
     point ``draw(config, trials, seed)`` bit for bit while they share
     their randomness.  The last point of each ``n_r`` is scaled in place,
     so an antenna count of one point holds one draw, as ``draw`` does.  A
@@ -379,7 +379,7 @@ def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True, workers: 
         groups.setdefault(p.n_r, {}).setdefault((p.n_r, p.rate_bits, p.snr_db), p)
     cells: dict[tuple, list[dict]] = {}
     for n_r, points in groups.items():
-        variates = _sample(n_r, cfg.trials, cfg.seed, workers)
+        variates = _sample(n_r, cfg.trials, cfg.seed)
         for i, (key, p) in enumerate(points.items(), 1):
             # the last point needs the variates no more, and scales them in place
             cells[key] = point_rows(cfg, p, _scale(p.config, *variates, in_place=i == len(points)))

@@ -79,6 +79,14 @@ def _reduce(stats: GmiStatistics) -> tuple[float, float, float]:
     return stats.csi_energy, stats.cross.real, e.real * e.real + e.imag * e.imag
 
 
+# The workspace outlived the grid search it was built for: the scan, the
+# histograms, b-sweep, the LMMSE-only curve and the counter's re-solved
+# trials still solve through Draw.gmi.  Written as plain expressions
+# through _k_ls_core, every bit kept, the solve took 101-124 ns per trial
+# at n_r 128 and 5,000 trials (scan_massive's shape) against 44-56 ns with
+# the workspace, and a call at 1e5 trials peaked at 6.1 MB of temporaries
+# against 0.8 MB (quartiles of 400 interleaved calls and tracemalloc, one
+# core of a 2-core x86-64 VM)
 class _Workspace:
     """Scratch arrays of the vectorized solve, one entry per trial.
 

@@ -19,11 +19,11 @@ first ``standard_gamma(n_r, size=C)``, then ``standard_normal(2 C)``.  Trial
 ``i`` is row ``j = i % C`` of chunk ``i // C``: ``G = gamma[j]``,
 ``z1 = normals[j]`` and ``z2 = normals[C + j]``.  Every chunk is drawn
 whole, so trial ``i`` depends only on ``(config, seed, i)``, not on the
-trial count, the worker count or the other configs drawn.  ``G``, ``z1``
-and ``z2`` depend only on ``(seed, n_r, i)``, so every SNR point of one
-antenna count reads the same standardized variates, and every ``b`` is read
-from one :class:`Draw`: receivers and coefficients are compared on common
-random numbers.
+trial count or the other configs drawn.  ``G``, ``z1`` and ``z2`` depend
+only on ``(seed, n_r, i)``, so every SNR point of one antenna count reads
+the same standardized variates, and every ``b`` is read from one
+:class:`Draw`: receivers and coefficients are compared on common random
+numbers.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelConfig, _check, _check_integer, gram_variances, lmmse_coefficient
+from .channel import ChannelConfig, _check, _check_integer, _check_trials, gram_variances, lmmse_coefficient
 from .gmi import _EPS, _end_tables, _feasible_ends, _solve_theta, _Workspace
 from .streams import CHUNK_TRIALS, BlockSampler
 
@@ -55,11 +55,12 @@ __all__ = [
 # two-sided 95% normal quantile, Phi^{-1}(0.975)
 _Z95 = 1.959963984540054
 
-# trials per block of Draw.gmi's solve; its workspace takes 114 bytes per
-# trial of a block (3.7 MB at this cap).  Larger blocks fall out of cache
-# and smaller ones pay the per-block call overhead: on a 2-core x86-64 VM,
-# 1e5 trials at n_r = 8 took about 42 ns per trial with blocks of 2**14 or
-# 2**15, 52 ns with 2**16 and 60 ns with 2**11
+# trials per block of Draw.gmi's solve; its workspace (gmi._Workspace says
+# why it stays) takes 114 bytes per trial of a block (3.7 MB at this cap).
+# Larger blocks fall out of cache and smaller ones pay the per-block call
+# overhead: on a 2-core x86-64 VM, 1e5 trials at n_r = 8 took about 42 ns
+# per trial with blocks of 2**14 or 2**15, 52 ns with 2**16 and 60 ns with
+# 2**11
 _GMI_BLOCK = 2**15
 
 
@@ -126,7 +127,7 @@ class Draw:
         workspace that the draw allocates on its first call and reuses, so
         a call allocates only its result.  The block size never changes a
         result.  A draw's workspace is not shared safely across threads:
-        do not call ``gmi`` or ``outage`` of one draw concurrently.
+        do not call ``gmi`` or ``outage`` of one draw from two at once.
         """
         b = complex(b)
         _check(cmath.isfinite(b), "b", f"must be finite, got {b}")
@@ -378,40 +379,19 @@ class OutageCounter:
                 np.sort(np.r_[self._hi[:keep], hi], kind="stable"))
 
 
-def _sample_chunks(gamma: np.ndarray, normals: np.ndarray, n_r: int, seed: int, first: int, stop: int) -> None:
-    """Fill the trials of chunks ``[first, stop)`` of ``gamma`` (``G``) and
-    ``normals`` (``z1 + i z2``) by the contract."""
-    stream = BlockSampler(seed).stream
-    for k in range(first, stop):
-        rng = stream(k)
-        lo = k * CHUNK_TRIALS
-        n = min(CHUNK_TRIALS, gamma.size - lo)
-        rows = slice(lo, lo + n)
-        gamma[rows] = rng.standard_gamma(n_r, size=CHUNK_TRIALS)[:n]
-        z = rng.standard_normal(2 * CHUNK_TRIALS)
-        normals.real[rows] = z[:n]
-        normals.imag[rows] = z[CHUNK_TRIALS : CHUNK_TRIALS + n]
-
-
-def _sample(n_r: int, trials: int, seed: int, workers: int) -> tuple[np.ndarray, np.ndarray]:
+def _sample(n_r: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The first stage of :func:`draw`: the standardized variates ``G`` and
     ``z1 + i z2`` of trials ``0..trials-1``, which depend on ``(seed, n_r)``
-    alone; ``workers`` threads split the chunk range."""
+    alone, filled one chunk at a time by the contract."""
     gamma, normals = np.empty(trials), np.empty(trials, dtype=np.complex128)
-    chunks = -(-trials // CHUNK_TRIALS)
-    nw = min(workers, chunks)
-    if nw == 1:
-        _sample_chunks(gamma, normals, n_r, seed, 0, chunks)
-        return gamma, normals
-    # imported here: it pulls in logging, which a one-thread run never needs
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = [chunks * k // nw for k in range(nw + 1)]
-    with ThreadPoolExecutor(max_workers=nw) as pool:
-        futures = [pool.submit(_sample_chunks, gamma, normals, n_r, seed, lo, hi)
-                   for lo, hi in zip(bounds, bounds[1:])]
-        for f in futures:
-            f.result()
+    stream = BlockSampler(seed).stream
+    for k, lo in enumerate(range(0, trials, CHUNK_TRIALS)):
+        rng = stream(k)
+        n = min(CHUNK_TRIALS, trials - lo)
+        gamma[lo : lo + n] = rng.standard_gamma(n_r, size=CHUNK_TRIALS)[:n]
+        z = rng.standard_normal(2 * CHUNK_TRIALS)
+        normals.real[lo : lo + n] = z[:n]
+        normals.imag[lo : lo + n] = z[CHUNK_TRIALS : CHUNK_TRIALS + n]
     return gamma, normals
 
 
@@ -434,7 +414,7 @@ def _scale(config: ChannelConfig, gamma: np.ndarray, normals: np.ndarray, *, in_
     return Draw(config, v, y)
 
 
-def draw(config: ChannelConfig, trials: int, seed: int, *, workers: int = 1) -> Draw:
+def draw(config: ChannelConfig, trials: int, seed: int) -> Draw:
     """Draw trials ``0..trials-1`` of ``(config, seed)``, each as its ``(V, Y)``.
 
     Two stages: it samples the standardized variates ``G`` and
@@ -445,19 +425,17 @@ def draw(config: ChannelConfig, trials: int, seed: int, *, workers: int = 1) -> 
     this draw bit for bit.
 
     The result takes 24 bytes per trial, and the sampling about 0.15 MB
-    per worker (one chunk's variates and their temporaries, tracemalloc)
-    whatever ``trials`` and ``n_r``; a draw of fewer trials than a chunk
-    still samples the whole chunk, 0.2-0.5 ms.  ``workers`` threads split
-    the chunk range; the result is bit-identical for any worker count, and
-    its first ``T`` trials are those of ``draw(config, T, seed)``.
-    ``trials``, ``seed`` and ``workers`` are refused with a
-    :class:`~lsrsim.channel.ConfigError` naming them unless they are
-    integers below ``2**64`` (``np.integer`` included), the counts positive.
+    (one chunk's variates and their temporaries, tracemalloc) whatever
+    ``trials`` and ``n_r``; a draw of fewer trials than a chunk still
+    samples the whole chunk, 0.2-0.5 ms.  Its first ``T`` trials are those
+    of ``draw(config, T, seed)``.  ``trials`` and ``seed`` are refused with
+    a :class:`~lsrsim.channel.ConfigError` naming them unless they are
+    integers below ``2**64`` (``np.integer`` included), ``trials`` positive
+    and at most ``channel._MAX_TRIALS``, whose arrays numpy can describe.
     """
-    trials = _check_integer("trials", trials, low=1)
-    workers = _check_integer("workers", workers, low=1)
+    trials = _check_trials("trials", trials)
     seed = _check_integer("seed", seed)
-    return _scale(config, *_sample(config.n_r, trials, seed, workers), in_place=True)
+    return _scale(config, *_sample(config.n_r, trials, seed), in_place=True)
 
 
 def gmi_samples_multi_b(
@@ -471,10 +449,15 @@ def gmi_samples_multi_b(
     """Per-trial GMI values for several coefficients on one draw.
 
     Returns an array of shape ``(len(b_values), trials)``; row ``k`` is
-    ``draw(config, trials, seed, workers=workers).gmi(b_values[k])``.
+    ``draw(config, trials, seed).gmi(b_values[k])``.  ``workers`` must be
+    a positive integer below ``2**64``, as for ``draw``'s counts, and is
+    otherwise ignored: sampling runs on one thread.  It stays only because
+    ``perfbench/probes.py`` passes it, and goes when the benchmark is
+    rewritten (ROADMAP item 1).
     """
+    _check_integer("workers", workers, low=1)
     _check(len(b_values) > 0, "b_values", "must be nonempty")
-    d = draw(config, trials, seed, workers=workers)
+    d = draw(config, trials, seed)
     return np.stack([d.gmi(b) for b in b_values])
 
 

@@ -35,6 +35,7 @@ from lsrsim import (
     substream,
     theta_star,
 )
+from lsrsim.cli import main
 
 ORACLE_GRID = GridSpec(theta_min=1e-8, theta_max=1e6, points=3000, refine_iters=120)
 
@@ -96,7 +97,7 @@ def test_criterion_2_closed_form_matches_grid_oracle():
               f"oracle exceedances {oracle_excess}")
 
 
-def test_criterion_3_invariant_suite():
+def test_criterion_3_invariant_suite(tmp_path):
     rng = np.random.default_rng(606)
 
     # mismatch identity + Cauchy-Schwarz over 1e4 random (realization, b)
@@ -135,15 +136,20 @@ def test_criterion_3_invariant_suite():
         g1 = theta_star(statistics(rotated, a), ucfg.power, ucfg.noise_var).gmi_nats
         assert abs(g1 - g0) <= 1e-9 * max(1.0, g0)
 
-    # determinism under varying worker counts (bit-exact)
-    dcfg = build_channel_config(5.0, 4)
-    rate = math.log(2.0)
-    base = draw(dcfg, 10_000, 424242, workers=1).outage(0.3, rate)
-    for workers in (2, 3, 7):
-        assert draw(dcfg, 10_000, 424242, workers=workers).outage(0.3, rate) == base
+    # determinism under varying worker counts (bit-exact), at the CLI, the
+    # one surface that still takes a count
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"snr_db": [5.0], "n_r_list": [4], "rate_bits": 1.0, "trials": 10_000}))
+    tables = []
+    for workers in (1, 2, 3, 7):
+        out = tmp_path / f"workers{workers}.csv"
+        assert main(["outage-curve", "--config", str(cfg_path), "--seed", "424242",
+                     "--out", str(out), "--workers", str(workers)]) == 0
+        tables.append(out.read_bytes())
+    assert tables.count(tables[0]) == len(tables)
 
     report(3, "identities, rescaling, nonnegativity (10^4 each), unitary "
-              "invariance (200), worker-count determinism (1/2/3/7) all hold")
+              "invariance (200), byte-identical CLI tables at --workers 1/2/3/7 all hold")
 
 
 def test_criterion_4_outage_curve_and_snr_gain():

@@ -92,13 +92,19 @@ class TestReproducibility:
                      "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
-        cfg = write_config(tmp_path)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["outage-curve", "--config", str(cfg), "--seed", "9", "--out", str(a)])
-        main(["outage-curve", "--config", str(cfg), "--seed", "9", "--out", str(b),
-              "--workers", "4"])
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize("command, overrides", [
+        ("outage-curve", {}),
+        ("asymptotic-scan", {"n_r_list": [2, 16], "b_scale": 2.0}),
+    ])
+    def test_worker_count_does_not_change_output(self, tmp_path, command, overrides):
+        # --workers is checked and ignored: the run is single-threaded
+        cfg = write_config(tmp_path, **overrides)
+        tables = []
+        for flags in ([], ["--workers", "2"], ["--workers", "4"]):
+            out = tmp_path / f"r{len(tables)}.csv"
+            assert main([command, "--config", str(cfg), "--seed", "9", "--out", str(out), *flags]) == 0
+            tables.append(out.read_bytes())
+        assert tables.count(tables[0]) == len(tables)
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, seed=1)
@@ -167,9 +173,8 @@ class TestFormatsAndCommands:
         assert out.exists()
 
     def test_import_loads_no_thread_pool(self, child_env):
-        # concurrent.futures, and logging through it, is imported only by a
-        # draw split over several threads, so a fresh interpreter's setup
-        # does not pay for it
+        # a fresh interpreter's setup does not pay for concurrent.futures,
+        # nor for logging through it
         code = "import sys, lsrsim.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env)
         assert proc.returncode == 0, proc.stderr
@@ -207,6 +212,14 @@ class TestConfigBoundary:
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, command, overrides, path):
         assert run(tmp_path, command, **overrides) == 2
         assert f"error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("trials", [2**60, 2**64 - 1])
+    def test_trials_beyond_an_array_exit_2(self, tmp_path, capsys, trials):
+        # numpy cannot describe a complex128 array of 16 * trials bytes
+        assert run(tmp_path, "outage-curve", "--trials", str(trials)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trials: ") and "Traceback" not in err
         assert not (tmp_path / "r.csv").exists()
 
     def test_integral_float_antenna_count_still_accepted(self, tmp_path):

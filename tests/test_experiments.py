@@ -311,15 +311,8 @@ class TestSharedDraws:
         rows = run_experiment(cfg, include_lsr=include_lsr).rows
         assert repr(rows) == repr(one_snr_tables(cfg, include_lsr))
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_worker_count_changes_no_bit(self, workers):
-        cfg = grid_cfg("outage_curve")
-        expected = run_experiment(cfg).rows
-        assert repr(run_experiment(cfg, workers=workers).rows) == repr(expected)
-
-    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("kind", ["outage_curve", "asymptotic_scan"])
-    def test_each_point_reads_its_own_draw(self, monkeypatch, kind, workers):
+    def test_each_point_reads_its_own_draw(self, monkeypatch, kind):
         # the points of one antenna count scale one sampling of its
         # variates, and each gets draw(config, trials, seed) bit for bit;
         # two antenna counts, n_r-major and SNR-major row order, and 2C + 1
@@ -335,7 +328,7 @@ class TestSharedDraws:
             return spec.point_rows(cfg, p, d)
 
         monkeypatch.setitem(KINDS, kind, replace(spec, point_rows=point_rows))
-        run_experiment(cfg, workers=workers)
+        run_experiment(cfg)
         assert len(set(seen)) == len(seen) == 9
         assert len({n_r for n_r, _, _ in seen}) == 2
 
@@ -362,15 +355,6 @@ class TestSharedDraws:
             d = draw(build_channel_config(row["snr_db"], row["n_r"]), cfg.trials, cfg.seed)
             est = d.outage(row["b_lmmse"], rate_bits_to_nats(row["rate_bits"]))
             assert (row["p_lmmse"], row["ci_lo"], row["ci_hi"]) == (est.p_hat, est.ci95_low, est.ci95_high)
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize("kind", GRIDS)
-    def test_worker_split_across_chunks_changes_no_bit(self, kind, workers):
-        # 2C + 1 trials make three chunks of the stream, so the workers of
-        # each point's draw split its chunk range
-        cfg = replace(grid_cfg(kind), trials=2 * CHUNK_TRIALS + 1)
-        expected = run_experiment(cfg).rows
-        assert repr(run_experiment(cfg, workers=workers).rows) == repr(expected)
 
 
 def counting_searches(monkeypatch) -> list:
