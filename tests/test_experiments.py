@@ -311,13 +311,21 @@ class TestSharedDraws:
         rows = run_experiment(cfg, include_lsr=include_lsr).rows
         assert repr(rows) == repr(one_snr_tables(cfg, include_lsr))
 
+    @pytest.mark.parametrize("kind", GRIDS)
+    def test_grid_across_chunks_equals_its_one_snr_grids(self, kind):
+        # 2C + 1 trials make three chunks, the last of one trial
+        cfg = replace(grid_cfg(kind), trials=2 * CHUNK_TRIALS + 1)
+        rows = run_experiment(cfg).rows
+        assert repr(rows) == repr(one_snr_tables(cfg, True))
+
+    @pytest.mark.parametrize("trials", [CHUNK_TRIALS, 2 * CHUNK_TRIALS + 1])
     @pytest.mark.parametrize("kind", ["outage_curve", "asymptotic_scan"])
-    def test_each_point_reads_its_own_draw(self, monkeypatch, kind):
+    def test_each_point_reads_its_own_draw(self, monkeypatch, kind, trials):
         # the points of one antenna count scale one sampling of its
         # variates, and each gets draw(config, trials, seed) bit for bit;
-        # two antenna counts, n_r-major and SNR-major row order, and 2C + 1
-        # trials, which end in a one-trial chunk
-        cfg = replace(grid_cfg(kind), trials=2 * CHUNK_TRIALS + 1)
+        # two antenna counts, n_r-major and SNR-major row order, and one
+        # whole chunk or 2C + 1 trials, which end in a one-trial chunk
+        cfg = replace(grid_cfg(kind), trials=trials)
         spec, seen = KINDS[kind], []
 
         def point_rows(cfg, p, d):

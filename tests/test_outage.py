@@ -136,6 +136,18 @@ class TestEstimateOutage:
         # workers is checked and ignored
         np.testing.assert_array_equal(gmi_samples_multi_b(cfg, [0.2, 0.3], 1500, 7, workers=2), joint)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_multi_b_ignores_worker_count(self, workers):
+        # the harness's workers input changes no bit of any row
+        cfg = ChannelConfig(
+            n_r=3, power=6.0, noise_var=1.0, pilot_noise_var=1.0,
+            fading_var=1.0, pilot=2.449,
+        )
+        d = draw(cfg, 10_000, 21)
+        joint = gmi_samples_multi_b(cfg, [0.3, 0.6], 10_000, 21, workers=workers)
+        np.testing.assert_array_equal(joint[0], d.gmi(0.3))
+        np.testing.assert_array_equal(joint[1], d.gmi(0.6))
+
     def test_monotone_in_rate(self):
         cfg = perfect_csi_config(power=4.0)
         rates = [0.1, 0.3, 0.694, 1.2, 2.0]
@@ -213,6 +225,20 @@ def contract_trial(cfg: ChannelConfig, seed: int, i: int) -> tuple[float, comple
     return v, complex(t * float(z[j]), t * float(z[C + j]))
 
 
+def contract_chunk(cfg: ChannelConfig, seed: int, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``n`` trials of chunk ``k`` by the documented recipe, from
+    a fresh substream, as whole arrays."""
+    rng = substream(seed, k)
+    g = rng.standard_gamma(cfg.n_r, size=C)
+    z = rng.standard_normal(2 * C)
+    pilot_var, error_var = gram_variances(cfg)
+    v = pilot_var * g[:n]
+    t = np.sqrt(error_var / 2.0 * v)
+    y = np.empty(n, dtype=np.complex128)
+    y.real, y.imag = t * z[:n], t * z[C : C + n]
+    return v, y
+
+
 class TestStreamContract:
     """Trial ``i`` is row ``i % C`` of chunk ``i // C``, read from substream
     ``(seed, i // C)``: gamma variates first, then normals."""
@@ -228,6 +254,19 @@ class TestStreamContract:
             v, y = contract_trial(cfg, seed, i)
             assert d.v_energy[i] == v
             assert d.residual[i] == y
+
+    @pytest.mark.parametrize("trials", [C - 1, 3 * C + 5, 4 * C])
+    @pytest.mark.parametrize("n_r", [1, 8])
+    def test_every_trial_follows_the_recipe(self, n_r, trials):
+        # one short chunk, four chunks ending in a short one, and four
+        # whole chunks: every byte of every chunk matches its substream
+        cfg = complex_pilot_config(n_r=n_r)
+        seed = 7 * trials + n_r
+        d = draw(cfg, trials, seed)
+        for k, lo in enumerate(range(0, trials, C)):
+            v, y = contract_chunk(cfg, seed, k, min(C, trials - lo))
+            assert d.v_energy[lo : lo + C].tobytes() == v.tobytes()
+            assert d.residual[lo : lo + C].tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("trials", [1, C - 1, C, 2 * C])
     def test_prefix_stable(self, trials):
