@@ -221,15 +221,25 @@ def _solve_theta(c, r, d, power, noise_var, ws: _Workspace):
 #     kappa(s) = [(1 + (R - s) / expm1(s)) / expm1(s) - (q - 1)^2] / q^2,
 #
 # (kappa's bracket equals (s + 2q - R) / (2 expm1(s)) - (1 - q)^2, the form
-# in the README, with q(s) substituted), with kappa monotone on each of two branches.  On 0 < s < R, the lower end
-# in b (q > 1), kappa rises from 1/R - 1 at s -> 0 to 1 / expm1(R) at s = R;
-# on s > R, the upper end (q < 1), it falls from 1 / expm1(R) to 0, which it
-# meets at some q > 0.
+# in the README, with q(s) substituted), with kappa monotone on each of two
+# branches.  On 0 < s < R, the lower end in b (q > 1), kappa rises from
+# 1/R - 1 at s -> 0 to 1 / expm1(R) at s = R; on s > R, the upper end
+# (q < 1), it falls from 1 / expm1(R) to 0, which it meets at some q > 0.
+# Both are smooth in p = 1/q and t = sqrt(1 / expm1(R) - kappa), and the
+# lower branch goes on through s = 0, where p = 0, to s < 0.
 
-# nodes per branch of the table that starts each end's Newton step; with
-# 513 the step leaves ends within 3e-12 relative, 400 times inside the
-# counter's tolerance
-_END_TABLE_POINTS = 513
+# cells per branch of the end table.  Against an extended-precision
+# bisection a cell's cubic reads p to about 1e-14 relative in the median and
+# to 4e-11 at worst wherever its bound lets the counter use it, 30 times
+# inside the counter's _END_WINDOW / 8
+_END_TABLE_CELLS = 512
+# points per branch at which the build samples the end curve to start each
+# node, and the Newton steps that then polish it
+_END_SAMPLES = 65
+_END_NEWTON_STEPS = 2
+# where the build checks each cell against the curve, as fractions of the
+# way in s from one node to the next
+_END_CHECKS = np.array([0.25, 0.5, 0.75])[:, None, None]
 
 
 def _end_kappa(s, rate):
@@ -261,71 +271,160 @@ def _end_curve(s, rate):
     return x, q, kappa, du, dkappa, big, qq, uu
 
 
+def _end_points(s, rate: float, kappa_max: float):
+    """What the table reads at points ``s`` of the end curve:
+    ``(t, p, dlogq/dt, slope, kappa_noise)`` with ``t = sqrt(kappa_max - kappa)``,
+    ``p = 1/q``, ``slope = dGMI / dlog b`` (negative at a lower end, positive
+    at an upper one) and ``kappa_noise`` a bound on the rounding error of the
+    computed ``kappa``."""
+    x, q, kappa, dq, dk, big, qq, uu = _end_curve(s, rate)
+    t = np.sqrt(np.fmax(kappa_max - kappa, 0.0))
+    # dt/ds = -dkappa/ds / (2 t)
+    dlogq = -2.0 * t * dq / (q * dk)
+    # dGMI/dlog b = -q dh/dq at the maximizing x (envelope theorem)
+    slope = q * (2.0 * x / (x + 1.0)) * (1.0 + x * (1.0 - q) - x * kappa * q)
+    noise = 8.0 * _EPS * ((np.abs(big) + uu) / qq + np.abs(kappa) + kappa_max)
+    return t, 1.0 / q, dlogq, slope, noise
+
+
 @functools.lru_cache(maxsize=32)
 def _end_tables(rate: float):
-    """``(kappa_max, step, s)``: the largest feasible ``kappa``,
-    ``1 / expm1(rate)``, and rows ``s[0]`` (lower branch) and ``s[1]``
-    (upper branch) with ``s[:, j]`` the points of the end curve where
-    ``kappa = kappa_max - (j step)^2``.
+    """``(kappa_max, scale, table)`` of both ends of the feasible intervals
+    at ``rate``: ``kappa_max = 1 / expm1(rate)``, the largest feasible
+    ``kappa``; ``scale[k]``, the cells per unit of ``t = sqrt(kappa_max -
+    kappa)`` on branch ``k`` (0 the lower end, 1 the upper one); and
+    ``table[:, k * _END_TABLE_CELLS + j]``, cell ``j`` of branch ``k``:
+    ``(c0, c1, c2, c3, err, gain, slope0, slope1, slope2)``.  With
+    ``f = t scale[k] - j`` the end's ``p = 1/q`` is
+    ``c0 + f (c1 + f (c2 + f c3))`` to within ``err`` relative, an error
+    ``dk`` in ``kappa`` moves it by at most ``gain dk / t`` more, and
+    ``|dGMI / dlog b|`` there is at least ``slope0 + f (slope1 + f slope2)``.
 
-    The nodes are uniform in ``sqrt(kappa_max - kappa)``, in which ``s`` is
-    smooth through the peak ``s = rate``, down to ``kappa = 0``; each is
-    bisected to about 1e-9, since ``kappa`` is monotone on each branch.  The
-    upper branch meets ``kappa = 0`` before ``s = rate + 3``.  The lower one
-    tends to ``kappa = 1/rate - 1`` as ``s -> 0``, so for a rate below 1
-    nat its nodes under that ``kappa`` sit at ``s`` near 0.
+    The upper branch's cells reach ``kappa = 0``, the lower one's its pole
+    ``kappa = 1/rate - 1`` below 1 nat, each half a cell beyond.  Each node
+    ``t = j / scale[k]`` starts from the curve sampled at ``_END_SAMPLES``
+    points of its branch, between the two around it, and takes
+    ``_END_NEWTON_STEPS`` steps on ``t(s)``.  The cubic is the Hermite
+    interpolant of the node values and slopes ``dp/dt``, each from the
+    curve at its node; at the peak, where ``dt/ds`` is 0/0, from the
+    curve's expansion ``p = 1 -+ sqrt(1 + e^-rate) t``.  The curve at three
+    more points of each cell gives ``err`` and the slope bound (see
+    :func:`_feasible_ends`).  A cell whose numbers are not finite has
+    ``err = inf``.  The build uses elementwise ufuncs and row-wise ``max``
+    and ``sum`` only, no BLAS or LAPACK, whose rounding may differ from one
+    numpy build to the next.
     """
     kappa_max = 1.0 / math.expm1(rate)
-    t = np.linspace(0.0, math.sqrt(kappa_max), _END_TABLE_POINTS)
-    target = kappa_max - t * t
-    near_side = np.full((2, t.size), rate)
-    far_side = np.array([[0.0], [rate + 3.0]]).repeat(t.size, axis=1)
+    cells = _END_TABLE_CELLS
+    span = np.array([[kappa_max - max(1.0 / rate - 1.0, 0.0)], [kappa_max]])
+    step = np.sqrt(span) * (1.0 + 0.5 / cells) / cells
+    t = step * np.arange(cells + 1.0)
     with np.errstate(all="ignore"):
-        for _ in range(32):
-            mid = 0.5 * (near_side + far_side)
-            above = _end_kappa(mid, rate)[0] > target
-            near_side = np.where(above, mid, near_side)
-            far_side = np.where(above, far_side, mid)
-    return kappa_max, t[1], 0.5 * (near_side + far_side)
+        # t rises away from the peak on each branch, so on the samples of
+        # [-rate / 2, rate] (lower, read from rate down) and [rate, rate + 3]
+        # (upper) it is sorted up to the last node; the running maximum
+        # keeps it sorted past that, where the curve turns or overflows
+        samples = rate + np.array([[-1.5 * rate], [3.0]]) * (np.arange(_END_SAMPLES) / (_END_SAMPLES - 1.0))
+        tau = np.sqrt(np.fmax(kappa_max - _end_kappa(samples, rate)[0], 0.0))
+        np.fmax.accumulate(tau, axis=1, out=tau)
+        s, low, high = np.empty((3, 2, cells + 1))
+        for k in range(2):
+            i = np.minimum(np.maximum(np.searchsorted(tau[k], t[k]), 1), _END_SAMPLES - 1)
+            s0, s1, t0, t1 = samples[k, i - 1], samples[k, i], tau[k, i - 1], tau[k, i]
+            s[k] = s0 + (t[k] - t0) / (t1 - t0) * (s1 - s0)
+            low[k], high[k] = np.fmin(s0, s1), np.fmax(s0, s1)
+        s[:, 0] = rate
+        for _ in range(_END_NEWTON_STEPS):
+            _, _, kappa, _, dk, *_ = _end_curve(s[:, 1:], rate)
+            tau = np.sqrt(np.fmax(kappa_max - kappa, 0.0))
+            # dt/ds = -dkappa/ds / (2 t)
+            ds = 2.0 * tau * (tau - t[:, 1:]) / dk
+            s[:, 1:] = np.minimum(np.maximum(s[:, 1:] + ds, low[:, 1:]), high[:, 1:])
+        tau, p, dlogq, slope, noise = _end_points(s, rate, kappa_max)
+        dlogq[:, 0] = math.sqrt(1.0 + math.exp(-rate)) * np.array([1.0, -1.0])
+        dp = -p * dlogq * step
+        y0, y1, m0, m1 = p[:, :-1], p[:, 1:], dp[:, :-1], dp[:, 1:]
+        table = np.empty((9, 2, cells))
+        c = table[:4]
+        c[0], c[1], c[2], c[3] = y0, m0, 3.0 * (y1 - y0) - 2.0 * m0 - m1, 2.0 * (y0 - y1) + m0 + m1
+
+        # the curve inside each cell, at f near 1/4, 1/2 and 3/4
+        tau_c, p_c, dlogq_c, slope_c, _ = _end_points(s[:, :-1] + _END_CHECKS * (s[:, 1:] - s[:, :-1]),
+                                                      rate, kappa_max)
+        f = tau_c / step - np.arange(cells)
+        cubic = ((c[3] * f + c[2]) * f + c[1]) * f + c[0]
+        # the Hermite error is p''''(t) step^4 (f (1 - f))^2 / 24, at most
+        # 1/16 of p''''(t) step^4 / 24, at f = 1/2
+        shape = np.fmax(16.0 * (f * (1.0 - f)) ** 2, 0.125)
+        interp = np.max(np.abs(cubic / p_c - 1.0) / shape, axis=0)
+        dlogq = np.abs(dlogq)
+        gain = 1.25 * np.fmax(np.fmax(dlogq[:, :-1], dlogq[:, 1:]), np.max(np.abs(dlogq_c), axis=0))
+        # a node's t is j step to within the Newton residual and kappa's
+        # rounding; the peak's node (s = rate, q = 1) is exact
+        node = dlogq * (np.abs(tau - t) + noise / (2.0 * tau))
+        node[:, 0] = 0.0
+        least_p = np.fmin(np.fmin(np.abs(y0), np.abs(y1)), np.min(np.abs(p_c), axis=0))
+        err = (4.0 * interp + 2.0 * np.fmax(node[:, :-1], node[:, 1:])
+               + 8.0 * _EPS * np.sum(np.abs(c), axis=0) / least_p + 4.0 * _EPS * gain * t[:, 1:] + 16.0 * _EPS)
+        # |dGMI/dlog b|: the quadratic in f through both nodes and the middle
+        # check, less twice its largest excess over the other two checks
+        # and a margin for rounding
+        slope[0], slope_c[:, 0] = -slope[0], -slope_c[:, 0]
+        left, right, fm = slope[:, :-1], slope[:, 1:], f[1]
+        bend = (slope_c[1] - left - fm * (right - left)) / (fm * (fm - 1.0))
+        excess = np.fmax(np.max(left + f * (right - left) + bend * f * (f - 1.0) - slope_c, axis=0), 0.0)
+        least = left - 2.0 * excess - 1e-9 * (np.abs(left) + np.abs(right))
+        table[4:] = err, 0.5 * gain, least, right - left - bend, bend
+    bad = ~np.all(np.isfinite(table), axis=0)
+    table[:, bad] = 0.0
+    table[4, bad] = math.inf
+    # every counter of the rate shares them
+    scale, table = 1.0 / step, table.reshape(table.shape[0], -1)
+    scale.flags.writeable = table.flags.writeable = False
+    return kappa_max, scale, table
 
 
 def _feasible_ends(kappa, kappa_err, rate: float):
-    """Both ends of each trial's feasible interval, as their ``q``: the
-    lower end (``q > 1``) first, then the upper one (``q < 1``).
+    """Both ends of each trial's feasible interval, as their ``p = 1/q``:
+    ``(p, err, slope)``, each of shape ``(2, kappa.size)``, row 0 the lower
+    end (``p < 1``) and row 1 the upper one (``p > 1``).
 
     A ``kappa`` (with absolute error ``kappa_err``) in
     ``(max(1/rate - 1, 0), 1 / expm1(rate))`` has both ends; for any other
-    the results hold no meaning.  Each end starts from the table of
-    :func:`_end_tables`, at the same position in both branches, and takes
-    one Newton step on ``kappa(s)``.  Returns ``(q, err, slope, ok)`` per
-    end: ``err`` bounds the end's relative error in ``b``, ``slope`` is
-    ``|dGMI / dlog b|`` there, and ``ok`` is False where the step left the
-    branch or produced a non-finite number.
+    the lower row holds no meaning.  ``err`` bounds the end's relative
+    error, in ``p`` and in ``b = (rho / V) p``, and ``slope`` bounds
+    ``|dGMI / dlog b|`` there from below.  Each end is the cubic of its
+    cell of :func:`_end_tables` at the trial's ``t``: a gather of the
+    cell's row and a Horner sum, with no evaluation of the curve.
+
+    Why ``err`` bounds the error: the table's ``err`` is the sum of
+    (i) the Hermite interpolation error, ``p''''(t) step^4 (f (1 - f))^2 /
+    24``, measured at three points of the cell against the curve, scaled
+    by its ``(f (1 - f))^2`` shape to the cell's largest and taken four
+    times over; (ii) twice the error of the node values, the Newton
+    residual and ``kappa(s)``'s rounding at each node carried to ``p`` by
+    ``|dlog q / dt|``; (iii) the rounding of the Horner sum, 8 ulps of the
+    sum of its terms; and (iv) that of ``t``, 4 ulps.  A ``kappa`` error
+    ``dk``, the trial's ``kappa_err`` plus ``4 eps kappa_max`` from
+    forming ``kappa_max - kappa``, moves ``t`` by ``dk / (2 t)`` to first
+    order and the end by ``|dlog q / dt|`` times that, with 1.25 times the
+    largest ``|dlog q / dt|`` the build saw in the cell: ``gain dk / t``.
+    Against 64 halvings of ``kappa(s)`` in extended precision the error
+    reads under a third of ``err`` (``tests/test_end_table.py``).
     """
-    kappa_max, step, nodes = _end_tables(rate)
-    pos = np.sqrt(np.fmax(kappa_max - kappa, 0.0)) / step
-    cell = np.minimum(np.floor(pos), nodes.shape[1] - 2.0)
-    j = cell.astype(np.intp)
+    kappa_max, scale, table = _end_tables(rate)
+    cells = _END_TABLE_CELLS
+    t = np.sqrt(np.fmax(kappa_max - kappa, 0.0))
+    pos = t * scale
+    cell = np.minimum(np.floor(pos), cells - 1.0)
     frac = pos - cell
-    with np.errstate(all="ignore"):
-        return [_newton_end(branch[j], branch[j + 1], frac, kappa, kappa_err, rate, upper)
-                for upper, branch in enumerate(nodes)]
-
-
-def _newton_end(left, right, frac, kappa, kappa_err, rate: float, upper: int):
-    """One end of :func:`_feasible_ends`, from the table nodes ``left`` and
-    ``right`` around it; its temporaries are freed when it returns."""
-    s = left + frac * (right - left)
-    _, _, k, _, dk, *_ = _end_curve(s, rate)
-    s = s - (k - kappa) / dk
-    x, q, k, dq, dk, big, qq, uu = _end_curve(s, rate)
-    # the end moves by (kappa error) / (dkappa/ds) in s, times dlog q/ds in log b
-    miss = np.abs(k - kappa) + 8.0 * _EPS * ((np.abs(big) + uu) / qq + np.abs(k)) + kappa_err
-    err = np.abs(dq / q) * miss / np.abs(dk) + 16.0 * _EPS
-    # dGMI/dlog b = -q dh/dq at the maximizing x (envelope theorem)
-    slope = q * (2.0 * x / (x + 1.0)) * np.abs(1.0 + x * (1.0 - q) - x * kappa * q)
-    ok = np.isfinite(err) & np.isfinite(slope) & (q > 0.0) & ((q < 1.0) if upper else (q > 1.0))
-    return q, err, slope, ok
+    cell[1] += cells
+    # every index is in range; "clip" skips numpy's check, half the gather
+    c0, c1, c2, c3, err, gain, slope0, slope1, slope2 = table.take(cell.astype(np.intp), axis=1, mode="clip")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = (kappa_err + 4.0 * _EPS * kappa_max) / t
+        p = ((c3 * frac + c2) * frac + c1) * frac + c0
+        return p, err + gain * spread, (slope2 * frac + slope1) * frac + slope0
 
 
 def k_ls(stats: GmiStatistics, power: float, noise_var: float, theta: float) -> float:

@@ -224,18 +224,22 @@ class OutageCounter:
     ends.  The ends are built once from each trial's ``rho = Re(s^H v)``
     and ``kappa``, in the fewest evenly sized blocks of at most
     ``_COUNT_BLOCK`` trials, whose temporaries take about 1 MB; only the
-    trials that pass the tests on ``rho`` and ``kappa`` below are solved
-    for their ends.  The counter keeps 16 bytes per trial, the sorted ends.
+    trials that pass the tests on ``rho`` and ``kappa`` below have their
+    ends read, from the per-rate table of ``gmi._end_tables``.  The counter
+    keeps 16 bytes per trial, the sorted ends.
 
     A trial's ends are certified when they are known to within a relative
     ``_END_WINDOW / 8`` and its GMI stays ``_GMI_MARGIN (rate + 2)`` nats
     away from the rate outside a window of ``_END_WINDOW`` around each end.
     A trial that cannot be certified is re-solved by ``Draw.gmi``'s own
     solve at every ``b``: a peak GMI within a small margin of the rate, an
-    end where the GMI is nearly flat in ``b`` or whose Newton step did not
-    converge, or Gram numbers whose ``s^H v`` cancels.  A ``b`` with any end
-    within ``2 _END_WINDOW`` of it, a ``b <= 0`` and a ``b`` below ``b_min``,
-    where ``b^2 V`` nears underflow, are read by ``d.outage`` whole.
+    end where the GMI is nearly flat in ``b`` or that the table's error
+    bound cannot place that closely (a ``kappa`` a hair below the peak's,
+    whose ``t`` is too small to carry its error, or an end near the lower
+    branch's pole), or Gram numbers whose ``s^H v`` cancels.  A ``b`` with
+    any end within ``2 _END_WINDOW`` of it, a ``b <= 0`` and a ``b`` below
+    ``b_min``, where ``b^2 V`` nears underflow, are read by ``d.outage``
+    whole.
     """
 
     def __init__(self, d: Draw, rate_nats: float):
@@ -302,25 +306,25 @@ class OutageCounter:
             certified = (rho > 0.0) & (rel <= _KAPPA_ERROR)
             certified &= kappa * (1.0 + rel) < kappa_max * (1.0 - margin)
 
-            # only the trials certified so far are solved for their ends,
-            # with the pre-tests' temporaries freed (fewer pages to fault in)
+            # only the trials certified so far have their ends read, with the
+            # pre-tests' temporaries freed (fewer pages to fault in)
             del im, rho_err, im_err, noise, num, kappa_low
             live = np.flatnonzero(certified)
             kappa, rel = kappa[live], rel[live]
             k_err = kappa * rel
-            (q_lo, *lower), (q_hi, *upper) = _feasible_ends(kappa, k_err, rate)
-            sure_lo, sure_hi = ((ok & (err + rel <= _END_WINDOW / 8.0) & (slope * _END_WINDOW >= 8.0 * tol))
-                                for err, slope, ok in (lower, upper))
+            p, err, slope = _feasible_ends(kappa, k_err, rate)
+            sure_lo, sure_hi = (err + rel <= _END_WINDOW / 8.0) & (slope * _END_WINDOW >= 8.0 * tol)
             # for kappa <= 1/rate - 1 the interval reaches b -> 0+, where the
             # GMI tends to 1 / (1 + kappa)
             to_zero = kappa <= 1.0 / rate - 1.0
-            q_lo[to_zero] = np.inf
+            p[0, to_zero] = 0.0
             sure_lo[to_zero] = (rate + 2.0 * tol) * (1.0 + kappa + k_err)[to_zero] <= 1.0
             sure = sure_lo & sure_hi
             certified[live] = sure
-            # b = (rho / V) / q, with rho / V the peak
-            peak = rho[live][sure] / v[live][sure]
-        return peak / q_lo[sure], peak / q_hi[sure], np.flatnonzero(~(dead | certified))
+            # b = (rho / V) p, with rho / V the peak
+            live = live[sure]
+            lo, hi = (rho[live] / v[live]) * p[:, sure]
+        return lo, hi, np.flatnonzero(~(dead | certified))
 
     def outages(self, b_values: Sequence[float]) -> list[OutageEstimate]:
         """``[d.outage(b, rate_nats) for b in b_values]``, counted."""

@@ -172,6 +172,32 @@ class TestFormatsAndCommands:
         assert proc.returncode == 0
         assert out.exists()
 
+    def test_one_process_writes_what_fresh_processes_write(self, tmp_path, child_env, capsys):
+        # the parser is built once per process and reused: a refused
+        # --workers 0, a scan and a gain-target curve run in turn in this
+        # process give each the exit code, stdout and table of a fresh
+        # python -m lsrsim.cli
+        scan = write_config(tmp_path, "scan.json", snr_db=[0.0], n_r_list=[2, 16], trials=300, b_scale=2.0)
+        curve = write_config(tmp_path, "curve.json", snr_db=[0.0, 3.0, 6.0], n_r_list=[2], trials=800)
+        runs = [["outage-curve", "--config", str(curve), "--workers", "0"],
+                ["asymptotic-scan", "--config", str(scan)],
+                ["outage-curve", "--config", str(curve), "--gain-target", "0.2"]]
+        for k, argv in enumerate(runs):
+            here, fresh = tmp_path / f"here{k}.csv", tmp_path / f"fresh{k}.csv"
+            try:
+                code = main([*argv, "--seed", "3", "--out", str(here)])
+            except SystemExit as exc:
+                code = exc.code
+            stdout = capsys.readouterr().out
+            proc = subprocess.run([sys.executable, "-m", "lsrsim.cli", *argv, "--seed", "3", "--out", str(fresh)],
+                                  capture_output=True, text=True, env=child_env)
+            assert (code, stdout) == (proc.returncode, proc.stdout), argv
+            assert here.exists() == fresh.exists() == (k > 0)
+            if k:
+                assert here.read_bytes() == fresh.read_bytes()
+        assert code == 0 and stdout.startswith("snr_gain_db=")
+        assert lsrsim.cli._build_parser.cache_info().currsize == 1
+
     def test_import_loads_no_thread_pool(self, child_env):
         # a fresh interpreter's setup does not pay for concurrent.futures,
         # nor for logging through it
