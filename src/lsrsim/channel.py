@@ -1,4 +1,4 @@
-"""Channel scenario, pilot-based CSI sampling, and per-realization statistics.
+"""Channel scenario, the LMMSE estimate and the law of what the receiver reads.
 
 The model is a single-input multiple-output block-fading channel: the data
 phase sees ``Y = S x + Z`` with i.i.d. circularly symmetric complex Gaussian
@@ -6,7 +6,8 @@ noise of per-antenna variance ``noise_var``, and the receiver learns the
 fading vector ``S`` only through one received pilot vector
 ``V = S * pilot + Z_p``.  Fading stays fixed over a codeword and is redrawn
 independently across codewords, so each Monte Carlo trial is one independent
-``(S, V)`` pair.
+``(S, V)`` pair, which :func:`gram_variances` reduces to the law of the two
+numbers the decoder's rate reads.
 
 It also owns input validation: :class:`ConfigError` and the ``_check*``
 helpers, which every other module calls instead of defining its own rules.
@@ -21,16 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ConfigError",
-    "ChannelConfig",
-    "ChannelRealization",
-    "GmiStatistics",
-    "lmmse_coefficient",
-    "gram_variances",
-    "sample_realization",
-    "statistics",
-]
+__all__ = ["ConfigError", "ChannelConfig", "lmmse_coefficient", "gram_variances"]
 
 _U64_MAX = 2**64 - 1
 
@@ -152,42 +144,6 @@ class ChannelConfig:
                f"must be finite and nonzero, got {self.pilot}")
 
 
-@dataclass
-class ChannelRealization:
-    """One draw of the fading vector and its noisy pilot observation."""
-
-    s: np.ndarray  # fading coefficients, complex, length n_r
-    v: np.ndarray  # received pilot v = s * pilot + z_p, same length
-
-    def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=np.complex128)
-        self.v = np.asarray(self.v, dtype=np.complex128)
-        _check(self.s.shape == self.v.shape and self.s.ndim == 1, "v",
-               f"must be a 1-d vector of the length of s, got shapes {self.s.shape} and {self.v.shape}")
-
-
-@dataclass
-class GmiStatistics:
-    """The scalars of a scaled realization that determine the GMI.
-
-    For a realization ``(s, v)`` and scaling coefficient ``b`` these are
-    ``||s||^2``, ``||b v||^2``, the inner product ``s^* (b v)``,
-    ``||s - b v||^2`` and the inner product ``(s - b v)^* (b v)`` of the
-    estimation error with the estimate.  The mismatch satisfies the exact
-    identity ``mismatch = s_energy + csi_energy - 2 Re(cross)``, the error
-    inner product ``error_cross = cross - csi_energy``, and Cauchy-Schwarz
-    bounds ``|cross|^2 <= s_energy * csi_energy``.  :func:`statistics` sums
-    ``error_cross`` over the antennas rather than forming that difference,
-    which cancels at high SNR.
-    """
-
-    s_energy: float
-    csi_energy: float
-    cross: complex
-    mismatch: float
-    error_cross: complex
-
-
 def lmmse_coefficient(config: ChannelConfig) -> complex:
     """Scalar coefficient of the linear MMSE fading estimate ``a * v``.
 
@@ -211,45 +167,3 @@ def gram_variances(config: ChannelConfig) -> tuple[float, float]:
     xp = config.pilot
     pilot_var = config.fading_var * (xp.real**2 + xp.imag**2) + config.pilot_noise_var
     return pilot_var, config.fading_var * config.pilot_noise_var / pilot_var
-
-
-def sample_realization(
-    config: ChannelConfig, stream: np.random.Generator
-) -> ChannelRealization:
-    """Draw one ``(s, v)`` pair from a random stream.
-
-    Consumes exactly one ``standard_normal(4 * n_r)`` call: the first
-    ``2 n_r`` variates are the real then imaginary parts of ``s``, the last
-    ``2 n_r`` those of the pilot noise.  The Monte Carlo engine does not
-    call it: it draws each trial's ``V = ||v||^2`` and ``(s - a v)^H v``
-    from their law (:func:`gram_variances`), and this per-antenna path is
-    the test suite's oracle for that law.
-    """
-    n = config.n_r
-    # per-component std dev of S and Z_p (variance split evenly over Re/Im)
-    scale_s = math.sqrt(config.fading_var / 2.0)
-    scale_z = math.sqrt(config.pilot_noise_var / 2.0)
-    w = stream.standard_normal(4 * n)
-    s = (w[:n] + 1j * w[n : 2 * n]) * scale_s
-    z = (w[2 * n : 3 * n] + 1j * w[3 * n :]) * scale_z
-    return ChannelRealization(s=s, v=s * config.pilot + z)
-
-
-def statistics(real: ChannelRealization, b: complex) -> GmiStatistics:
-    """Reduce a realization and a scaling coefficient to its GMI statistics.
-
-    The mismatch and the error inner product are summed directly over the
-    antennas rather than formed from the energy/cross identities, so the
-    identities can serve as independent consistency checks, and the GMI's
-    ``|c - x|^2 = |error_cross|^2`` (see :mod:`lsrsim.gmi`) does not cancel
-    at high SNR.
-    """
-    bv = complex(b) * real.v
-    error = real.s - bv
-    return GmiStatistics(
-        s_energy=float(np.sum(np.abs(real.s) ** 2)),
-        csi_energy=float(np.sum(np.abs(bv) ** 2)),
-        cross=complex(np.sum(np.conj(real.s) * bv)),
-        mismatch=float(np.sum(np.abs(error) ** 2)),
-        error_cross=complex(np.sum(np.conj(error) * bv)),
-    )

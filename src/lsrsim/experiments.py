@@ -48,11 +48,12 @@ LN2 = math.log(2.0)
 
 # Largest accepted SNR.  A draw holds V and Y themselves, and Draw.gmi reads
 # them within about 4e-16 relative of a 50-digit evaluation from 30 to
-# 200 dB.  The cap comes from the rest: the scalar reference path
-# statistics -> theta_star, the oracle the draw is tested against, forms
-# s - b v from a float64 pilot observation v, so its relative error grows
-# like 1e-16 sqrt(power), about 1e-10 at 150 dB and 2.5e-8 at 200 dB; and
-# near 500 dB the solver's B^2 overflows.  The cap keeps both within 1e-9.
+# 200 dB.  The cap comes from the rest: the test suite's per-antenna oracle
+# (statistics -> theta_star in tests/oracles.py), which the draw is tested
+# against, forms s - b v from a float64 pilot observation v, so its relative
+# error grows like 1e-16 sqrt(power), about 1e-10 at 150 dB and 2.5e-8 at
+# 200 dB; and near 500 dB the solver's B^2 overflows.  The cap keeps both
+# within 1e-9.
 MAX_SNR_DB = 150.0
 
 class NotBracketedError(RuntimeError):

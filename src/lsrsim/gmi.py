@@ -21,72 +21,37 @@ coefficient is positive for ``c > 0`` and whose constant term is ``-2 r``.
 So the GMI is positive exactly when ``r > 0``, attained at the smaller (and
 only negative) root; otherwise it is 0, the limit ``theta -> 0``.
 
-:func:`theta_star` solves the stationary-point problem in closed form;
-:func:`gmi_grid_oracle` maximizes over an explicit theta grid and exists to
-cross-check the closed form.
+``_solve_theta`` solves the stationary-point problem in closed form for a
+block of trials at once, and ``_end_tables`` tabulates, per rate, the ends
+of each trial's feasible interval in ``b`` that the outage counter reads.
+The test suite checks the closed form against independent oracles in
+``tests/oracles.py``: a maximization over an explicit theta grid and a
+50-digit evaluation of the literal functional.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GmiStatistics, _check, _check_integer
-
-__all__ = ["GmiResult", "GridSpec", "k_ls", "theta_star", "gmi_grid_oracle"]
+# every name is private to the package: outage reads the solve and the end
+# tables
+__all__: list[str] = []
 
 # unit roundoff of float64
 _EPS = 2.0**-53
 
 
-@dataclass
-class GmiResult:
-    """Maximized GMI in nats and, when attained, the maximizing theta.
-
-    ``theta_star`` is ``None`` when the supremum is approached only in the
-    limit ``theta -> 0`` (then ``gmi_nats`` is 0); otherwise it is strictly
-    negative and ``k_ls`` evaluated there equals ``gmi_nats`` exactly.
-    """
-
-    theta_star: float | None
-    gmi_nats: float
-
-
-@dataclass
-class GridSpec:
-    """Log-spaced theta grid ``[-theta_max, -theta_min]`` for the oracle."""
-
-    theta_min: float
-    theta_max: float
-    points: int = 2000
-    refine_iters: int = 128
-
-    def __post_init__(self):
-        _check(0 < self.theta_min < self.theta_max, "theta_min",
-               f"need 0 < theta_min < theta_max, got [{self.theta_min}, {self.theta_max}]")
-        _check_integer("points", self.points, 1000)
-        _check_integer("refine_iters", self.refine_iters)
-
-
-def _reduce(stats: GmiStatistics) -> tuple[float, float, float]:
-    # (c, r, d) = (||b v||^2, Re x, |c - x|^2) with x = s^H (b v); c - x is
-    # minus the error inner product, which statistics() sums per antenna, so
-    # d does not cancel at high SNR
-    e = stats.error_cross
-    return stats.csi_energy, stats.cross.real, e.real * e.real + e.imag * e.imag
-
-
 # The workspace outlived the grid search it was built for: the scan, the
 # histograms, b-sweep, the LMMSE-only curve and the counter's re-solved
-# trials still solve through Draw.gmi.  Written as plain expressions
-# through _k_ls_core, every bit kept, the solve took 101-124 ns per trial
-# at n_r 128 and 5,000 trials (scan_massive's shape) against 44-56 ns with
-# the workspace, and a call at 1e5 trials peaked at 6.1 MB of temporaries
-# against 0.8 MB (quartiles of 400 interleaved calls and tracemalloc, one
-# core of a 2-core x86-64 VM)
+# trials still solve through Draw.gmi.  Written as plain numpy expressions,
+# every bit kept, the solve took 101-124 ns per trial at n_r 128 and 5,000
+# trials (scan_massive's shape) against 44-56 ns with the workspace, and a
+# call at 1e5 trials peaked at 6.1 MB of temporaries against 0.8 MB
+# (quartiles of 400 interleaved calls and tracemalloc, one core of a 2-core
+# x86-64 VM)
 class _Workspace:
     """Scratch arrays of the vectorized solve, one entry per trial.
 
@@ -117,22 +82,14 @@ class _Workspace:
         return _Workspace(getattr(self, name)[:m] for name in self.__slots__)
 
 
-def _k_ls_core(theta, c, r, d, power, noise_var):
-    """Rate functional; vectorizes over any broadcastable mix of arguments.
+def _k_ls_into(ws: _Workspace, theta, c, r, d, power, noise_var) -> np.ndarray:
+    """The rate functional ``k_ls`` at ``theta``, written into ``ws.val``
+    without allocating, with ``ws.w``, ``ws.x`` and ``ws.t`` as scratch.
 
     Uses log1p so the theta -> 0 limit is computed without cancellation.
-    """
-    w = -theta * power * c
-    return np.log1p(w) + theta * power * (
-        c - 2.0 * r - noise_var * theta * c - power * theta * d
-    ) / (1.0 + w)
-
-
-def _k_ls_into(ws: _Workspace, theta, c, r, d, power, noise_var) -> np.ndarray:
-    """:func:`_k_ls_core` written into ``ws.val`` without allocating.
-
-    The same operations on the same operands in the same order, with
-    ``ws.w``, ``ws.x`` and ``ws.t`` as scratch, so the two agree bit for bit.
+    The test suite's plain-expression copy, ``_k_ls_core`` in
+    ``tests/oracles.py``, applies the same operations to the same operands in
+    the same order, so the two agree bit for bit.
     """
     w, x, t = ws.w, ws.x, ws.t
     np.multiply(np.multiply(np.negative(theta, out=w), power, out=w), c, out=w)
@@ -425,64 +382,3 @@ def _feasible_ends(kappa, kappa_err, rate: float):
         spread = (kappa_err + 4.0 * _EPS * kappa_max) / t
         p = ((c3 * frac + c2) * frac + c1) * frac + c0
         return p, err + gain * spread, (slope2 * frac + slope1) * frac + slope0
-
-
-def k_ls(stats: GmiStatistics, power: float, noise_var: float, theta: float) -> float:
-    """Evaluate the rate functional at a strictly negative theta (in nats).
-
-    For ``theta < 0`` the log argument is >= 1, so the evaluation can never
-    leave the domain; ``theta >= 0`` violates the contract.
-    """
-    _check(theta < 0, "theta", f"must be strictly negative, got {theta}")
-    return float(_k_ls_core(theta, *_reduce(stats), power, noise_var))
-
-
-def theta_star(stats: GmiStatistics, power: float, noise_var: float) -> GmiResult:
-    """Closed-form GMI: maximize the rate functional over ``theta < 0``.
-
-    Returns the maximizing theta and the rate in nats; when no strictly
-    negative stationary point gives a positive rate, the supremum is the
-    ``theta -> 0`` limit and the result is ``GmiResult(None, 0.0)``.
-    """
-    theta, gmi, attained = _solve_theta(*_reduce(stats), power, noise_var, _Workspace.empty(1))
-    if attained[0]:
-        return GmiResult(theta_star=float(theta[0]), gmi_nats=float(gmi[0]))
-    return GmiResult(theta_star=None, gmi_nats=0.0)
-
-
-def gmi_grid_oracle(
-    stats: GmiStatistics, power: float, noise_var: float, grid: GridSpec
-) -> float:
-    """Brute-force GMI: maximize ``k_ls`` over an explicit theta grid.
-
-    Scans a log-spaced grid over ``[-theta_max, -theta_min]`` and then
-    ternary-refines around the grid argmax (the functional has a single
-    interior maximum between grid neighbors).  Returns ``max(0, best)``;
-    intended for tests and validation sweeps, independent of
-    :func:`theta_star`.
-    """
-    args = (*_reduce(stats), power, noise_var)
-
-    thetas = -np.logspace(
-        math.log10(grid.theta_min), math.log10(grid.theta_max), grid.points
-    )
-    vals = _k_ls_core(thetas, *args)
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-
-    # bracket the argmax with its grid neighbors (thetas is descending)
-    lo = float(thetas[i + 1]) if i + 1 < grid.points else float(thetas[i])
-    hi = float(thetas[i - 1]) if i > 0 else float(thetas[i])
-    for _ in range(grid.refine_iters):
-        third = (hi - lo) / 3.0
-        m1 = lo + third
-        m2 = hi - third
-        f1 = float(_k_ls_core(m1, *args))
-        f2 = float(_k_ls_core(m2, *args))
-        best = max(best, f1, f2)
-        if f1 < f2:
-            lo = m1
-        else:
-            hi = m2
-
-    return max(0.0, best)

@@ -36,7 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelConfig, _check, _check_integer, _check_trials, gram_variances, lmmse_coefficient
+from .channel import (ChannelConfig, _check, _check_integer, _check_real, _check_trials, gram_variances,
+                      lmmse_coefficient)
 from .gmi import _EPS, _end_tables, _feasible_ends, _solve_theta, _Workspace
 from .streams import CHUNK_TRIALS, BlockSampler
 
@@ -88,10 +89,14 @@ class GmiHistogram:
 def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     """Wilson score 95% interval for a binomial proportion.
 
-    Valid down to zero observed failures, unlike the Wald interval.
+    Valid down to zero observed failures, unlike the Wald interval.  Both
+    counts must be integers below ``2**64`` (``np.integer`` included, a bool
+    or a float refused), ``trials`` positive and ``failures`` at most
+    ``trials``.
     """
-    _check(trials >= 1, "trials", f"must be positive, got {trials}")
-    _check(0 <= failures <= trials, "failures", f"must be in [0, trials], got {failures}")
+    trials = _check_integer("trials", trials, low=1)
+    failures = _check_integer("failures", failures)
+    _check(failures <= trials, "failures", f"must be in [0, trials], got {failures}")
     n = float(trials)
     p = failures / n
     z2 = _Z95 * _Z95
@@ -103,8 +108,18 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
 
 
 def _check_rate(rate_nats: float) -> None:
-    _check(0 <= rate_nats < math.inf, "rate_nats",
-           f"must be finite and nonnegative, got {rate_nats}")
+    _check_real("rate_nats", rate_nats, 0)
+
+
+def _check_coefficient(b) -> complex:
+    """``b`` as a finite complex number; a str or a bool, which ``complex``
+    would read as a number, is refused."""
+    try:
+        value = cmath.nan if isinstance(b, (str, bool, np.bool_)) else complex(b)
+    except (TypeError, ValueError):
+        value = cmath.nan
+    _check(cmath.isfinite(value), "b", f"must be finite and a number, not a str or bool, got {b!r}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,9 +144,7 @@ class Draw:
         result.  A draw's workspace is not shared safely across threads:
         do not call ``gmi`` or ``outage`` of one draw from two at once.
         """
-        b = complex(b)
-        _check(cmath.isfinite(b), "b", f"must be finite, got {b}")
-        return self._solve(b, self.v_energy, self.residual)
+        return self._solve(_check_coefficient(b), self.v_energy, self.residual)
 
     def _solve(self, b: complex | np.ndarray, v_energy: np.ndarray, residual: np.ndarray) -> np.ndarray:
         """:meth:`gmi` of the trials ``(v_energy, residual)``, any subset of
@@ -481,9 +494,12 @@ def gmi_histogram(gmi: np.ndarray, bins: int) -> GmiHistogram:
     """Equal-width histogram of per-trial GMI values over ``[0, max]`` plus moments.
 
     When every trial yields zero GMI the bin range degenerates; a unit upper
-    edge is used so all mass lands in the first bin.
+    edge is used so all mass lands in the first bin.  An empty ``gmi``, or
+    one with an entry that is not finite, is refused.
     """
     _check_integer("bins", bins, low=2)
+    _check(gmi.size > 0, "gmi", "must hold at least one value")
+    _check(bool(np.isfinite(gmi).all()), "gmi", "must hold finite values only")
     top = float(gmi.max())
     edges = np.linspace(0.0, top if top > 0.0 else 1.0, bins + 1)
     counts, _ = np.histogram(gmi, bins=edges)

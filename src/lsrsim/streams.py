@@ -1,4 +1,4 @@
-"""Deterministic substream derivation for reproducible parallel Monte Carlo.
+"""Deterministic substream derivation for reproducible Monte Carlo.
 
 Every random draw in this package is tied to a ``(seed, index)`` pair, where
 ``seed`` is the user's master 64-bit seed and ``index`` is a nonnegative
@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import _U64_MAX, _check_integer
+from .channel import _check_integer
 
-__all__ = ["CHUNK_TRIALS", "philox_key", "substream", "BlockSampler"]
+__all__ = ["CHUNK_TRIALS", "philox_key", "BlockSampler"]
 
 # trials per substream of the Monte Carlo engine; part of the contract, so
 # changing it changes every result
@@ -36,64 +36,28 @@ def philox_key(seed: int) -> np.ndarray:
     return np.random.SeedSequence(_check_integer("seed", seed)).generate_state(2, np.uint64)
 
 
-def substream(seed: int, index: int) -> np.random.Generator:
-    """Independent random stream for ``(seed, index)``.
-
-    Two calls with the same arguments yield generators that produce
-    bit-identical sequences; distinct indices yield independent streams.
-    """
-    counter = np.zeros(4, dtype=np.uint64)
-    counter[3] = _check_integer("stream index", index)
-    bitgen = np.random.Philox(key=philox_key(seed), counter=counter)
-    return np.random.Generator(bitgen)
-
-
 class BlockSampler:
-    """Fast repeated access to the substreams of one master seed.
+    """The substreams of one master seed, its key derived once.
 
-    Reuses a single Philox instance and jumps its counter to the block of
-    each requested index, which is much cheaper than constructing a fresh
-    generator per index while producing bit-identical output (verified by
-    the test suite against :func:`substream`).
-
-    :meth:`stream` writes the whole Philox state through its public
-    ``state`` setter: the key, the counter ``[0, 0, 0, index]``, an empty
-    output buffer (``buffer_pos = 4``, so the first draw generates a fresh
-    block) and no cached 32-bit half.  Nothing of the previous index
-    survives, however many words the previous draws consumed.  The template
-    holds plain Python ints, not numpy's ``uint64`` arrays: the setter reads
-    the words one by one, and reading an array element boxes a numpy scalar
-    each time, which made the reset cost about three times as much.
+    :meth:`stream` opens substream ``index`` as a fresh generator,
+    ``Generator(Philox(key=key, counter=[0, 0, 0, index]))``, so nothing of
+    the substreams opened before it survives.
 
     ``index`` must be an integer in ``[0, 2**64)`` (``np.integer``
-    included); a bool, a float or any other value is refused with the
-    :class:`~lsrsim.channel.ConfigError` of :func:`substream`.
+    included); a bool, a float or any other value is refused with a
+    :class:`~lsrsim.channel.ConfigError` naming ``stream index``.
     """
 
     def __init__(self, seed: int):
-        key = philox_key(seed)
-        self._bitgen = np.random.Philox(key=key)
-        self._generator = np.random.Generator(self._bitgen)
-        # template state reapplied by every stream() call, which writes
-        # counter[3]
-        self._counter = [0, 0, 0, 0]
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": self._counter, "key": [int(key[0]), int(key[1])]},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self._key = philox_key(seed)
 
     def stream(self, index: int) -> np.random.Generator:
-        """The sampler's one Generator, reset to the start of substream
-        ``index``; the next call resets it again."""
-        if not (type(index) is int and 0 <= index <= _U64_MAX):
-            index = _check_integer("stream index", index)
-        self._counter[3] = index
-        self._bitgen.state = self._state
-        return self._generator
+        """A new Generator at the start of substream ``index``."""
+        # a uint64 array: numpy reads a list holding 2**64 - 1 as float64,
+        # whose cast to uint64 warns of an invalid value
+        counter = np.zeros(4, dtype=np.uint64)
+        counter[3] = _check_integer("stream index", index)
+        return np.random.Generator(np.random.Philox(key=self._key, counter=counter))
 
     def normals(self, index: int, out: np.ndarray) -> None:
         """Fill ``out`` with the first standard normals of substream ``index``."""

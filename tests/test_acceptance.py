@@ -17,27 +17,27 @@ import pytest
 
 from lsrsim import (
     ChannelConfig,
-    ChannelRealization,
     ExperimentConfig,
-    GridSpec,
     build_channel_config,
     curve_points,
     draw,
-    gmi_grid_oracle,
     gmi_histogram,
-    k_ls,
     lmmse_coefficient,
     optimize_b,
     run_experiment,
-    sample_realization,
     snr_gain,
+)
+from lsrsim.cli import main
+from oracles import (
+    WIDE_GRID,
+    ChannelRealization,
+    gmi_grid_oracle,
+    k_ls,
+    sample_realization,
     statistics,
     substream,
     theta_star,
 )
-from lsrsim.cli import main
-
-ORACLE_GRID = GridSpec(theta_min=1e-8, theta_max=1e6, points=3000, refine_iters=120)
 
 
 def report(criterion: int, detail: str) -> None:
@@ -86,7 +86,7 @@ def test_criterion_2_closed_form_matches_grid_oracle():
     for i in range(10_000):
         stats, power, noise_var = random_instance(i)
         closed = theta_star(stats, power, noise_var).gmi_nats
-        oracle = gmi_grid_oracle(stats, power, noise_var, ORACLE_GRID)
+        oracle = gmi_grid_oracle(stats, power, noise_var, WIDE_GRID)
         scale = max(closed, oracle, 1e-300)
         worst = max(worst, abs(closed - oracle) / scale)
         if oracle - closed > 1e-6 * scale:

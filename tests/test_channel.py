@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lsrsim import (
-    ChannelConfig,
-    ChannelRealization,
-    lmmse_coefficient,
-    sample_realization,
-    statistics,
-    substream,
-)
+from lsrsim import ChannelConfig, lmmse_coefficient
+from oracles import ChannelRealization, sample_realization, statistics, substream
 
 
 def make_config(**overrides):

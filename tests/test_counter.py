@@ -11,10 +11,8 @@ failure.
 
 import cmath
 import math
-import sys
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,11 +20,7 @@ import pytest
 from lsrsim import ChannelConfig, Draw, build_channel_config, draw, lmmse_coefficient, optimize_b
 from lsrsim import outage
 from lsrsim.outage import OutageCounter
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from test_gmi import literal_gmi_of_draw  # noqa: E402
-
-RATES = [0.0, 0.3, math.log(2.0), 1.0, 2.0 * math.log(2.0), 3.0 * math.log(2.0)]
+from oracles import RATES, literal_gmi_of_draw
 
 
 def complex_pilot(snr_db: float, n_r: int) -> ChannelConfig:

@@ -9,8 +9,6 @@ against the trials it re-solves.
 """
 
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +16,7 @@ import pytest
 from lsrsim import build_channel_config, draw
 from lsrsim.gmi import _END_TABLE_CELLS, _end_curve, _end_kappa, _end_tables, _feasible_ends
 from lsrsim.outage import _END_WINDOW, OutageCounter
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from test_counter import RATES  # noqa: E402
+from oracles import RATES
 
 
 def bisected_ends(kappa: np.ndarray, rate: float, upper: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,27 +8,25 @@ import pytest
 
 import lsrsim.experiments
 from lsrsim import (
+    BlockSampler,
     ConfigError,
     ExperimentConfig,
     NotBracketedError,
     ResultTable,
     ChannelConfig,
-    ChannelRealization,
-    GmiStatistics,
-    GridSpec,
     SearchSpec,
     build_channel_config,
     curve_points,
     draw,
     emit_results,
+    gmi_histogram,
     gmi_samples_multi_b,
-    k_ls,
     optimize_b,
+    philox_key,
     rate_bits_to_nats,
     read_results,
     run_experiment,
     snr_gain,
-    substream,
     wilson_interval,
 )
 from lsrsim.experiments import (
@@ -39,6 +37,7 @@ from lsrsim.experiments import (
     OUTAGE_CURVE_COLUMNS,
 )
 from lsrsim.streams import CHUNK_TRIALS
+from oracles import ChannelRealization, GmiStatistics, GridSpec, k_ls
 
 
 def small_cfg(**overrides):
@@ -153,8 +152,8 @@ class TestConfigValidation:
         table = ResultTable(columns=[], rows=[])
         calls = [
             ("trials", lambda: draw(config, 2**64, 1)),
-            ("seed", lambda: substream(-1, 0)),
-            ("stream index", lambda: substream(1, 2.0)),
+            ("seed", lambda: philox_key(-1)),
+            ("stream index", lambda: BlockSampler(1).stream(2.0)),
             ("n_r", lambda: ChannelConfig(0, 1.0, 1.0, 1.0, 1.0, 1.0)),
             ("v", lambda: ChannelRealization(np.zeros(3, complex), np.zeros(4, complex))),
             ("theta_min", lambda: GridSpec(theta_min=0.0, theta_max=1.0)),
@@ -163,9 +162,19 @@ class TestConfigValidation:
             ("theta", lambda: k_ls(stats, 1.0, 1.0, 0.0)),
             ("trials", lambda: wilson_interval(0, 0)),
             ("failures", lambda: wilson_interval(5, 4)),
+            ("failures", lambda: wilson_interval(1.5, 3)),
+            ("failures", lambda: wilson_interval(True, 3)),
             ("b", lambda: d.gmi(math.nan)),
+            ("b", lambda: d.gmi("1")),
+            ("b", lambda: d.gmi(True)),
+            ("b", lambda: d.gmi("x")),
             ("b", lambda: d.outage(math.inf, 0.5)),
             ("rate_nats", lambda: d.outage(1.0, -0.1)),
+            ("rate_nats", lambda: d.outage(1.0, True)),
+            ("rate_nats", lambda: d.outage(1.0, "1")),
+            ("rate_nats", lambda: optimize_b(d, True)),
+            ("gmi", lambda: gmi_histogram(np.array([]), 5)),
+            ("gmi", lambda: gmi_histogram(np.array([0.5, math.nan]), 5)),
             ("b_values", lambda: gmi_samples_multi_b(config, [], 10, 1)),
             ("include_lsr", lambda: run_experiment(
                 small_cfg(kind="b_sweep", b_over_a=[1.0]), include_lsr=False)),
@@ -187,7 +196,7 @@ class TestConfigValidation:
     def test_config_error_crosses_a_process_pool(self):
         with ProcessPoolExecutor(max_workers=1) as pool:
             with pytest.raises(ConfigError) as exc:
-                pool.submit(substream, -1, 0).result()
+                pool.submit(philox_key, -1).result()
         assert exc.value.path == "seed" and str(exc.value).startswith("seed: ")
 
 

@@ -1,26 +1,24 @@
 import cmath
 import math
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from lsrsim import (
+from lsrsim import build_channel_config, draw, lmmse_coefficient
+from oracles import (
+    WIDE_GRID,
     ChannelRealization,
     GmiStatistics,
     GridSpec,
-    build_channel_config,
-    draw,
     gmi_grid_oracle,
     k_ls,
-    lmmse_coefficient,
+    literal_gmi,
+    literal_gmi_of_draw,
     sample_realization,
     statistics,
-    theta_star,
     substream,
+    theta_star,
 )
-
-WIDE_GRID = GridSpec(theta_min=1e-8, theta_max=1e6, points=3000, refine_iters=120)
 
 
 def perfect_csi_stats(s_energy: float) -> GmiStatistics:
@@ -208,66 +206,6 @@ class TestGridOracle:
     def test_zero_csi_gives_zero(self):
         st = GmiStatistics(s_energy=1.0, csi_energy=0.0, cross=0j, mismatch=1.0, error_cross=0j)
         assert gmi_grid_oracle(st, 3.0, 1.0, WIDE_GRID) == 0.0
-
-
-def literal_gmi(real: ChannelRealization, b: complex, power: float, noise_var: float) -> float:
-    """GMI of ``(s, v)`` and ``b`` from the literal functional at 50 digits.
-
-    Every float input is converted exactly; the statistics are summed over
-    the antennas, the smaller stationary root is solved in the unit-noise
-    form and the functional is evaluated there, all in ``decimal``.
-    """
-    with localcontext() as ctx:
-        ctx.prec = 50
-        br, bi = Decimal(b.real), Decimal(b.imag)
-        s_energy = c = xr = xi = m = Decimal(0)
-        for sk, vk in zip(real.s, real.v):
-            sr, si = Decimal(sk.real), Decimal(sk.imag)
-            vr, vi = Decimal(vk.real), Decimal(vk.imag)
-            ur, ui = br * vr - bi * vi, br * vi + bi * vr  # b v_k
-            s_energy += sr * sr + si * si
-            c += ur * ur + ui * ui
-            xr += sr * ur + si * ui  # conj(s_k) b v_k
-            xi += sr * ui - si * ur
-            m += (sr - ur) ** 2 + (si - ui) ** 2
-        return _literal_functional(c, xr, xi, m - s_energy, power, noise_var)
-
-
-def literal_gmi_of_draw(v_energy: float, residual: complex, a: complex, b: complex,
-                        power: float, noise_var: float) -> float:
-    """GMI of one trial of a draw, ``(V, Y)``, and ``b`` at 50 digits.
-
-    With ``s^H v = conj(a) V + Y``: ``c = |b|^2 V``, the cross term
-    ``x = b s^H v`` and ``||s - b v||^2 - ||s||^2 = c - 2 Re x``.
-    """
-    with localcontext() as ctx:
-        ctx.prec = 50
-        br, bi = Decimal(b.real), Decimal(b.imag)
-        v = Decimal(v_energy)
-        # s^H v = conj(a) V + Y
-        gr = Decimal(a.real) * v + Decimal(residual.real)
-        gi = -Decimal(a.imag) * v + Decimal(residual.imag)
-        c = (br * br + bi * bi) * v
-        xr, xi = br * gr - bi * gi, br * gi + bi * gr
-        return _literal_functional(c, xr, xi, c - 2 * xr, power, noise_var)
-
-
-def _literal_functional(c, xr, xi, u1, power: float, noise_var: float) -> float:
-    """The functional at its smaller stationary root, in the current
-    ``decimal`` context, from ``c = ||b v||^2``, ``x = s^H (b v)`` and
-    ``u1 = ||s - b v||^2 - ||s||^2``."""
-    pw, nv = Decimal(power), Decimal(noise_var)
-    p, q = pw / nv, xr * xr + xi * xi
-    u2 = c + p * q
-    qa = p * p * u1 * c * c + u2 * p * c
-    qb = p * c * c - 2 * u2 - 2 * p * u1 * c
-    qc = u1 - c
-    if qc >= 0:
-        return 0.0
-    theta = (-qb - (qb * qb - 4 * qa * qc).sqrt()) / (2 * qa) / nv
-    den = 1 - pw * theta * c
-    value = theta * pw * u1 + den.ln() - pw * theta * theta * (c * nv + pw * q) / den
-    return float(value)
 
 
 class TestHighSnrAccuracy:

@@ -8,7 +8,6 @@ from scipy import stats as scipy_stats
 
 from lsrsim import (
     ChannelConfig,
-    ChannelRealization,
     ConfigError,
     Draw,
     build_channel_config,
@@ -17,15 +16,12 @@ from lsrsim import (
     gmi_histogram,
     gmi_samples_multi_b,
     lmmse_coefficient,
-    sample_realization,
-    statistics,
-    substream,
-    theta_star,
     wilson_interval,
 )
 from lsrsim import outage
 from lsrsim.channel import gram_variances
 from lsrsim.streams import CHUNK_TRIALS
+from oracles import ChannelRealization, sample_realization, statistics, substream, theta_star
 
 
 def perfect_csi_config(power=10.0, n_r=1):

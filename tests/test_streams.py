@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lsrsim import BlockSampler, philox_key, substream
+from lsrsim import BlockSampler, philox_key
+from oracles import substream
 
 
 def test_substream_reproducible():
