@@ -352,11 +352,12 @@ def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True) -> Result
     :func:`~lsrsim.outage.draw`) and scaled to each of its distinct
     ``(rate_bits, snr_db)`` points in turn, which gives each
     point ``draw(config, trials, seed)`` bit for bit while they share
-    their randomness.  The last point of each ``n_r`` is scaled in place,
-    so an antenna count of one point holds one draw, as ``draw`` does.  A
-    point's draw is released once its rows are built; every row of a
-    point reads that point's draw, and a repeated point's rows are
-    copies.  The rows come out in the grid's row order.
+    their randomness.  An antenna count of one point scales the variates
+    in place and so holds one draw, as ``draw`` does; one of more points
+    scales each into the same pair of arrays in turn, so it holds the
+    variates and one draw.  A point's draw is overwritten once its rows are
+    built; every row of a point reads that point's draw, and a repeated
+    point's rows are copies.  The rows come out in the grid's row order.
 
     ``include_lsr=False`` applies to ``outage_curve`` only: it skips the
     shrinkage search and emits the LMMSE columns alone, which equal those of
@@ -371,7 +372,7 @@ def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True) -> Result
     grid = list(_grid(cfg, snr_major=kind.snr_major))
     if searches:
         # the search's cached tables, built before the first draw, stay
-        # below every point's arrays, so the heap can shrink after each point
+        # below every point's arrays rather than between them
         for rate in dict.fromkeys(p.rate_nats for p in grid):
             OutageCounter.prepare(rate)
     # the distinct points, first entries kept, grouped by antenna count
@@ -380,11 +381,17 @@ def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True) -> Result
         groups.setdefault(p.n_r, {}).setdefault((p.n_r, p.rate_bits, p.snr_db), p)
     cells: dict[tuple, list[dict]] = {}
     for n_r, points in groups.items():
+        # a lone point scales the variates in place; more points are scaled
+        # in turn into one pair of arrays, allocated before the variates so
+        # that the points' search results, freed after each point, come
+        # after both in the heap, where the next point finds their memory
+        arrays = None if len(points) == 1 else (np.empty(cfg.trials), np.empty(cfg.trials, np.complex128))
         variates = _sample(n_r, cfg.trials, cfg.seed)
-        for i, (key, p) in enumerate(points.items(), 1):
-            # the last point needs the variates no more, and scales them in place
-            cells[key] = point_rows(cfg, p, _scale(p.config, *variates, in_place=i == len(points)))
-        del variates
+        if arrays is None:
+            arrays = variates
+        for key, p in points.items():
+            cells[key] = point_rows(cfg, p, _scale(p.config, *variates, out=arrays))
+        del variates, arrays
     rows = []
     for p in grid:
         # grid columns from each entry: snr_db -0.0 and 0.0 share a key but print differently

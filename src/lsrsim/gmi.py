@@ -341,7 +341,31 @@ def _end_tables(rate: float):
     return kappa_max, scale, table
 
 
-def _feasible_ends(kappa, kappa_err, rate: float):
+class _Arena:
+    """Arrays carved one after another from the front of a byte buffer.
+
+    :meth:`take` returns a view of the next free bytes, aligned to 64, or a
+    new array once the buffer is full, so a caller whose arrays outgrow the
+    buffer still runs, allocating the rest as plain numpy would.  A view
+    stays valid until the buffer's next arena carves it again.
+    """
+
+    __slots__ = ("buf", "used")
+
+    def __init__(self, buf: np.ndarray, used: int = 0):
+        self.buf, self.used = buf, used
+
+    def take(self, *shape: int, dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        start = -(-self.used // 64) * 64
+        stop = start + math.prod(shape) * dtype.itemsize
+        if stop > self.buf.size:
+            return np.empty(shape, dtype)
+        self.used = stop
+        return self.buf[start:stop].view(dtype).reshape(shape)
+
+
+def _feasible_ends(kappa, kappa_err, rate: float, arena: _Arena | None = None):
     """Both ends of each trial's feasible interval, as their ``p = 1/q``:
     ``(p, err, slope)``, each of shape ``(2, kappa.size)``, row 0 the lower
     end (``p < 1``) and row 1 the upper one (``p > 1``).
@@ -371,14 +395,31 @@ def _feasible_ends(kappa, kappa_err, rate: float):
     """
     kappa_max, scale, table = _end_tables(rate)
     cells = _END_TABLE_CELLS
-    t = np.sqrt(np.fmax(kappa_max - kappa, 0.0))
-    pos = t * scale
-    cell = np.minimum(np.floor(pos), cells - 1.0)
-    frac = pos - cell
-    cell[1] += cells
-    # every index is in range; "clip" skips numpy's check, half the gather
-    c0, c1, c2, c3, err, gain, slope0, slope1, slope2 = table.take(cell.astype(np.intp), axis=1, mode="clip")
+    arena = arena or _Arena(np.empty(0, np.uint8))
+    n = kappa.size
+    t = np.subtract(kappa_max, kappa, out=arena.take(n))
+    np.sqrt(np.fmax(t, 0.0, out=t), out=t)
+    frac = np.multiply(t, scale, out=arena.take(2, n))
+    # the cells' rows are gathered in three groups into five rows: the
+    # cubic's four into rows 1-4, err and gain into rows 0-1, the slope's
+    # three into rows 1-3; "clip" skips numpy's check of the indices, all in
+    # range, and lets take write straight into its out
+    rows = arena.take(5, 2, n)
+    cell = np.floor(frac, out=rows[0])
+    np.minimum(cell, cells - 1.0, out=cell)
+    np.subtract(frac, cell, out=frac)
+    index = arena.take(2, n, dtype=np.intp)
+    np.copyto(index, cell, casting="unsafe")
+    index[1] += cells
     with np.errstate(divide="ignore", invalid="ignore"):
-        spread = (kappa_err + 4.0 * _EPS * kappa_max) / t
-        p = ((c3 * frac + c2) * frac + c1) * frac + c0
-        return p, err + gain * spread, (slope2 * frac + slope1) * frac + slope0
+        spread = np.divide(np.add(kappa_err, 4.0 * _EPS * kappa_max, out=rows[0, 0]), t, out=t)
+        c0, c1, c2, c3 = table[:4].take(index, axis=1, mode="clip", out=rows[1:])
+        p = np.add(np.multiply(c3, frac, out=c3), c2, out=c3)
+        p = np.add(np.multiply(p, frac, out=p), c1, out=p)
+        p = np.add(np.multiply(p, frac, out=p), c0, out=p)
+        err, gain = table[4:6].take(index, axis=1, mode="clip", out=rows[:2])
+        err = np.add(err, np.multiply(gain, spread, out=gain), out=err)
+        slope0, slope1, slope2 = table[6:].take(index, axis=1, mode="clip", out=rows[1:4])
+        slope = np.add(np.multiply(slope2, frac, out=slope2), slope1, out=slope2)
+        slope = np.add(np.multiply(slope, frac, out=slope), slope0, out=slope)
+        return p, err, slope

@@ -30,15 +30,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .channel import (ChannelConfig, _check, _check_integer, _check_real, _check_trials, gram_variances,
-                      lmmse_coefficient)
-from .gmi import _EPS, _end_tables, _feasible_ends, _solve_theta, _Workspace
+from .channel import (ChannelConfig, ConfigError, _check, _check_integer, _check_real, _check_trials,
+                      gram_variances, lmmse_coefficient)
+from .gmi import _EPS, _Arena, _end_tables, _feasible_ends, _solve_theta, _Workspace
 from .streams import CHUNK_TRIALS, BlockSampler
 
 __all__ = [
@@ -216,11 +217,33 @@ _GMI_MARGIN = 1e-12
 # largest first-order relative error of a trial's kappa (from cancellation
 # in Re and Im of s^H v) for which the counter certifies its ends
 _KAPPA_ERROR = 1e-13
-# most trials per block of the counter's build.  Smaller blocks pay numpy's
-# per-call overhead more often, larger ones page-fault on their temporaries:
-# at 10,000 trials on a 2-core x86-64 VM a build took 6.5 ms in blocks of
-# 1,024, 4.7 ms in 3 blocks (at most 4,096) and 5.6 ms in one block
-_COUNT_BLOCK = 4096
+# most trials per block of the counter's build.  A block's temporaries take
+# 207 bytes a trial of it, all carved from the kept scratch, so the block
+# size is set by the scratch: smaller blocks pay numpy's per-call overhead,
+# about 0.1 ms a block, more often.  At 10,000 trials (5 SNR points, n_r 8,
+# 2 bits, interleaved medians on a 2-core x86-64 VM) a build took 2.30 ms in
+# blocks of 1,024, 1.58 ms in blocks of 2,048, 1.34 ms in 3 blocks (at most
+# 4,096), 1.22 ms in 2 blocks (at most 6,144) and 1.13 ms in one block
+_COUNT_BLOCK = 6144
+# bytes of each thread's kept scratch of the b search.  optimize_b carves
+# from it its counter's sorted ends, 16 bytes a trial, then the build's
+# temporaries, at most 1.27 MB, and after the build the sweep's arrays, 17
+# bytes an end; so a search of up to about 20,000 trials allocates only its
+# results, and a larger one allocates what does not fit
+_SCRATCH_BYTES = 3 * 2**19
+_KEPT = threading.local()
+
+
+def _search_scratch() -> _Arena:
+    """An arena over this thread's kept scratch, allocated on its first use
+    and kept for the thread's life.  Its views are valid until the next
+    call in the same thread."""
+    buf = getattr(_KEPT, "buf", None)
+    if buf is None:
+        buf = _KEPT.buf = np.empty(_SCRATCH_BYTES, np.uint8)
+    return _Arena(buf)
+
+
 # smallest b^2 min(V) the counter reads from its ends; below it c = b^2 V
 # nears underflow and Draw.gmi no longer reads the small-b limit
 _TINY_C = 1e-290
@@ -235,11 +258,15 @@ class OutageCounter:
     ``[lo, hi]`` (see :mod:`lsrsim.gmi`), so the feasible trials at ``b``
     number ``#{lo <= b} - #{hi < b}``: two binary searches on the sorted
     ends.  The ends are built once from each trial's ``rho = Re(s^H v)``
-    and ``kappa``, in the fewest evenly sized blocks of at most
-    ``_COUNT_BLOCK`` trials, whose temporaries take about 1 MB; only the
-    trials that pass the tests on ``rho`` and ``kappa`` below have their
-    ends read, from the per-rate table of ``gmi._end_tables``.  The counter
-    keeps 16 bytes per trial, the sorted ends.
+    and ``kappa``, read from the per-rate table of ``gmi._end_tables`` and
+    kept for the trials that pass the tests on ``rho`` and ``kappa`` below.
+    The build runs in the fewest evenly sized blocks of at most
+    ``_COUNT_BLOCK`` trials, whose temporaries, 207 bytes a trial of a
+    block (1.27 MB at most), are views of a scratch of ``_SCRATCH_BYTES``
+    (1.5 MiB) that each thread allocates once and keeps; so a build
+    allocates only the counter's own 16 bytes per trial, the sorted ends.
+    Counters may be built in several threads at once, each in its own
+    thread's scratch.
 
     A trial's ends are certified when they are known to within a relative
     ``_END_WINDOW / 8`` and its GMI stays ``_GMI_MARGIN (rate + 2)`` nats
@@ -256,28 +283,39 @@ class OutageCounter:
     """
 
     def __init__(self, d: Draw, rate_nats: float):
+        trials = d.v_energy.size
+        self._build(d, rate_nats, np.empty(trials), np.empty(trials), _search_scratch())
+
+    @classmethod
+    def _in_scratch(cls, d: Draw, rate_nats: float, arena: _Arena) -> OutageCounter:
+        """A counter whose sorted ends are views carved from ``arena``, in
+        front of the build's own temporaries: valid only until the arena's
+        buffer is carved again.  :func:`~lsrsim.shrinkage.optimize_b`
+        builds its counter so, from the thread's kept scratch."""
+        counter = cls.__new__(cls)
+        trials = d.v_energy.size
+        counter._build(d, rate_nats, arena.take(trials), arena.take(trials), arena)
+        return counter
+
+    def _build(self, d: Draw, rate_nats: float, lo: np.ndarray, hi: np.ndarray, arena: _Arena) -> None:
         _check_rate(rate_nats)
         self.draw, self.rate = d, float(rate_nats)
         trials = d.v_energy.size
-        self._lo, self._hi = np.full(trials, np.inf), np.full(trials, np.inf)
+        self._lo, self._hi = lo, hi
+        lo.fill(0.0 if self.rate == 0.0 else np.inf)  # a GMI is never below 0
+        hi.fill(np.inf)
         unsure = [np.zeros(0, dtype=np.intp)]
-        if self.rate == 0.0:
-            self._lo.fill(0.0)  # a GMI is never below 0
-        else:
-            # the fewest blocks of at most _COUNT_BLOCK trials, evenly sized.
-            # Only the multiset of the ends counts, so the certified ends of
-            # each block are packed at the front and the inf rest sorts last
+        if self.rate > 0.0:
+            # the fewest blocks of at most _COUNT_BLOCK trials, evenly sized;
+            # an uncertified trial keeps ends of inf, which sort last.  Each
+            # block's temporaries are carved afresh after what the arena holds
             blocks = -(-trials // _COUNT_BLOCK)
             bounds = [trials * k // blocks for k in range(blocks + 1)]
-            kept = 0
             for start, stop in zip(bounds, bounds[1:]):
-                lo, hi, redo = self._ends(start, stop)
-                self._lo[kept : kept + lo.size], self._hi[kept : kept + hi.size] = lo, hi
-                kept += lo.size
-                unsure.append(redo + start)
+                unsure.append(self._ends(start, stop, _Arena(arena.buf, arena.used)) + start)
         self._unsure = np.concatenate(unsure)
-        self._lo.sort()
-        self._hi.sort()
+        lo.sort()
+        hi.sort()
         v_min = float(d.v_energy.min())
         # the smallest b counted from the ends
         self.b_min = math.sqrt(_TINY_C / v_min) if v_min > 0.0 else math.inf
@@ -290,24 +328,31 @@ class OutageCounter:
         if rate_nats > 0.0:
             _end_tables(float(rate_nats))
 
-    def _ends(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The lower and upper ends of the certified trials among
-        ``start..stop-1``, and the offsets from ``start`` of the trials left
-        to re-solve."""
+    def _ends(self, start: int, stop: int, arena: _Arena) -> np.ndarray:
+        """Write the ends of the certified trials among ``start..stop-1``
+        into the same entries of ``_lo`` and ``_hi``, and return the offsets
+        from ``start`` of the trials left to re-solve.  Every temporary is
+        carved from ``arena``."""
         d, rate = self.draw, self.rate
         a = lmmse_coefficient(d.config)
+        n = stop - start
         v, y = d.v_energy[start:stop], d.residual[start:stop]
-        # s^H v = conj(a) V + Y = rho + i im, each with a rounding bound
-        rho = a.real * v + y.real
-        im = y.imag - a.imag * v
-        rho_err = 4.0 * _EPS * (abs(a.real) * v + np.abs(y.real))
-        im_err = 4.0 * _EPS * (abs(a.imag) * v + np.abs(y.imag))
-        noise = (d.config.noise_var / d.config.power) * v
-        num = im * im + noise
+        rho, im, rho_err, im_err, noise, kappa, rel, k_err, w1, w2 = (arena.take(n) for _ in range(10))
+        certified, ok, dead = (arena.take(n, dtype=np.bool_) for _ in range(3))
+        sure, sure_hi = (arena.take(2, n, dtype=np.bool_) for _ in range(2))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            kappa = num / (rho * rho)
-            rel = 2.0 * rho_err / np.abs(rho) + 2.0 * np.abs(im) * im_err / num + 8.0 * _EPS
-            kappa_low = (np.maximum(np.abs(im) - im_err, 0.0) ** 2 + noise) / (np.abs(rho) + rho_err) ** 2
+            # s^H v = conj(a) V + Y = rho + i im, each with a rounding bound
+            np.add(np.multiply(v, a.real, out=rho), y.real, out=rho)
+            np.subtract(y.imag, np.multiply(v, a.imag, out=im), out=im)
+            for bound, part, coef in ((rho_err, y.real, a.real), (im_err, y.imag, a.imag)):
+                np.add(np.multiply(v, abs(coef), out=bound), np.abs(part, out=w1), out=bound)
+                np.multiply(bound, 4.0 * _EPS, out=bound)
+            np.multiply(v, d.config.noise_var / d.config.power, out=noise)
+            num = np.add(np.multiply(im, im, out=w1), noise, out=w1)
+            np.divide(num, np.multiply(rho, rho, out=kappa), out=kappa)
+            np.divide(np.multiply(rho_err, 2.0, out=rel), np.abs(rho, out=w2), out=rel)
+            np.multiply(np.multiply(np.abs(im, out=w2), 2.0, out=w2), im_err, out=w2)
+            np.add(np.add(rel, np.divide(w2, num, out=w2), out=rel), 8.0 * _EPS, out=rel)
 
             # a peak GMI log1p(1 / kappa) a margin below the rate, or rho < 0
             # (a GMI of 0), is an outage at every b; one a margin above it
@@ -315,36 +360,58 @@ class OutageCounter:
             kappa_max = 1.0 / math.expm1(rate)
             tol = _GMI_MARGIN * (rate + 2.0)
             margin = 1e-7 + 4.0 * tol * (1.0 + kappa_max)
-            dead = ((rho < -rho_err) & (rate > tol)) | (kappa_low > kappa_max * (1.0 + margin))
-            certified = (rho > 0.0) & (rel <= _KAPPA_ERROR)
-            certified &= kappa * (1.0 + rel) < kappa_max * (1.0 - margin)
+            np.greater(rho, 0.0, out=certified)
+            np.logical_and(certified, np.less_equal(rel, _KAPPA_ERROR, out=ok), out=certified)
+            np.multiply(kappa, np.add(rel, 1.0, out=w1), out=w1)
+            np.logical_and(certified, np.less(w1, kappa_max * (1.0 - margin), out=ok), out=certified)
 
-            # only the trials certified so far have their ends read, with the
-            # pre-tests' temporaries freed (fewer pages to fault in)
-            del im, rho_err, im_err, noise, num, kappa_low
-            live = np.flatnonzero(certified)
-            kappa, rel = kappa[live], rel[live]
-            k_err = kappa * rel
-            p, err, slope = _feasible_ends(kappa, k_err, rate)
-            sure_lo, sure_hi = (err + rel <= _END_WINDOW / 8.0) & (slope * _END_WINDOW >= 8.0 * tol)
+            # every trial's ends are read, the few uncertified ones' unused:
+            # cheaper than gathering the rest
+            np.multiply(kappa, rel, out=k_err)
+            p, err, slope = _feasible_ends(kappa, k_err, rate, arena)
+            np.less_equal(np.add(err, rel, out=err), _END_WINDOW / 8.0, out=sure)
+            np.greater_equal(np.multiply(slope, _END_WINDOW, out=slope), 8.0 * tol, out=sure_hi)
+            np.logical_and(sure, sure_hi, out=sure)
             # for kappa <= 1/rate - 1 the interval reaches b -> 0+, where the
-            # GMI tends to 1 / (1 + kappa)
-            to_zero = kappa <= 1.0 / rate - 1.0
-            p[0, to_zero] = 0.0
-            sure_lo[to_zero] = (rate + 2.0 * tol) * (1.0 + kappa + k_err)[to_zero] <= 1.0
-            sure = sure_lo & sure_hi
-            certified[live] = sure
+            # GMI tends to 1 / (1 + kappa); above 1 nat no kappa >= 0 does
+            if 1.0 / rate - 1.0 >= 0.0:
+                to_zero = np.less_equal(kappa, 1.0 / rate - 1.0, out=ok)
+                np.copyto(p[0], 0.0, where=to_zero)
+                np.multiply(np.add(np.add(kappa, 1.0, out=w1), k_err, out=w1), rate + 2.0 * tol, out=w1)
+                np.copyto(sure[0], np.less_equal(w1, 1.0, out=dead), where=to_zero)
+            np.logical_and(certified, np.logical_and(sure[0], sure[1], out=ok), out=certified)
             # b = (rho / V) p, with rho / V the peak
-            live = live[sure]
-            lo, hi = (rho[live] / v[live]) * p[:, sure]
-        return lo, hi, np.flatnonzero(~(dead | certified))
+            np.multiply(p, np.divide(rho, v, out=w1), out=p)
+            np.copyto(self._lo[start:stop], p[0], where=certified)
+            np.copyto(self._hi[start:stop], p[1], where=certified)
+
+            # the rest are re-solved, but for the dead: rho < 0 beyond its
+            # rounding, or kappa at its least a margin past the peak's
+            rest = np.flatnonzero(np.logical_not(certified, out=ok))
+            m = rest.size
+            if not m:
+                return rest
+            rho, rho_err, im, im_err, noise = (
+                np.take(x, rest, mode="clip", out=w[:m])
+                for x, w in ((rho, kappa), (rho_err, rel), (im, k_err), (im_err, w1), (noise, w2)))
+            low = np.maximum(np.subtract(np.abs(im, out=im), im_err, out=im), 0.0, out=im)
+            np.add(np.multiply(low, low, out=low), noise, out=low)
+            dead = np.less(rho, np.negative(rho_err, out=im_err), out=dead[:m])
+            np.logical_and(dead, rate > tol, out=dead)
+            high = np.add(np.abs(rho, out=rho), rho_err, out=rho)
+            np.divide(low, np.multiply(high, high, out=high), out=low)
+            np.logical_or(dead, np.greater(low, kappa_max * (1.0 + margin), out=ok[:m]), out=dead)
+        return rest[np.logical_not(dead, out=dead)]
 
     def outages(self, b_values: Sequence[float]) -> list[OutageEstimate]:
-        """``[d.outage(b, rate_nats) for b in b_values]``, counted."""
-        b = np.asarray(b_values, dtype=float)
+        """``[d.outage(b, rate_nats) for b in b_values]``, counted.  Each
+        ``b`` is checked as ``d.outage`` checks it, and a ``b`` with an
+        imaginary part is read by ``d.outage`` whole."""
+        values = [_check_coefficient(x) for x in b_values]
+        b = np.array([x.real for x in values])
         lo, hi = self._lo, self._hi
         w_lo, w_hi = b * (1.0 - 2.0 * _END_WINDOW), b * (1.0 + 2.0 * _END_WINDOW)
-        counted = np.isfinite(b) & (b > 0.0) & (b >= self.b_min)
+        counted = np.array([x.imag == 0.0 for x in values], dtype=bool) & (b > 0.0) & (b >= self.b_min)
         # #{ends <= x} (side "right") and #{ends < x} (side "left"), as lists
         searches = ((lo, b, "right"), (hi, b, "left"),
                     (lo, w_hi, "right"), (lo, w_lo, "left"), (hi, w_hi, "right"), (hi, w_lo, "left"))
@@ -356,7 +423,7 @@ class OutageCounter:
         for i, bi in enumerate(b.tolist()):
             near = lo_le_w[i] != lo_lt_w[i] or hi_le_w[i] != hi_lt_w[i]
             if near or not counted[i]:
-                estimates.append(d.outage(bi, self.rate))
+                estimates.append(d.outage(values[i], self.rate))
                 continue
             failures = trials - (lo_le[i] - hi_lt[i])
             if redo.size:
@@ -412,17 +479,15 @@ def _sample(n_r: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return gamma, normals
 
 
-def _scale(config: ChannelConfig, gamma: np.ndarray, normals: np.ndarray, *, in_place: bool = False) -> Draw:
+def _scale(config: ChannelConfig, gamma: np.ndarray, normals: np.ndarray, out: tuple[np.ndarray, np.ndarray]) -> Draw:
     """The second stage of :func:`draw`: the draw of ``config`` from the
-    variates of :func:`_sample` for its ``n_r``, scaled one chunk at a time
-    so that the temporaries stay one chunk's.  With ``in_place`` it
-    overwrites the variates and keeps them as its arrays."""
+    variates of :func:`_sample` for its ``n_r``, written into the arrays
+    ``out = (v, y)`` and kept as the draw's.  It scales one chunk at a time,
+    so that the temporaries stay one chunk's, and ``out`` may be the
+    variates themselves, which it then overwrites."""
     pilot_var, error_var = gram_variances(config)
     half_error_var = error_var / 2.0
-    if in_place:
-        v, y = gamma, normals
-    else:
-        v, y = np.empty_like(gamma), np.empty_like(normals)
+    v, y = out
     for lo in range(0, gamma.size, CHUNK_TRIALS):
         rows = slice(lo, lo + CHUNK_TRIALS)
         t = np.sqrt(half_error_var * np.multiply(pilot_var, gamma[rows], out=v[rows]))
@@ -452,7 +517,8 @@ def draw(config: ChannelConfig, trials: int, seed: int) -> Draw:
     """
     trials = _check_trials("trials", trials)
     seed = _check_integer("seed", seed)
-    return _scale(config, *_sample(config.n_r, trials, seed), in_place=True)
+    variates = _sample(config.n_r, trials, seed)
+    return _scale(config, *variates, out=variates)
 
 
 def gmi_samples_multi_b(
@@ -498,6 +564,10 @@ def gmi_histogram(gmi: np.ndarray, bins: int) -> GmiHistogram:
     one with an entry that is not finite, is refused.
     """
     _check_integer("bins", bins, low=2)
+    try:
+        gmi = np.asarray(gmi, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("gmi", f"must be an array of real numbers, got {gmi!r}") from None
     _check(gmi.size > 0, "gmi", "must hold at least one value")
     _check(bool(np.isfinite(gmi).all()), "gmi", "must hold finite values only")
     top = float(gmi.max())

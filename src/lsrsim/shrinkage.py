@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _check, _check_real, lmmse_coefficient
-from .outage import Draw, OutageCounter, OutageEstimate
+from .outage import Draw, OutageCounter, OutageEstimate, _search_scratch
 
 __all__ = ["SearchSpec", "BOptimum", "optimize_b"]
 
@@ -64,36 +64,67 @@ def optimize_b(d: Draw, rate_nats: float, spec: SearchSpec = SearchSpec()) -> BO
     with ratio 1 in the domain the optimum is never worse than the LMMSE
     point.  ``outage`` equals ``d.outage(b_star, rate_nats)`` and ``at_a``
     equals ``d.outage(a, rate_nats)``, failure for failure.
+
+    The counter's sorted ends (16 bytes a trial), the build's temporaries
+    and, after the build, the sweep's arrays (17 bytes an end) are views of
+    the calling thread's kept scratch (``outage._search_scratch``, 1.5
+    MiB), so a search of up to about 20,000 trials allocates only its
+    results: ``sweep``, 16 bytes a step.  A larger search allocates what
+    does not fit, as a plain numpy search would, and the scratch does not
+    grow.  Searches may run in several threads at once; a thread's scratch
+    serves one search at a time, which a search never calls back into.
     """
     a = abs(lmmse_coefficient(d.config))
     low, high = spec.ratio_low * a, spec.ratio_high * a
-    counter = OutageCounter(d, rate_nats)
+    # the counter's ends and the sweep's arrays are views of the thread's
+    # kept scratch, the sweep's after the ends; only the results are new
+    arena = _search_scratch()
+    counter = OutageCounter._in_scratch(d, rate_nats, arena)
     if high <= counter.b_min:
-        starts, failures = np.array([low]), np.array([counter.outages([0.5 * low + 0.5 * high])[0].failures])
+        best, starts = 0, np.array([low])
+        p_hat = np.array([counter.outages([0.5 * low + 0.5 * high])[0].p_hat])
     else:
         start = max(low, counter.b_min)
         lo, hi = counter.intervals()
         i, i_end = np.searchsorted(lo, start, "right"), np.searchsorted(lo, high, "left")
         j, j_end = np.searchsorted(hi, start, "right"), np.searchsorted(hi, high, "left")
-        ends = np.concatenate(([start], lo[i:i_end], hi[j:j_end]))
-        order = np.argsort(ends, kind="stable")
+        ends = 1 + (i_end - i) + (j_end - j)
+        # every end lies above start > 0, so the bits of start and of the
+        # ends, shifted up one with a low bit 1 for an upper end, sort as
+        # their values do, start first and a lower end before an equal upper
+        # one: the order of a stable sort of start, the lower and the upper
+        # ends, from an unstable sort in place
+        key, one = arena.take(ends, dtype=np.uint64), np.uint64(1)
+        key[0] = np.float64(start).view(np.uint64) << one
+        np.left_shift(lo[i:i_end].view(np.uint64), one, out=key[1 : 1 + i_end - i])
+        upper = key[1 + i_end - i :]
+        np.bitwise_or(np.left_shift(hi[j:j_end].view(np.uint64), one, out=upper), one, out=upper)
+        key.sort(kind="stable")
         # just above start #{lo <= start} - #{hi <= start} trials are
         # feasible; each lower end passed adds one, each upper end takes one
-        # away (every end lies above start, which stays first)
-        failures = np.where(order > i_end - i, 1, -1)
+        # away
+        failures = arena.take(ends, dtype=np.int64)
+        np.bitwise_and(key, one, out=failures.view(np.uint64))
+        np.subtract(np.left_shift(failures, 1, out=failures), 1, out=failures)
         failures[0] = lo.size - i + j
         np.cumsum(failures, out=failures)
-        starts = ends[order]
-        del ends, order  # 8 bytes per end each, at the search's memory peak
-        # a step starts after the last of equal ends, where the outage changes
-        last = np.r_[starts[1:] != starts[:-1], True]
-        starts, failures = starts[last], failures[last]
-        step = np.r_[True, failures[1:] != failures[:-1]]
-        starts, failures = starts[step], failures[step]
-    best = int(np.argmin(failures))
+        starts = np.right_shift(key, one, out=key).view(np.float64)
+        # a step starts after the last of equal ends, where the outage
+        # changes; equal ends are rare, and only they allocate here
+        step = arena.take(ends, dtype=np.bool_)
+        step[-1] = True
+        if not np.not_equal(starts[1:], starts[:-1], out=step[:-1]).all():
+            starts, failures = starts[step], failures[step]
+            step = step[: starts.size]
+        step[0] = True
+        np.not_equal(failures[1:], failures[:-1], out=step[1:])
+        # the first least count starts a step
+        best = int(np.count_nonzero(step[: int(np.argmin(failures))]))
+        # the steps' starts are copied out before p_hat overwrites them
+        starts, p_hat = starts[step], np.divide(failures, d.v_energy.size, out=starts)[step]
     end = starts[best + 1] if best + 1 < starts.size else high
     b_star = 0.5 * float(starts[best]) + 0.5 * float(end)
     est, at_a = counter.outages([b_star, a])
     if low <= a <= high and at_a.failures < est.failures:
         b_star, est = a, at_a
-    return BOptimum(b_star=b_star, outage=est, sweep=(starts, failures / d.v_energy.size), at_a=at_a)
+    return BOptimum(b_star=b_star, outage=est, sweep=(starts, p_hat), at_a=at_a)

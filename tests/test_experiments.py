@@ -36,6 +36,7 @@ from lsrsim.experiments import (
     KINDS,
     OUTAGE_CURVE_COLUMNS,
 )
+from lsrsim.outage import OutageCounter
 from lsrsim.streams import CHUNK_TRIALS
 from oracles import ChannelRealization, GmiStatistics, GridSpec, k_ls
 
@@ -175,6 +176,9 @@ class TestConfigValidation:
             ("rate_nats", lambda: optimize_b(d, True)),
             ("gmi", lambda: gmi_histogram(np.array([]), 5)),
             ("gmi", lambda: gmi_histogram(np.array([0.5, math.nan]), 5)),
+            ("gmi", lambda: gmi_histogram(["x"], 5)),
+            ("b", lambda: OutageCounter(d, 0.5).outages(["1"])),
+            ("b", lambda: OutageCounter(d, 0.5).outages([True])),
             ("b_values", lambda: gmi_samples_multi_b(config, [], 10, 1)),
             ("include_lsr", lambda: run_experiment(
                 small_cfg(kind="b_sweep", b_over_a=[1.0]), include_lsr=False)),

@@ -461,6 +461,13 @@ class TestGmiHistogram:
         ks = scipy_stats.kstest(g, lambda x: analytic_perfect_csi_cdf(x, cfg.power))
         assert ks.statistic < 0.01
 
+    def test_reads_a_list(self):
+        values = [0.1, 0.25, 0.25, 0.7]
+        got, want = gmi_histogram(values, 5), gmi_histogram(np.array(values), 5)
+        assert got.counts.tolist() == want.counts.tolist() == [1, 2, 0, 0, 1]
+        assert got.edges.tolist() == want.edges.tolist()
+        assert (got.mean, got.variance) == (want.mean, want.variance)
+
     def test_rejects_too_few_bins(self):
         with pytest.raises(ValueError):
             gmi_histogram(draw(perfect_csi_config(), 100, 1).gmi(1.0), bins=1)
