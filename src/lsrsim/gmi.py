@@ -356,13 +356,13 @@ class _Arena:
         self.buf, self.used = buf, used
 
     def take(self, *shape: int, dtype=np.float64) -> np.ndarray:
-        dtype = np.dtype(dtype)
         start = -(-self.used // 64) * 64
-        stop = start + math.prod(shape) * dtype.itemsize
-        if stop > self.buf.size:
+        try:
+            view = np.ndarray(shape, dtype, self.buf, start)
+        except (TypeError, ValueError):  # past the buffer's end
             return np.empty(shape, dtype)
-        self.used = stop
-        return self.buf[start:stop].view(dtype).reshape(shape)
+        self.used = start + view.nbytes
+        return view
 
 
 def _feasible_ends(kappa, kappa_err, rate: float, arena: _Arena | None = None):
