@@ -227,7 +227,7 @@ _KAPPA_ERROR = 1e-13
 _COUNT_BLOCK = 6144
 # bytes of each thread's kept scratch of the b search.  optimize_b carves
 # from it its counter's sorted ends, 16 bytes a trial, then the build's
-# temporaries, at most 1.27 MB, and after the build the sweep's arrays, 17
+# temporaries, at most 1.27 MB, and after the build the sweep's arrays, 25
 # bytes an end; so a search of up to about 20,000 trials allocates only its
 # results, and a larger one allocates what does not fit
 _SCRATCH_BYTES = 3 * 2**19

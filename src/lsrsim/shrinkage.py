@@ -66,7 +66,7 @@ def optimize_b(d: Draw, rate_nats: float, spec: SearchSpec = SearchSpec()) -> BO
     equals ``d.outage(a, rate_nats)``, failure for failure.
 
     The counter's sorted ends (16 bytes a trial), the build's temporaries
-    and, after the build, the sweep's arrays (17 bytes an end) are views of
+    and, after the build, the sweep's arrays (25 bytes an end) are views of
     the calling thread's kept scratch (``outage._search_scratch``, 1.5
     MiB), so a search of up to about 20,000 trials allocates only its
     results: ``sweep``, 16 bytes a step.  A larger search allocates what
@@ -103,11 +103,12 @@ def optimize_b(d: Draw, rate_nats: float, spec: SearchSpec = SearchSpec()) -> BO
         # just above start #{lo <= start} - #{hi <= start} trials are
         # feasible; each lower end passed adds one, each upper end takes one
         # away
-        failures = arena.take(ends, dtype=np.int64)
-        np.bitwise_and(key, one, out=failures.view(np.uint64))
-        np.subtract(np.left_shift(failures, 1, out=failures), 1, out=failures)
-        failures[0] = lo.size - i + j
-        np.cumsum(failures, out=failures)
+        steps = arena.take(ends, dtype=np.int64)
+        np.bitwise_and(key, one, out=steps.view(np.uint64))
+        np.subtract(np.left_shift(steps, 1, out=steps), 1, out=steps)
+        steps[0] = lo.size - i + j
+        # into a second array: an accumulate in place may copy its input
+        failures = np.cumsum(steps, out=arena.take(ends, dtype=np.int64))
         starts = np.right_shift(key, one, out=key).view(np.float64)
         # a step starts after the last of equal ends, where the outage
         # changes; equal ends are rare, and only they allocate here
