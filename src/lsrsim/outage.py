@@ -225,12 +225,13 @@ _KAPPA_ERROR = 1e-13
 # blocks of 1,024, 1.58 ms in blocks of 2,048, 1.34 ms in 3 blocks (at most
 # 4,096), 1.22 ms in 2 blocks (at most 6,144) and 1.13 ms in one block
 _COUNT_BLOCK = 6144
-# bytes of each thread's kept scratch of the b search.  optimize_b carves
-# from it its counter's sorted ends, 16 bytes a trial, then the build's
-# temporaries, at most 1.27 MB, and after the build the sweep's arrays, 25
-# bytes an end; so a search of up to about 20,000 trials allocates only its
-# results, and a larger one allocates what does not fit
-_SCRATCH_BYTES = 3 * 2**19
+# bytes of each thread's kept scratch of the b search, 1.5 MiB: a block's
+# 207 bytes a trial and room for the ends.  optimize_b carves from it its
+# counter's sorted ends, 16 bytes a trial, then the build's temporaries,
+# and after the build the sweep's arrays, 25 bytes an end; so a search of up
+# to about 20,000 trials allocates only its results, and a larger one
+# allocates what does not fit
+_SCRATCH_BYTES = 256 * _COUNT_BLOCK
 _KEPT = threading.local()
 
 

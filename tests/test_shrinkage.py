@@ -1,7 +1,4 @@
 import math
-import sys
-import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +12,6 @@ from lsrsim import (
     lmmse_coefficient,
     optimize_b,
 )
-from lsrsim import outage
 
 
 def perfect_pilot_config(power=10.0, n_r=1):
@@ -129,68 +125,6 @@ class TestOptimizeB:
             one, two = optimize_b(d, rate), optimize_b(twice, rate)
             assert two.b_star == one.b_star and two.outage.failures == 2 * one.outage.failures
             assert all(np.array_equal(x, y) for x, y in zip(one.sweep, two.sweep))
-
-
-class TestKeptScratch:
-    """The search builds its counter and sweeps in each thread's kept
-    scratch, so a search allocates little beyond its results."""
-
-    def test_search_allocates_only_its_results(self):
-        cfg = build_channel_config(6.0, 8)
-        rate = 2.0 * math.log(2.0)
-        optimize_b(draw(cfg, 10_000, 1), rate)  # the end table and the scratch
-        d = draw(cfg, 10_000, 2)
-        tracemalloc.start()
-        try:
-            opt = optimize_b(d, rate)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the sweep's two arrays, and 16 kB of small arrays and objects
-        assert peak <= sum(x.nbytes for x in opt.sweep) + 16_000
-        assert outage._KEPT.buf.nbytes == outage._SCRATCH_BYTES <= 1.5 * 2**20
-
-    def test_kept_scratch_does_not_grow(self):
-        # a search too large for the scratch allocates its own arrays and
-        # keeps none of them
-        cfg = build_channel_config(6.0, 8)
-        d = draw(cfg, 60_000, 3)
-        optimize_b(d, 1.0)
-        buf = outage._KEPT.buf
-        opt = optimize_b(d, 2.0 * math.log(2.0))
-        assert outage._KEPT.buf is buf and buf.nbytes == outage._SCRATCH_BYTES
-        assert opt.outage == d.outage(opt.b_star, 2.0 * math.log(2.0))
-
-    def test_threads_search_in_their_own_scratch(self):
-        # searches in more threads than cores, switching often, give each
-        # draw's result bit for bit, and each thread keeps its own scratch
-        cfg = build_channel_config(5.0, 8)
-        draws = [draw(cfg, 9_000 + 500 * k, k) for k in range(6)]
-        rate = 2.0 * math.log(2.0)
-        expected = [optimize_b(d, rate) for d in draws]
-        results, buffers = {}, {}
-
-        def search(k):
-            for _ in range(3):
-                results[k] = optimize_b(draws[k], rate)
-            buffers[k] = outage._KEPT.buf
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=search, args=(k,)) for k in range(len(draws))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60.0)
-            assert not any(t.is_alive() for t in threads)
-        finally:
-            sys.setswitchinterval(interval)
-        for k, want in enumerate(expected):
-            got = results[k]
-            assert got.b_star == want.b_star and got.outage == want.outage
-            assert all(np.array_equal(x, y) for x, y in zip(got.sweep, want.sweep))
-        assert len({id(b) for b in buffers.values()}) == len(draws)
 
 
 # (n_r, snr_db, rate_bits, trials, ratio_low, ratio_high); a perfect pilot
