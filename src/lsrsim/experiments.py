@@ -353,8 +353,8 @@ def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True) -> Result
     ``(rate_bits, snr_db)`` points in turn, which gives each
     point ``draw(config, trials, seed)`` bit for bit while they share
     their randomness.  An antenna count of one point scales the variates
-    in place and so holds one draw, as ``draw`` does; one of more points
-    scales each into the same pair of arrays in turn, so it holds the
+    in place and so holds one draw, as ``draw`` does; one of several
+    points scales each into the same pair of arrays in turn, so it holds the
     variates and one draw.  A point's draw is overwritten once its rows are
     built; every row of a point reads that point's draw, and a repeated
     point's rows are copies.  The rows come out in the grid's row order.

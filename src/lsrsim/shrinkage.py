@@ -93,7 +93,7 @@ def optimize_b(d: Draw, rate_nats: float, spec: SearchSpec = SearchSpec()) -> BO
         # ends, shifted up one with a low bit 1 for an upper end, sort as
         # their values do, start first and a lower end before an equal upper
         # one: the order of a stable sort of start, the lower and the upper
-        # ends, from an unstable sort in place
+        # ends, sorted in place with no index array
         key, one = arena.take(ends, dtype=np.uint64), np.uint64(1)
         key[0] = np.float64(start).view(np.uint64) << one
         np.left_shift(lo[i:i_end].view(np.uint64), one, out=key[1 : 1 + i_end - i])
