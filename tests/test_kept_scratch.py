@@ -13,7 +13,7 @@ import math
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -44,6 +44,25 @@ def test_counter_ends_are_pinned_bit_for_bit(pilot, snr_db, n_r, rate, trials, s
     for ends, dtype in ((counter._lo, "<f8"), (counter._hi, "<f8"), (np.sort(counter._unsure), "<i8")):
         h.update(np.ascontiguousarray(ends, dtype=dtype).tobytes())
     assert (counter._unsure.size, h.hexdigest()[:16]) == (unsure, digest)
+
+
+# sha256 (first 16 hex digits) of optimize_b's sweep, b_star, outage and
+# at_a and of d.gmi(b_star) after the search, at 30 dB, n_r 8 and 1 nat,
+# where the counter re-solves every trial (all but one at 30,000) at every
+# b in the scratch past its ends.  At 30,000 trials the ends and a block of
+# the solve do not both fit the scratch
+@pytest.mark.parametrize("trials,digest", [
+    (5_000, "8b7e1d3e41e90d21"),
+    (30_000, "7294be359136bb5c"),
+], ids=["in-scratch", "beyond-scratch"])
+def test_re_solved_search_is_pinned_bit_for_bit(trials, digest):
+    d = draw(build_channel_config(30.0, 8), trials, 11)
+    opt = optimize_b(d, 1.0)
+    h = hashlib.sha256()
+    for x in (*opt.sweep, np.array([opt.b_star]), d.gmi(opt.b_star)):
+        h.update(np.ascontiguousarray(x, dtype="<f8").tobytes())
+    h.update(repr((astuple(opt.outage), astuple(opt.at_a))).encode())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_outages_reads_a_complex_b_whole():
