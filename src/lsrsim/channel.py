@@ -73,15 +73,25 @@ def _check_integer(path: str, value, low: int = 0) -> int:
 
 # the most trials whose complex128 array, 16 bytes a trial, numpy can describe
 _MAX_TRIALS = np.iinfo(np.intp).max // 16
+# the most histogram bins whose bins + 1 float64 edges numpy can describe
+_MAX_BINS = np.iinfo(np.intp).max // 8 - 1
+
+
+def _check_size(path: str, value, low: int, most: int, what: str) -> int:
+    """``value`` as a count: an integer in ``[low, 2**64)``, as
+    :func:`_check_integer` reads it, of at most ``most``, the most ``what``
+    numpy can describe."""
+    count = _check_integer(path, value, low=low)
+    _check(count <= most, path, f"must be at most {most}, the most {what} numpy can describe, got {count}")
+    return count
 
 
 def _check_trials(path: str, value) -> int:
-    """``value`` as a trial count: an integer in ``[1, 2**64)``, as
-    :func:`_check_integer` reads it, of at most ``_MAX_TRIALS``."""
-    trials = _check_integer(path, value, low=1)
-    _check(trials <= _MAX_TRIALS, path,
-           f"must be at most {_MAX_TRIALS}, the most whose complex128 array numpy can describe, got {trials}")
-    return trials
+    return _check_size(path, value, 1, _MAX_TRIALS, "whose complex128 array")
+
+
+def _check_bins(path: str, value) -> int:
+    return _check_size(path, value, 2, _MAX_BINS, "whose bins + 1 float64 edges")
 
 
 def _check_antennas(path: str, value) -> int:

@@ -24,9 +24,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .channel import (ChannelConfig, _check, _check_antennas, _check_integer, _check_list,
+from .channel import (ChannelConfig, _check, _check_antennas, _check_bins, _check_integer, _check_list,
                       _check_real, _check_trials, lmmse_coefficient)
-from .outage import Draw, OutageCounter, OutageEstimate, _sample, _scale, gmi_histogram
+from .outage import Draw, OutageEstimate, _sample, _scale, gmi_histogram
 from .shrinkage import SearchSpec, optimize_b
 
 __all__ = [
@@ -110,7 +110,7 @@ class ExperimentConfig:
             _check_real("rate_bits", self.rate_bits, 0)
         _check_trials("trials", self.trials)
         _check_integer("seed", self.seed)
-        _check_integer("bins", self.bins, 2)
+        _check_bins("bins", self.bins)
         # every kind type-checks b_over_a and b_scale; only the kind that
         # reads one requires it or restricts its value
         if self.b_over_a is not None or self.kind == "b_sweep":
@@ -309,7 +309,6 @@ class ExperimentKind:
     columns: list[str]
     point_rows: Callable[[ExperimentConfig, GridPoint, Draw], list[dict]]
     snr_major: bool = False  # row order; every other kind is n_r-major
-    searches: bool = False  # its rows call optimize_b
 
 
 OUTAGE_CURVE_COLUMNS = [
@@ -334,9 +333,9 @@ ASYMPTOTIC_SCAN_COLUMNS = [
 ]
 
 KINDS = {
-    "outage_curve": ExperimentKind("outage-curve", OUTAGE_CURVE_COLUMNS, _outage_curve_rows, searches=True),
-    "b_vs_snr": ExperimentKind("b-vs-snr", B_VS_SNR_COLUMNS, _b_vs_snr_rows, searches=True),
-    "gmi_histogram": ExperimentKind("gmi-hist", GMI_HISTOGRAM_COLUMNS, _gmi_histogram_rows, searches=True),
+    "outage_curve": ExperimentKind("outage-curve", OUTAGE_CURVE_COLUMNS, _outage_curve_rows),
+    "b_vs_snr": ExperimentKind("b-vs-snr", B_VS_SNR_COLUMNS, _b_vs_snr_rows),
+    "gmi_histogram": ExperimentKind("gmi-hist", GMI_HISTOGRAM_COLUMNS, _gmi_histogram_rows),
     "b_sweep": ExperimentKind("b-sweep", B_SWEEP_COLUMNS, _b_sweep_rows),
     "asymptotic_scan": ExperimentKind(
         "asymptotic-scan", ASYMPTOTIC_SCAN_COLUMNS, _asymptotic_scan_rows, snr_major=True
@@ -364,17 +363,12 @@ def run_experiment(cfg: ExperimentConfig, *, include_lsr: bool = True) -> Result
     the full table.
     """
     kind = KINDS[cfg.kind]
-    columns, point_rows, searches = kind.columns, kind.point_rows, kind.searches
+    columns, point_rows = kind.columns, kind.point_rows
     if not include_lsr:
         _check(cfg.kind == "outage_curve", "include_lsr",
                f"False applies to outage_curve only, not {cfg.kind}")
-        columns, point_rows, searches = OUTAGE_CURVE_COLUMNS_LMMSE_ONLY, _lmmse_rows, False
+        columns, point_rows = OUTAGE_CURVE_COLUMNS_LMMSE_ONLY, _lmmse_rows
     grid = list(_grid(cfg, snr_major=kind.snr_major))
-    if searches:
-        # the search's cached tables, built before the first draw, stay
-        # below every point's arrays rather than between them
-        for rate in dict.fromkeys(p.rate_nats for p in grid):
-            OutageCounter.prepare(rate)
     # the distinct points, first entries kept, grouped by antenna count
     groups: dict[int, dict[tuple, GridPoint]] = {}
     for p in grid:

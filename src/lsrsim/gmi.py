@@ -44,67 +44,29 @@ __all__: list[str] = []
 _EPS = 2.0**-53
 
 
-# The workspace outlived the grid search it was built for: the scan, the
-# histograms, b-sweep, the LMMSE-only curve and the counter's re-solved
-# trials still solve through Draw.gmi.  Written as plain numpy expressions,
-# every bit kept, the solve took 101-124 ns per trial at n_r 128 and 5,000
-# trials (scan_massive's shape) against 44-56 ns with the workspace, and a
-# call at 1e5 trials peaked at 6.1 MB of temporaries against 0.8 MB
-# (quartiles of 400 interleaved calls and tracemalloc, one core of a 2-core
-# x86-64 VM)
-class _Workspace:
-    """Scratch arrays of the vectorized solve, one entry per trial.
-
-    ``c``, ``r``, ``d`` hold the solve's inputs, ``z`` (complex) is scratch
-    for forming them, ``qa`` to ``t`` are float64 scratch and ``mask``/``ok``
-    boolean.  :meth:`first` views the first ``m`` entries of each, so a
-    shorter block reuses the same memory.
-    """
-
-    __slots__ = ("c", "r", "d", "z", "qa", "qb", "qc", "sq", "root", "val", "w", "x", "t", "mask", "ok")
-    _DTYPES = {"z": np.complex128, "mask": np.bool_, "ok": np.bool_}
-
-    def __init__(self, arrays):
-        for name, array in zip(self.__slots__, arrays):
-            setattr(self, name, array)
-
-    @classmethod
-    def empty(cls, size: int) -> _Workspace:
-        return cls(np.empty(size, cls._DTYPES.get(name, np.float64)) for name in cls.__slots__)
-
-    @property
-    def size(self) -> int:
-        return self.c.size
-
-    def first(self, m: int) -> _Workspace:
-        if m == self.size:
-            return self
-        return _Workspace(getattr(self, name)[:m] for name in self.__slots__)
-
-
-def _k_ls_into(ws: _Workspace, theta, c, r, d, power, noise_var) -> np.ndarray:
-    """The rate functional ``k_ls`` at ``theta``, written into ``ws.val``
-    without allocating, with ``ws.w``, ``ws.x`` and ``ws.t`` as scratch.
+def _k_ls_into(theta, c, r, d, power, noise_var, scratch) -> np.ndarray:
+    """The rate functional ``k_ls`` at ``theta``, written into row 0 of
+    ``scratch`` without allocating, with rows 1-3 as scratch.
 
     Uses log1p so the theta -> 0 limit is computed without cancellation.
     The test suite's plain-expression copy, ``_k_ls_core`` in
     ``tests/oracles.py``, applies the same operations to the same operands in
     the same order, so the two agree bit for bit.
     """
-    w, x, t = ws.w, ws.x, ws.t
+    val, w, x, t = scratch
     np.multiply(np.multiply(np.negative(theta, out=w), power, out=w), c, out=w)
     np.subtract(c, np.multiply(2.0, r, out=x), out=x)
     np.subtract(x, np.multiply(np.multiply(noise_var, theta, out=t), c, out=t), out=x)
     np.subtract(x, np.multiply(np.multiply(power, theta, out=t), d, out=t), out=x)
     np.multiply(np.multiply(theta, power, out=t), x, out=t)
     np.divide(t, np.add(1.0, w, out=x), out=t)
-    return np.add(np.log1p(w, out=ws.val), t, out=ws.val)
+    return np.add(np.log1p(w, out=val), t, out=val)
 
 
-def _solve_theta(c, r, d, power, noise_var, ws: _Workspace):
+def _solve_theta(c, r, d, power, noise_var, scratch, flags):
     """Vectorized closed-form maximization of the rate functional.
 
-    Returns ``(theta, gmi, attained)``, views of the workspace: where
+    Returns ``(theta, gmi, attained)``, rows of ``scratch`` and ``flags``: where
     ``attained`` is True, ``theta`` is the maximizing theta and ``gmi`` the
     positive rate; elsewhere the GMI is 0, the ``theta -> 0`` limit, and
     ``theta`` and ``gmi`` hold no meaning.
@@ -132,30 +94,36 @@ def _solve_theta(c, r, d, power, noise_var, ws: _Workspace):
     itself underflows, ``|b|^2 V`` below about 1e-308, ``delta`` is not
     finite and the GMI reads 0.
 
-    Every intermediate is written into the workspace, whose shape is that of
-    the arguments, so a call allocates no array.
+    Every intermediate is written into the nine float64 rows of ``scratch``
+    and the two boolean rows of ``flags``, each of the arguments' shape, so
+    a call allocates no array.  Written as plain numpy expressions, every
+    bit kept, the solve took 101-124 ns per trial at n_r 128 and 5,000
+    trials (scan_massive's shape) against 44-56 ns written into scratch,
+    and a call at 1e5 trials peaked at 6.1 MB of temporaries against 0.8 MB
+    (quartiles of 400 interleaved calls and tracemalloc, one core of a
+    2-core x86-64 VM).
     """
     p = power / noise_var
-    t = ws.t
+    qa, qb, qc, sq, root, _, _, x, t = scratch
+    mask, ok = flags
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # p delta = p d / c
-        pdelta = np.divide(np.multiply(p, d, out=ws.qa), c, out=ws.qa)
-        qb = np.subtract(np.multiply(p, c, out=ws.qb), 2.0, out=ws.qb)
+        pdelta = np.divide(np.multiply(p, d, out=qa), c, out=qa)
+        np.subtract(np.multiply(p, c, out=qb), 2.0, out=qb)
         np.subtract(qb, np.multiply(2.0, pdelta, out=t), out=qb)
-        qa = np.multiply(p, np.add(1.0, pdelta, out=ws.qa), out=ws.qa)
-        qc = np.multiply(-2.0, r, out=ws.qc)
-        sq = np.multiply(qb, qb, out=ws.sq)
+        np.multiply(p, np.add(1.0, pdelta, out=qa), out=qa)
+        np.multiply(-2.0, r, out=qc)
+        np.multiply(qb, qb, out=sq)
         np.sqrt(np.subtract(sq, np.multiply(np.multiply(4.0, qa, out=t), qc, out=t), out=sq), out=sq)
         # the smaller root: 2 C / (sq - B) where B < 0, else (-B - sq) / (2 A)
-        root = np.subtract(np.negative(qb, out=ws.root), sq, out=ws.root)
+        np.subtract(np.negative(qb, out=root), sq, out=root)
         np.divide(root, np.multiply(2.0, qa, out=t), out=root)
-        np.divide(np.multiply(2.0, qc, out=t), np.subtract(sq, qb, out=ws.x), out=t)
-        np.copyto(root, t, where=np.less(qb, 0.0, out=ws.mask))
+        np.divide(np.multiply(2.0, qc, out=t), np.subtract(sq, qb, out=x), out=t)
+        np.copyto(root, t, where=np.less(qb, 0.0, out=mask))
         theta = np.divide(root, np.multiply(c, noise_var, out=t), out=root)
-        val = _k_ls_into(ws, theta, c, r, d, power, noise_var)
+        val = _k_ls_into(theta, c, r, d, power, noise_var, scratch[5:])
 
-    ok, mask = ws.ok, ws.mask
     np.isfinite(theta, out=ok)
     np.logical_and(ok, np.less(theta, 0.0, out=mask), out=ok)
     np.logical_and(ok, np.isfinite(val, out=mask), out=ok)

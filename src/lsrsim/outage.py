@@ -29,17 +29,17 @@ numbers.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .channel import (ChannelConfig, ConfigError, _check, _check_integer, _check_real, _check_trials,
+from .channel import (ChannelConfig, ConfigError, _check, _check_bins, _check_integer, _check_real, _check_trials,
                       gram_variances, lmmse_coefficient)
-from .gmi import _EPS, _Arena, _end_tables, _feasible_ends, _solve_theta, _Workspace
+from .gmi import _EPS, _Arena, _feasible_ends, _solve_theta
 from .streams import CHUNK_TRIALS, BlockSampler
 
 __all__ = [
@@ -56,15 +56,6 @@ __all__ = [
 
 # two-sided 95% normal quantile, Phi^{-1}(0.975)
 _Z95 = 1.959963984540054
-
-# trials per block of Draw.gmi's solve; its workspace (gmi._Workspace says
-# why it stays) takes 114 bytes per trial of a block (3.7 MB at this cap).
-# Larger blocks fall out of cache and smaller ones pay the per-block call
-# overhead: on a 2-core x86-64 VM, 1e5 trials at n_r = 8 took about 42 ns
-# per trial with blocks of 2**14 or 2**15, 52 ns with 2**16 and 60 ns with
-# 2**11
-_GMI_BLOCK = 2**15
-
 
 @dataclass
 class OutageEstimate:
@@ -139,28 +130,37 @@ class Draw:
     def gmi(self, b: complex) -> np.ndarray:
         """Per-trial GMI (nats) of the decoder scaled by ``b``; shape ``(trials,)``.
 
-        The trials are solved in blocks of at most ``_GMI_BLOCK`` in a
-        workspace that the draw allocates on its first call and reuses, so
-        a call allocates only its result.  The block size never changes a
-        result.  A draw's workspace is not shared safely across threads:
-        do not call ``gmi`` or ``outage`` of one draw from two at once.
+        The trials are solved in blocks of at most ``_GMI_BLOCK``, whose
+        temporaries, 114 bytes a trial of a block, are views of the calling
+        thread's kept scratch (``_search_scratch``, the one the ``b``
+        search carves), so a call allocates only its result.  Threads, one
+        draw's included, each solve in their own scratch.  The block size
+        never changes a result.
         """
-        return self._solve(_check_coefficient(b), self.v_energy, self.residual)
+        return self._solve(_check_coefficient(b), self.v_energy, self.residual, _search_scratch())
 
-    def _solve(self, b: complex | np.ndarray, v_energy: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    def _solve(self, b: complex | np.ndarray, v_energy: np.ndarray, residual: np.ndarray,
+               arena: _Arena) -> np.ndarray:
         """:meth:`gmi` of the trials ``(v_energy, residual)``, any subset of
         this draw's, each bit-identical to its value in ``gmi(b)``.  ``b`` may
         also hold one real coefficient per trial: the same operations with
         ``Im b = 0``, whose terms drop out exactly, give trial ``i`` the bits
-        of ``gmi(b[i])``."""
+        of ``gmi(b[i])``.  The temporaries of a block are carved from
+        ``arena`` once, and every block reuses them."""
         a = lmmse_coefficient(self.config)
         per_trial = isinstance(b, np.ndarray)
         power, noise_var = self.config.power, self.config.noise_var
         trials = v_energy.size
         gmi = np.zeros(trials)
-        for lo in range(0, trials, self._workspace.size):
-            hi = min(lo + self._workspace.size, trials)
-            ws = self._workspace.first(hi - lo)
+        m = min(max(trials, 1), _GMI_BLOCK)
+        # z forms Re(b Y); rows 0-2 hold c, r and d, the rest _solve_theta's
+        # scratch, and rows 3, 4 and 11 first e = (conj(b) - conj(a)) V - Y
+        z, rows, flags = arena.take(m, dtype=np.complex128), arena.take(12, m), arena.take(2, m, dtype=np.bool_)
+        for lo in range(0, trials, m):
+            hi = min(lo + m, trials)
+            if hi - lo < m:
+                z, rows, flags = z[: hi - lo], rows[:, : hi - lo], flags[:, : hi - lo]
+            c, r, d, e_re, e_im = rows[:5]
             v, y = v_energy[lo:hi], residual[lo:hi]
             bk = b[lo:hi] if per_trial else b
             br, bi = (bk, 0.0) if per_trial else (b.real, b.imag)
@@ -168,22 +168,18 @@ class Draw:
             with np.errstate(over="ignore", invalid="ignore"):
                 b_abs2 = br * br + bi * bi
                 # r = Re(b conj(a)) V + Re(b Y)
-                r = np.multiply(br * a.real + bi * a.imag, v, out=ws.r)
-                np.add(r, np.multiply(bk, y, out=ws.z).real, out=r)
-                # d = |b|^2 |e|^2 with e = (conj(b) - conj(a)) V - Y
-                e_re = np.subtract(np.multiply(br - a.real, v, out=ws.qa), y.real, out=ws.qa)
-                e_im = np.subtract(np.multiply(a.imag - bi, v, out=ws.qb), y.imag, out=ws.qb)
-                d = np.multiply(e_re, e_re, out=ws.d)
-                np.add(d, np.multiply(e_im, e_im, out=ws.t), out=d)
+                np.multiply(br * a.real + bi * a.imag, v, out=r)
+                np.add(r, np.multiply(bk, y, out=z).real, out=r)
+                # d = |b|^2 |e|^2
+                np.subtract(np.multiply(br - a.real, v, out=e_re), y.real, out=e_re)
+                np.subtract(np.multiply(a.imag - bi, v, out=e_im), y.imag, out=e_im)
+                np.multiply(e_re, e_re, out=d)
+                np.add(d, np.multiply(e_im, e_im, out=rows[11]), out=d)
                 np.multiply(b_abs2, d, out=d)
-                c = np.multiply(b_abs2, v, out=ws.c)
-            _, val, attained = _solve_theta(c, r, d, power, noise_var, ws)
+                np.multiply(b_abs2, v, out=c)
+            _, val, attained = _solve_theta(c, r, d, power, noise_var, rows[3:], flags)
             np.copyto(gmi[lo:hi], val, where=attained)
         return gmi
-
-    @cached_property
-    def _workspace(self) -> _Workspace:
-        return _Workspace.empty(min(max(self.v_energy.size, 1), _GMI_BLOCK))
 
     def outage(self, b: complex, rate_nats: float) -> OutageEstimate:
         """Monte Carlo outage probability ``p(GMI(b) < rate_nats)``.
@@ -225,24 +221,45 @@ _KAPPA_ERROR = 1e-13
 # blocks of 1,024, 1.58 ms in blocks of 2,048, 1.34 ms in 3 blocks (at most
 # 4,096), 1.22 ms in 2 blocks (at most 6,144) and 1.13 ms in one block
 _COUNT_BLOCK = 6144
-# bytes of each thread's kept scratch of the b search, 1.5 MiB: a block's
-# 207 bytes a trial and room for the ends.  optimize_b carves from it its
-# counter's sorted ends, 16 bytes a trial, then the build's temporaries,
-# and after the build the sweep's arrays, 25 bytes an end; so a search of up
-# to about 20,000 trials allocates only its results, and a larger one
-# allocates what does not fit
+# bytes of each thread's kept scratch, 1.5 MiB: a block's 207 bytes a
+# trial and room for the ends.  optimize_b carves from it its counter's
+# sorted ends, 16 bytes a trial, then the build's temporaries, and after the
+# build the sweep's arrays, 25 bytes an end, and the counter's solves; so a
+# search of up to about 20,000 trials allocates only its results, and a
+# larger one allocates what does not fit.  Draw.gmi solves in it too
 _SCRATCH_BYTES = 256 * _COUNT_BLOCK
+# most trials per block of Draw.gmi's solve, whose temporaries take 114 bytes
+# a trial of a block: one block, 1.45 MiB, fits the scratch.  On a 2-core
+# x86-64 VM (medians of 60 calls in each of 4 processes, interleaved with
+# the 32,768-trial blocks of the earlier per-draw workspace) 1e5 trials at
+# n_r 8 took 31.2-32.5 ns a trial (31.5-36.9 ns before) and 5,000 trials at
+# n_r 128, one block, 43.7-46.2 ns (42.6-53.5 ns)
+_GMI_BLOCK = 13_312
 _KEPT = threading.local()
 
 
 def _search_scratch() -> _Arena:
     """An arena over this thread's kept scratch, allocated on its first use
-    and kept for the thread's life.  Its views are valid until the next
-    call in the same thread."""
+    and kept for the thread's life, that carves after the bytes
+    :func:`_holding` holds.  Its views are valid until the scratch is carved
+    again in the same thread."""
     buf = getattr(_KEPT, "buf", None)
     if buf is None:
         buf = _KEPT.buf = np.empty(_SCRATCH_BYTES, np.uint8)
-    return _Arena(buf)
+    return _Arena(buf, getattr(_KEPT, "held", 0))
+
+
+@contextlib.contextmanager
+def _holding(end: int):
+    """Hold the first ``end`` bytes of this thread's kept scratch: inside,
+    every arena of :func:`_search_scratch`, ``Draw.gmi``'s included,
+    carves after them."""
+    held = getattr(_KEPT, "held", 0)
+    _KEPT.held = max(held, end)
+    try:
+        yield
+    finally:
+        _KEPT.held = held
 
 
 # smallest b^2 min(V) the counter reads from its ends; below it c = b^2 V
@@ -266,7 +283,9 @@ class OutageCounter:
     block (1.27 MB at most), are views of a scratch of ``_SCRATCH_BYTES``
     (1.5 MiB) that each thread allocates once and keeps; so a build
     allocates only the counter's own 16 bytes per trial, the sorted ends.
-    Counters may be built in several threads at once, each in its own
+    Every solve the counter runs takes its temporaries from the same
+    scratch, after the counter's ends when they are views of it.  Counters
+    may be built and read in several threads at once, each in its own
     thread's scratch.
 
     A trial's ends are certified when they are known to within a relative
@@ -290,9 +309,10 @@ class OutageCounter:
     @classmethod
     def _in_scratch(cls, d: Draw, rate_nats: float, arena: _Arena) -> OutageCounter:
         """A counter whose sorted ends are views carved from ``arena``, in
-        front of the build's own temporaries: valid only until the arena's
-        buffer is carved again.  :func:`~lsrsim.shrinkage.optimize_b`
-        builds its counter so, from the thread's kept scratch."""
+        front of the build's own temporaries and of every later solve of
+        the counter: valid until anything else carves the arena's buffer
+        again.  :func:`~lsrsim.shrinkage.optimize_b` builds its counter so,
+        from the thread's kept scratch."""
         counter = cls.__new__(cls)
         trials = d.v_energy.size
         counter._build(d, rate_nats, arena.take(trials), arena.take(trials), arena)
@@ -302,7 +322,9 @@ class OutageCounter:
         _check_rate(rate_nats)
         self.draw, self.rate = d, float(rate_nats)
         trials = d.v_energy.size
-        self._lo, self._hi = lo, hi
+        # where the ends stop in the scratch, 0 for ends of their own: the
+        # counter's solves, d.outage's among them, carve after them
+        self._lo, self._hi, self._end = lo, hi, arena.used
         lo.fill(0.0 if self.rate == 0.0 else np.inf)  # a GMI is never below 0
         hi.fill(np.inf)
         unsure = [np.zeros(0, dtype=np.intp)]
@@ -320,14 +342,6 @@ class OutageCounter:
         v_min = float(d.v_energy.min())
         # the smallest b counted from the ends
         self.b_min = math.sqrt(_TINY_C / v_min) if v_min > 0.0 else math.inf
-
-    @staticmethod
-    def prepare(rate_nats: float) -> None:
-        """Build the tables that every counter of ``rate_nats`` reads now;
-        they are cached for the process."""
-        _check_rate(rate_nats)
-        if rate_nats > 0.0:
-            _end_tables(float(rate_nats))
 
     def _ends(self, start: int, stop: int, arena: _Arena) -> np.ndarray:
         """Write the ends of the certified trials among ``start..stop-1``
@@ -421,16 +435,17 @@ class OutageCounter:
         trials = lo.size
         d, redo = self.draw, self._unsure
         estimates = []
-        for i, bi in enumerate(b.tolist()):
-            near = lo_le_w[i] != lo_lt_w[i] or hi_le_w[i] != hi_lt_w[i]
-            if near or not counted[i]:
-                estimates.append(d.outage(values[i], self.rate))
-                continue
-            failures = trials - (lo_le[i] - hi_lt[i])
-            if redo.size:
-                gmi = d._solve(complex(bi), d.v_energy[redo], d.residual[redo])
-                failures -= int(np.count_nonzero(gmi >= self.rate))
-            estimates.append(_estimate(failures, trials))
+        with _holding(self._end):
+            for i, bi in enumerate(b.tolist()):
+                near = lo_le_w[i] != lo_lt_w[i] or hi_le_w[i] != hi_lt_w[i]
+                if near or not counted[i]:
+                    estimates.append(d.outage(values[i], self.rate))
+                    continue
+                failures = trials - (lo_le[i] - hi_lt[i])
+                if redo.size:
+                    gmi = d._solve(complex(bi), d.v_energy[redo], d.residual[redo], _search_scratch())
+                    failures -= int(np.count_nonzero(gmi >= self.rate))
+                estimates.append(_estimate(failures, trials))
         return estimates
 
     def intervals(self) -> tuple[np.ndarray, np.ndarray]:
@@ -446,15 +461,16 @@ class OutageCounter:
             return self._lo, self._hi
         v, y = np.tile(d.v_energy[self._unsure], 2), np.tile(d.residual[self._unsure], 2)
         peak = np.maximum((lmmse_coefficient(d.config).real * v[:n] + y[:n].real) / v[:n], b_min)
-        # a trial infeasible at its peak is feasible at no b
-        ok = d._solve(np.r_[peak, np.full(n, b_min)], v, y) >= rate
-        alive, down = ok[:n] & (peak > b_min), ok[n:]
-        inside, outside = np.r_[peak, peak], np.r_[np.full(n, b_min), peak * (peak / b_min)]
-        for _ in range(math.ceil(math.log2(max(math.log(peak.max() / b_min), 1.0))) + 40):
-            mid = np.sqrt(inside) * np.sqrt(outside)
-            ok = d._solve(mid, v, y) >= rate
-            np.copyto(inside, mid, where=ok)
-            np.copyto(outside, mid, where=~ok)
+        with _holding(self._end):
+            # a trial infeasible at its peak is feasible at no b
+            ok = d._solve(np.r_[peak, np.full(n, b_min)], v, y, _search_scratch()) >= rate
+            alive, down = ok[:n] & (peak > b_min), ok[n:]
+            inside, outside = np.r_[peak, peak], np.r_[np.full(n, b_min), peak * (peak / b_min)]
+            for _ in range(math.ceil(math.log2(max(math.log(peak.max() / b_min), 1.0))) + 40):
+                mid = np.sqrt(inside) * np.sqrt(outside)
+                ok = d._solve(mid, v, y, _search_scratch()) >= rate
+                np.copyto(inside, mid, where=ok)
+                np.copyto(outside, mid, where=~ok)
         lo = np.where(alive, np.where(down, 0.0, inside[:n]), np.inf)
         hi = np.where(alive, inside[n:], np.inf)
         # the re-solved trials' inf ends are the last sorted; a stable sort
@@ -564,7 +580,7 @@ def gmi_histogram(gmi: np.ndarray, bins: int) -> GmiHistogram:
     edge is used so all mass lands in the first bin.  An empty ``gmi``, or
     one with an entry that is not finite, is refused.
     """
-    _check_integer("bins", bins, low=2)
+    bins = _check_bins("bins", bins)
     try:
         gmi = np.asarray(gmi, dtype=float)
     except (TypeError, ValueError):

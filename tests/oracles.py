@@ -26,7 +26,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from lsrsim.channel import ChannelConfig, _check, _check_integer
-from lsrsim.gmi import _solve_theta, _Workspace
+from lsrsim.gmi import _solve_theta
 
 # the code rates, in nats, at which the outage counter is checked
 RATES = [0.0, 0.3, math.log(2.0), 1.0, 2.0 * math.log(2.0), 3.0 * math.log(2.0)]
@@ -194,7 +194,7 @@ def theta_star(stats: GmiStatistics, power: float, noise_var: float) -> GmiResul
     negative stationary point gives a positive rate, the supremum is the
     ``theta -> 0`` limit and the result is ``GmiResult(None, 0.0)``.
     """
-    theta, gmi, attained = _solve_theta(*_reduce(stats), power, noise_var, _Workspace.empty(1))
+    theta, gmi, attained = _solve_theta(*_reduce(stats), power, noise_var, np.empty((9, 1)), np.empty((2, 1), bool))
     if attained[0]:
         return GmiResult(theta_star=float(theta[0]), gmi_nats=float(gmi[0]))
     return GmiResult(theta_star=None, gmi_nats=0.0)

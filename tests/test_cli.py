@@ -230,6 +230,7 @@ class TestConfigBoundary:
             ("outage-curve", {"search": {"coarse_points": "x"}}, "search.coarse_points"),
             ("outage-curve", {"snr_db": [5.0, 150.5]}, "snr_db[1]"),
             ("outage-curve", {"trials": 2**64}, "trials"),
+            ("gmi-hist", {"bins": 2**63 - 1}, "bins"),
             ("outage-curve", {"b_scale": "x"}, "b_scale"),
             ("outage-curve", {"b_over_a": "junk"}, "b_over_a"),
             ("outage-curve", {"b_over_a": [float("nan")]}, "b_over_a[0]"),

@@ -137,6 +137,7 @@ class TestConfigValidation:
         [
             ({"n_r_list": [2**64]}, "n_r_list[0]"),
             ({"bins": 2**64}, "bins"),
+            ({"bins": 2**63 - 1}, "bins"),
             ({"search": {"coarse_points": 2**64}}, "search.coarse_points"),
         ],
     )
@@ -177,6 +178,8 @@ class TestConfigValidation:
             ("gmi", lambda: gmi_histogram(np.array([]), 5)),
             ("gmi", lambda: gmi_histogram(np.array([0.5, math.nan]), 5)),
             ("gmi", lambda: gmi_histogram(["x"], 5)),
+            ("bins", lambda: gmi_histogram(np.array([0.5]), 2**62)),
+            ("bins", lambda: gmi_histogram(np.array([0.5]), 2**64 - 1)),
             ("b", lambda: OutageCounter(d, 0.5).outages(["1"])),
             ("b", lambda: OutageCounter(d, 0.5).outages([True])),
             ("b_values", lambda: gmi_samples_multi_b(config, [], 10, 1)),

@@ -18,7 +18,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from lsrsim import build_channel_config, draw, lmmse_coefficient, optimize_b
+from lsrsim import SearchSpec, build_channel_config, draw, lmmse_coefficient, optimize_b
 from lsrsim import outage
 from lsrsim.outage import OutageCounter
 
@@ -134,3 +134,65 @@ class TestKeptScratch:
             assert got.b_star == want.b_star and got.outage == want.outage
             assert all(np.array_equal(x, y) for x, y in zip(got.sweep, want.sweep))
         assert len({id(b) for b in buffers.values()}) == len(draws)
+
+    def test_threads_read_one_draw_at_once(self):
+        # Draw.gmi solves in the calling thread's scratch, so threads read
+        # one draw at once, each getting the sequential result bit for bit;
+        # 20,000 trials take two blocks
+        cfg = build_channel_config(5.0, 8)
+        d = draw(cfg, 20_000, 4)
+        a = lmmse_coefficient(cfg)
+        b_values = [a * (0.6 + 0.1 * k) for k in range(6)]
+        expected = [d.gmi(b) for b in b_values]
+        results = {}
+
+        def read(k):
+            for _ in range(3):
+                results[k] = d.gmi(b_values[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(len(b_values))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for k, want in enumerate(expected):
+            assert results[k].tobytes() == want.tobytes()
+
+    def test_first_gmi_of_a_draw_allocates_only_its_result(self):
+        # the solve's temporaries are views of the kept scratch, so a fresh
+        # draw's first call allocates its 80 kB result and small objects
+        cfg = build_channel_config(6.0, 8)
+        draw(cfg, 10_000, 1).gmi(1.0)  # the scratch
+        d = draw(cfg, 10_000, 2)
+        tracemalloc.start()
+        try:
+            gmi = d.gmi(0.9 * lmmse_coefficient(cfg))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= gmi.nbytes + 16_000
+
+    @pytest.mark.parametrize("rate", [1.0, 2.0 * math.log(2.0)])
+    def test_counter_in_scratch_survives_its_whole_reads(self, rate):
+        # a b <= 0, a complex b and a b at an end are read whole, by
+        # d.outage, whose solve carves the scratch after the counter's ends
+        cfg = complex_pilot(6.0, 8)
+        d = draw(cfg, 10_000, 5)
+        a = lmmse_coefficient(cfg)
+        ends = [e for e in OutageCounter(d, rate)._lo if 0.0 < e < math.inf][::500]
+        b_values = [0.0, -abs(a), a, *ends, abs(a)]
+        expected = [d.outage(b, rate) for b in b_values]
+        counter = OutageCounter._in_scratch(d, rate, outage._search_scratch())
+        lo, hi = counter._lo.copy(), counter._hi.copy()
+        for _ in range(2):
+            assert counter.outages(b_values) == expected
+            assert counter._lo.tobytes() == lo.tobytes() and counter._hi.tobytes() == hi.tobytes()
+        # a domain wholly below b_min is read whole, and a, outside it, after
+        opt = optimize_b(d, rate, SearchSpec(0.0, 1e-160))
+        assert opt.at_a == d.outage(abs(a), rate) and opt.outage == d.outage(opt.b_star, rate)
