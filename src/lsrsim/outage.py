@@ -153,8 +153,9 @@ class Draw:
         trials = v_energy.size
         gmi = np.zeros(trials)
         m = min(max(trials, 1), _GMI_BLOCK)
-        # z forms Re(b Y); rows 0-2 hold c, r and d, the rest _solve_theta's
-        # scratch, and rows 3, 4 and 11 first e = (conj(b) - conj(a)) V - Y
+        # z forms Re(b Y); rows 0-2 hold c, r and d and rows 3-11 are
+        # _solve_theta's scratch, where rows 3 and 4 first hold Re and Im of
+        # e = (conj(b) - conj(a)) V - Y and row 11 (Im e)^2
         z, rows, flags = arena.take(m, dtype=np.complex128), arena.take(12, m), arena.take(2, m, dtype=np.bool_)
         for lo in range(0, trials, m):
             hi = min(lo + m, trials)

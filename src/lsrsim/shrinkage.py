@@ -67,15 +67,15 @@ def optimize_b(d: Draw, rate_nats: float, spec: SearchSpec = SearchSpec()) -> BO
 
     The counter's sorted ends (16 bytes a trial), the build's temporaries
     and, after the build, the sweep's arrays (25 bytes an end) and the
-    solves of the trials the counter re-solves are views of the calling
-    thread's kept scratch (``outage._search_scratch``, 1.5 MiB), so a search
-    of up to about 20,000 trials allocates only its results: ``sweep``, 16
-    bytes a step.  A larger search allocates what does not fit, as a plain
-    numpy search would, and the scratch does not grow.  Searches may run in
-    several threads at once.  A thread's scratch serves one search at a
-    time, whose counter's ends stay at its front: every solve of the
-    counter carves after them, and the search calls nothing, ``Draw.gmi``
-    included, that carves the scratch from its start.
+    temporaries of the counter's solves are views of the calling thread's
+    kept scratch (``outage._search_scratch``, 1.5 MiB), so a search of up to
+    about 20,000 trials, few of them re-solved, allocates only its results:
+    ``sweep``, 16 bytes a step.  A larger search allocates what does not
+    fit, as a plain numpy search would, and the scratch does not grow.
+    Searches may run in several threads at once.  A thread's scratch serves
+    one search at a time, whose counter's ends stay at its front: every
+    solve of the counter, ``d.outage``'s included, carves after them, and
+    the search calls nothing that carves the scratch from its start.
     """
     a = abs(lmmse_coefficient(d.config))
     low, high = spec.ratio_low * a, spec.ratio_high * a

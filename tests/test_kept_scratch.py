@@ -1,10 +1,13 @@
-"""The b search's kept scratch: the counter's output, pinned bit for bit,
-and what a search allocates and shares between threads.
+"""The kept scratch of the b search and the GMI solve: the counter's and
+the search's output, pinned bit for bit, and what a search or a solve
+allocates and shares between threads.
 
 ``optimize_b`` builds its outage counter and sweeps in a buffer that each
 thread keeps (``outage._search_scratch``), so a search of 10,000 trials
-allocates only its result.  The digests below were taken before the build
-moved into the scratch; any rework of the build must keep every bit.
+allocates only its result, and ``Draw.gmi`` solves there too.  The
+counter's digests below were taken before the build moved into the
+scratch, the re-solved search's before the solve did; any rework of either
+must keep every bit.
 """
 
 import cmath

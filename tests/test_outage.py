@@ -177,8 +177,8 @@ def complex_pilot_config(n_r=5):
 
 
 def whole_array_gmi(d: Draw, b: complex) -> np.ndarray:
-    """The GMI formula of ``Draw.gmi`` on whole arrays, without blocks or a
-    workspace, written out as a fixed reference."""
+    """The GMI formula of ``Draw.gmi`` on whole arrays, without blocks or
+    scratch, written out as a fixed reference."""
     cfg = d.config
     power, noise_var = cfg.power, cfg.noise_var
     a = lmmse_coefficient(cfg)
@@ -377,7 +377,7 @@ class TestBlocks:
         assert peak < 4e6
 
     def test_repeated_gmi_allocates_little_beyond_its_result(self):
-        # after the first call has made the workspace, a call allocates its
+        # after the first call has made the scratch, a call allocates its
         # result and numpy's bounded cast buffer: at most 4 arrays of length
         # trials, where a solve on whole arrays takes 16
         trials = 100_000
