@@ -17,8 +17,11 @@ Stream contract, version 2: trials come in chunks of ``CHUNK_TRIALS = C``
 (4096).  Chunk ``k`` reads substream ``(seed, k)`` of :mod:`lsrsim.streams`:
 first ``standard_gamma(n_r, size=C)``, then ``standard_normal(2 C)``.  Trial
 ``i`` is row ``j = i % C`` of chunk ``i // C``: ``G = gamma[j]``,
-``z1 = normals[j]`` and ``z2 = normals[C + j]``.  Every chunk is drawn
-whole, so trial ``i`` depends only on ``(config, seed, i)``, not on the
+``z1 = normals[j]`` and ``z2 = normals[C + j]``, so the ``n`` trials of a
+chunk read its ``C`` gammas and its first ``C + n`` normals.  A chunk of
+``n < C`` trials draws all ``C`` gammas, whose rejection sampler sets where
+the normals start, and only those ``C + n`` normals, the first ``C + n`` of
+``2 C``.  So trial ``i`` depends only on ``(config, seed, i)``, not on the
 trial count or the other configs drawn.  ``G``, ``z1`` and ``z2`` depend
 only on ``(seed, n_r, i)``, so every SNR point of one antenna count reads
 the same standardized variates, and every ``b`` is read from one
@@ -133,9 +136,10 @@ class Draw:
         The trials are solved in blocks of at most ``_GMI_BLOCK``, whose
         temporaries, 114 bytes a trial of a block, are views of the calling
         thread's kept scratch (``_search_scratch``, the one the ``b``
-        search carves), so a call allocates only its result.  Threads, one
-        draw's included, each solve in their own scratch.  The block size
-        never changes a result.
+        search carves), so a call allocates only its result.  The
+        counter's solves, behind its ends, take smaller blocks that fit the
+        room left.  Threads, one draw's included, each solve in their own
+        scratch.  The block size never changes a result.
         """
         return self._solve(_check_coefficient(b), self.v_energy, self.residual, _search_scratch())
 
@@ -152,7 +156,10 @@ class Draw:
         power, noise_var = self.config.power, self.config.noise_var
         trials = v_energy.size
         gmi = np.zeros(trials)
-        m = min(max(trials, 1), _GMI_BLOCK)
+        # a block that fits what the arena has left, each of the three views
+        # aligned to 64 bytes, but no smaller than _GMI_FLOOR
+        room = (arena.buf.nbytes - arena.used - 3 * 64) // _GMI_BYTES
+        m = min(max(trials, 1), _GMI_BLOCK, max(room, _GMI_FLOOR))
         # z forms Re(b Y); rows 0-2 hold c, r and d and rows 3-11 are
         # _solve_theta's scratch, where rows 3 and 4 first hold Re and Im of
         # e = (conj(b) - conj(a)) V - Y and row 11 (Im e)^2
@@ -236,6 +243,12 @@ _SCRATCH_BYTES = 256 * _COUNT_BLOCK
 # n_r 8 took 31.2-32.5 ns a trial (31.5-36.9 ns before) and 5,000 trials at
 # n_r 128, one block, 43.7-46.2 ns (42.6-53.5 ns)
 _GMI_BLOCK = 13_312
+# bytes of the solve's temporaries a trial of a block, and the fewest trials
+# a block holds.  A solve behind a counter's ends in the scratch (16 bytes a
+# trial) takes a block that fits the room they leave, 11,000 trials behind
+# 20,000 ends, and allocates its block only behind more than about 91,000
+_GMI_BYTES = 114
+_GMI_FLOOR = 1024
 _KEPT = threading.local()
 
 
@@ -484,16 +497,21 @@ class OutageCounter:
 def _sample(n_r: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The first stage of :func:`draw`: the standardized variates ``G`` and
     ``z1 + i z2`` of trials ``0..trials-1``, which depend on ``(seed, n_r)``
-    alone, filled one chunk at a time by the contract."""
+    alone, filled one chunk at a time by the contract: ``Generator`` draws
+    normals in sequence, so a chunk's first ``C + n`` normals are those of
+    ``2 C``."""
     gamma, normals = np.empty(trials), np.empty(trials, dtype=np.complex128)
     stream = BlockSampler(seed).stream
     for k, lo in enumerate(range(0, trials, CHUNK_TRIALS)):
         rng = stream(k)
         n = min(CHUNK_TRIALS, trials - lo)
-        gamma[lo : lo + n] = rng.standard_gamma(n_r, size=CHUNK_TRIALS)[:n]
-        z = rng.standard_normal(2 * CHUNK_TRIALS)
+        if n == CHUNK_TRIALS:
+            rng.standard_gamma(n_r, out=gamma[lo : lo + n])
+        else:
+            gamma[lo:] = rng.standard_gamma(n_r, size=CHUNK_TRIALS)[:n]
+        z = rng.standard_normal(CHUNK_TRIALS + n)
         normals.real[lo : lo + n] = z[:n]
-        normals.imag[lo : lo + n] = z[CHUNK_TRIALS : CHUNK_TRIALS + n]
+        normals.imag[lo : lo + n] = z[CHUNK_TRIALS:]
     return gamma, normals
 
 
@@ -526,9 +544,9 @@ def draw(config: ChannelConfig, trials: int, seed: int) -> Draw:
 
     The result takes 24 bytes per trial, and the sampling about 0.15 MB
     (one chunk's variates and their temporaries, tracemalloc) whatever
-    ``trials`` and ``n_r``; a draw of fewer trials than a chunk still
-    samples the whole chunk, 0.2-0.5 ms.  Its first ``T`` trials are those
-    of ``draw(config, T, seed)``.  ``trials`` and ``seed`` are refused with
+    ``trials`` and ``n_r``; a chunk of ``n`` trials draws all ``C`` of its
+    gammas but only the ``C + n`` normals its trials read.  Its first ``T``
+    trials are those of ``draw(config, T, seed)``.  ``trials`` and ``seed`` are refused with
     a :class:`~lsrsim.channel.ConfigError` naming them unless they are
     integers below ``2**64`` (``np.integer`` included), ``trials`` positive
     and at most ``channel._MAX_TRIALS``, whose arrays numpy can describe.

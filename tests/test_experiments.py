@@ -473,6 +473,45 @@ class TestOtherRunners:
             assert medians[1][key] == pytest.approx(value, abs=0.05)
 
 
+def numpy_median_p01(g: np.ndarray) -> bytes:
+    return np.array([np.median(g), np.percentile(g, 1.0)]).tobytes()
+
+
+class TestScanOrderStatistics:
+    """The scan's median and 1st percentile come from one-kth partitions
+    and must equal numpy's, bit for bit, at every numpy the package allows."""
+
+    @pytest.mark.parametrize("n", [*range(1, 65), 100, 101, 4096, 5000, 5001])
+    def test_equals_numpy_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        gmi = rng.exponential(size=n)
+        arrays = {
+            "distinct": gmi,
+            "ties": np.round(4.0 * gmi) / 4.0,
+            # the mismatched rule's GMI reads exactly 0 on many trials
+            "some-zeros": np.where(rng.random(n) < 0.3, 0.0, gmi),
+            "mostly-zeros": np.where(rng.random(n) < 0.8, 0.0, gmi),
+            "all-zeros": np.zeros(n),
+            "one-tie": np.full(n, 0.75),
+        }
+        for name, g in arrays.items():
+            before = g.tobytes()
+            got = np.array(lsrsim.experiments._median_p01(g)).tobytes()
+            assert got == numpy_median_p01(g), name
+            assert g.tobytes() == before, name  # the input is left as it was
+
+    def test_scan_rows_equal_numpy_on_each_draw(self):
+        # 4,097 trials end in a one-trial chunk, and the scaled rule's GMI
+        # is 0 on some trials
+        cfg = small_cfg(kind="asymptotic_scan", snr_db=[-3.0, 2.0], n_r_list=[2, 16], trials=4097, seed=5)
+        rows = run_experiment(cfg).rows
+        assert len(rows) == 8
+        for row in rows:
+            g = draw(build_channel_config(row["snr_db"], row["n_r"]), cfg.trials, cfg.seed).gmi(row["b"])
+            assert np.array([row["gmi_median"], row["gmi_p01"]]).tobytes() == numpy_median_p01(g)
+        assert any(row["gmi_p01"] == 0.0 for row in rows)
+
+
 class TestSnrGain:
     def test_identical_curves_zero_gain(self):
         curve = [(0.0, 0.3), (2.0, 0.1), (4.0, 0.03), (6.0, 0.008)]

@@ -96,6 +96,22 @@ class TestKeptScratch:
         assert peak <= sum(x.nbytes for x in opt.sweep) + 16_000
         assert outage._KEPT.buf.nbytes == outage._SCRATCH_BYTES <= 1.5 * 2**20
 
+    def test_re_solved_search_solves_in_the_room_left(self):
+        # at 30 dB, n_r 8 and 1 nat every trial is re-solved, and the
+        # bisection's solves of 40,000 trials take blocks that fit behind the
+        # counter's 20,000 ends rather than allocating a 1.28 MB block each
+        # time (4.26 MB when they did)
+        d = draw(build_channel_config(30.0, 8), 20_000, 11)
+        for _ in range(2):
+            optimize_b(d, 1.0)
+        tracemalloc.start()
+        try:
+            optimize_b(d, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.3e6
+
     def test_kept_scratch_does_not_grow(self):
         # a search too large for the scratch allocates its own arrays and
         # keeps none of them

@@ -251,11 +251,14 @@ class TestStreamContract:
             assert d.v_energy[i] == v
             assert d.residual[i] == y
 
-    @pytest.mark.parametrize("trials", [C - 1, 3 * C + 5, 4 * C])
-    @pytest.mark.parametrize("n_r", [1, 8])
+    @pytest.mark.parametrize("n_r,trials", [
+        *((n_r, trials) for n_r in (1, 8) for trials in (C - 1, 3 * C + 5, 4 * C)),
+        (128, 5_000), (8, 10_000)])
     def test_every_trial_follows_the_recipe(self, n_r, trials):
-        # one short chunk, four chunks ending in a short one, and four
-        # whole chunks: every byte of every chunk matches its substream
+        # one short chunk, four chunks ending in a short one, four whole
+        # chunks, and the benchmark's shapes, whose last chunks of 904 and
+        # 1,808 trials draw only the normals they read: every byte of every
+        # chunk matches its substream, which draws all 2C
         cfg = complex_pilot_config(n_r=n_r)
         seed = 7 * trials + n_r
         d = draw(cfg, trials, seed)
