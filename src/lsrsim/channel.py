@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,19 @@ def _check_antennas(path: str, value) -> int:
     _check(ok and 1 <= value <= _U64_MAX and int(value) == value, path,
            f"must be an integer in [1, 2**64), got {value!r}")
     return int(value)
+
+
+# the largest rate, ln of the largest float64: 709.78 nats, 1,024 bits.
+# Above it exp(rate) overflows, and no GMI comes anywhere near it
+_MAX_RATE_NATS = math.log(sys.float_info.max)
+
+
+def _check_rate(path: str, value, nats_per_unit: float = 1.0) -> None:
+    """``value`` must be a finite rate ``>= 0`` whose ``value *
+    nats_per_unit`` nats are at most ``_MAX_RATE_NATS``."""
+    _check_real(path, value, 0)
+    _check(value * nats_per_unit <= _MAX_RATE_NATS, path,
+           f"must be at most {_MAX_RATE_NATS!r} nats (1,024 bits), where exp(rate) overflows, got {value!r}")
 
 
 def _check_list(path: str, values, check, *args) -> None:

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .channel import (ChannelConfig, _check, _check_antennas, _check_bins, _check_integer, _check_list,
-                      _check_real, _check_trials, lmmse_coefficient)
+                      _check_rate, _check_real, _check_trials, lmmse_coefficient)
 from .outage import Draw, OutageEstimate, _sample, _scale, gmi_histogram
 from .shrinkage import SearchSpec, optimize_b
 
@@ -105,12 +105,13 @@ class ExperimentConfig:
                 len(self.rate_bits) == len(self.n_r_list),
                 "rate_bits", "list form must have the same length as n_r_list",
             )
-            _check_list("rate_bits", self.rate_bits, _check_real, 0)
+            _check_list("rate_bits", self.rate_bits, _check_rate, LN2)
         else:
-            _check_real("rate_bits", self.rate_bits, 0)
+            _check_rate("rate_bits", self.rate_bits, LN2)
         _check_trials("trials", self.trials)
         _check_integer("seed", self.seed)
         _check_bins("bins", self.bins)
+        _check(isinstance(self.search, SearchSpec), "search", f"must be a SearchSpec, got {self.search!r}")
         # every kind type-checks b_over_a and b_scale; only the kind that
         # reads one requires it or restricts its value
         if self.b_over_a is not None or self.kind == "b_sweep":
@@ -137,11 +138,10 @@ class ExperimentConfig:
         for name, f in known.items():
             _check(f.default is not MISSING or name in data, name, "missing required field")
         kwargs = dict(data)
-        search = kwargs.pop("search", None)
-        if search is not None:
-            _check(isinstance(search, dict), "search", "must be an object")
+        if "search" in kwargs:
+            _check(isinstance(kwargs["search"], dict), "search", "must be an object")
             # the knobs of the grid search the exact sweep replaced: checked, then ignored
-            search = dict(search)
+            search = dict(kwargs["search"])
             for key, low in (("coarse_points", 3), ("refine_iters", 0)):
                 if key in search:
                     _check_integer(f"search.{key}", search.pop(key), low)

@@ -32,7 +32,6 @@ numbers.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 import threading
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import (ChannelConfig, ConfigError, _check, _check_bins, _check_integer, _check_real, _check_trials,
+from .channel import (ChannelConfig, ConfigError, _check, _check_bins, _check_integer, _check_rate, _check_trials,
                       gram_variances, lmmse_coefficient)
 from .gmi import _EPS, _Arena, _feasible_ends, _solve_theta
 from .streams import CHUNK_TRIALS, BlockSampler
@@ -102,10 +101,6 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     return min(max(0.0, center - half), p), max(min(1.0, center + half), p)
 
 
-def _check_rate(rate_nats: float) -> None:
-    _check_real("rate_nats", rate_nats, 0)
-
-
 def _check_coefficient(b) -> complex:
     """``b`` as a finite complex number; a str or a bool, which ``complex``
     would read as a number, is refused."""
@@ -135,22 +130,24 @@ class Draw:
 
         The trials are solved in blocks of at most ``_GMI_BLOCK``, whose
         temporaries, 114 bytes a trial of a block, are views of the calling
-        thread's kept scratch (``_search_scratch``, the one the ``b``
-        search carves), so a call allocates only its result.  The
-        counter's solves, behind its ends, take smaller blocks that fit the
-        room left.  Threads, one draw's included, each solve in their own
-        scratch.  The block size never changes a result.
+        thread's kept scratch (``_search_scratch``), carved from its start,
+        so a call allocates only its result.  The counter's solves, which
+        carve after its ends, take smaller blocks that fit the room left.
+        Threads, one draw's included, each solve in their own scratch.  The
+        block size never changes a result.
         """
-        return self._solve(_check_coefficient(b), self.v_energy, self.residual, _search_scratch())
+        return self._solve(_check_coefficient(b), self.v_energy, self.residual)
 
     def _solve(self, b: complex | np.ndarray, v_energy: np.ndarray, residual: np.ndarray,
-               arena: _Arena) -> np.ndarray:
+               start: int = 0) -> np.ndarray:
         """:meth:`gmi` of the trials ``(v_energy, residual)``, any subset of
         this draw's, each bit-identical to its value in ``gmi(b)``.  ``b`` may
         also hold one real coefficient per trial: the same operations with
         ``Im b = 0``, whose terms drop out exactly, give trial ``i`` the bits
-        of ``gmi(b[i])``.  The temporaries of a block are carved from
-        ``arena`` once, and every block reuses them."""
+        of ``gmi(b[i])``.  The temporaries of a block are carved once from
+        the thread's kept scratch, from byte ``start`` on, and every block
+        reuses them."""
+        arena = _search_scratch(start)
         a = lmmse_coefficient(self.config)
         per_trial = isinstance(b, np.ndarray)
         power, noise_var = self.config.power, self.config.noise_var
@@ -195,8 +192,13 @@ class Draw:
         The outage event uses a strict inequality, so a zero rate can never
         count an outage (the GMI is nonnegative).
         """
-        _check_rate(rate_nats)
-        gmi = self.gmi(b)
+        _check_rate("rate_nats", rate_nats)
+        return self._outage(_check_coefficient(b), rate_nats)
+
+    def _outage(self, b: complex, rate_nats: float, start: int = 0) -> OutageEstimate:
+        """:meth:`outage` of a checked ``b`` and rate, solved in the kept
+        scratch from byte ``start`` on."""
+        gmi = self._solve(b, self.v_energy, self.residual, start)
         return _estimate(int(np.count_nonzero(gmi < rate_nats)), gmi.size)
 
 
@@ -230,11 +232,12 @@ _KAPPA_ERROR = 1e-13
 # 4,096), 1.22 ms in 2 blocks (at most 6,144) and 1.13 ms in one block
 _COUNT_BLOCK = 6144
 # bytes of each thread's kept scratch, 1.5 MiB: a block's 207 bytes a
-# trial and room for the ends.  optimize_b carves from it its counter's
-# sorted ends, 16 bytes a trial, then the build's temporaries, and after the
-# build the sweep's arrays, 25 bytes an end, and the counter's solves; so a
-# search of up to about 20,000 trials allocates only its results, and a
-# larger one allocates what does not fit.  Draw.gmi solves in it too
+# trial and room for the ends.  A counter built for optimize_b carves from
+# it its sorted ends, 16 bytes a trial, then the build's temporaries, and
+# after the build its sweep's arrays, 25 bytes an end, and its solves, each
+# after its ends; so a search of up to about 20,000 trials allocates only
+# its results, and a larger one allocates what does not fit.  Draw.gmi
+# solves in it too, from its start
 _SCRATCH_BYTES = 256 * _COUNT_BLOCK
 # most trials per block of Draw.gmi's solve, whose temporaries take 114 bytes
 # a trial of a block: one block, 1.45 MiB, fits the scratch.  On a 2-core
@@ -252,28 +255,16 @@ _GMI_FLOOR = 1024
 _KEPT = threading.local()
 
 
-def _search_scratch() -> _Arena:
+def _search_scratch(start: int = 0) -> _Arena:
     """An arena over this thread's kept scratch, allocated on its first use
-    and kept for the thread's life, that carves after the bytes
-    :func:`_holding` holds.  Its views are valid until the scratch is carved
-    again in the same thread."""
+    and kept for the thread's life, that carves from byte ``start`` on.  Its
+    views are valid until the scratch is carved there again in the same
+    thread.  Only this module carves it: a counter in the scratch passes
+    the end of its ends to every solve it runs."""
     buf = getattr(_KEPT, "buf", None)
     if buf is None:
         buf = _KEPT.buf = np.empty(_SCRATCH_BYTES, np.uint8)
-    return _Arena(buf, getattr(_KEPT, "held", 0))
-
-
-@contextlib.contextmanager
-def _holding(end: int):
-    """Hold the first ``end`` bytes of this thread's kept scratch: inside,
-    every arena of :func:`_search_scratch`, ``Draw.gmi``'s included,
-    carves after them."""
-    held = getattr(_KEPT, "held", 0)
-    _KEPT.held = max(held, end)
-    try:
-        yield
-    finally:
-        _KEPT.held = held
+    return _Arena(buf, start)
 
 
 # smallest b^2 min(V) the counter reads from its ends; below it c = b^2 V
@@ -298,9 +289,9 @@ class OutageCounter:
     (1.5 MiB) that each thread allocates once and keeps; so a build
     allocates only the counter's own 16 bytes per trial, the sorted ends.
     Every solve the counter runs takes its temporaries from the same
-    scratch, after the counter's ends when they are views of it.  Counters
-    may be built and read in several threads at once, each in its own
-    thread's scratch.
+    scratch, after the counter's ends when they are views of it: the
+    counter passes where its ends stop to each.  Counters may be built and
+    read in several threads at once, each in its own thread's scratch.
 
     A trial's ends are certified when they are known to within a relative
     ``_END_WINDOW / 8`` and its GMI stays ``_GMI_MARGIN (rate + 2)`` nats
@@ -311,9 +302,9 @@ class OutageCounter:
     bound cannot place that closely (a ``kappa`` a hair below the peak's,
     whose ``t`` is too small to carry its error, or an end near the lower
     branch's pole), or Gram numbers whose ``s^H v`` cancels.  A ``b`` with
-    any end within ``2 _END_WINDOW`` of it, a ``b <= 0`` and a ``b`` below
-    ``b_min``, where ``b^2 V`` nears underflow, are read by ``d.outage``
-    whole.
+    any end within ``2 _END_WINDOW`` of it, a ``b <= 0``, a complex ``b``
+    and a ``b`` below ``b_min``, where ``b^2 V`` nears underflow, are read
+    whole, as ``d.outage`` reads them.
     """
 
     def __init__(self, d: Draw, rate_nats: float):
@@ -321,23 +312,23 @@ class OutageCounter:
         self._build(d, rate_nats, np.empty(trials), np.empty(trials), _search_scratch())
 
     @classmethod
-    def _in_scratch(cls, d: Draw, rate_nats: float, arena: _Arena) -> OutageCounter:
-        """A counter whose sorted ends are views carved from ``arena``, in
-        front of the build's own temporaries and of every later solve of
-        the counter: valid until anything else carves the arena's buffer
-        again.  :func:`~lsrsim.shrinkage.optimize_b` builds its counter so,
-        from the thread's kept scratch."""
-        counter = cls.__new__(cls)
-        trials = d.v_energy.size
+    def _in_scratch(cls, d: Draw, rate_nats: float) -> OutageCounter:
+        """A counter whose sorted ends are views carved from the front of
+        the thread's kept scratch, in front of the build's own temporaries
+        and of every later solve and sweep of the counter: valid until
+        anything else carves the scratch from its start again, as
+        ``Draw.gmi`` does.  :func:`~lsrsim.shrinkage.optimize_b` builds its
+        counter so."""
+        counter, arena, trials = cls.__new__(cls), _search_scratch(), d.v_energy.size
         counter._build(d, rate_nats, arena.take(trials), arena.take(trials), arena)
         return counter
 
     def _build(self, d: Draw, rate_nats: float, lo: np.ndarray, hi: np.ndarray, arena: _Arena) -> None:
-        _check_rate(rate_nats)
+        _check_rate("rate_nats", rate_nats)
         self.draw, self.rate = d, float(rate_nats)
         trials = d.v_energy.size
         # where the ends stop in the scratch, 0 for ends of their own: the
-        # counter's solves, d.outage's among them, carve after them
+        # counter's solves and its sweep carve after them
         self._lo, self._hi, self._end = lo, hi, arena.used
         lo.fill(0.0 if self.rate == 0.0 else np.inf)  # a GMI is never below 0
         hi.fill(np.inf)
@@ -435,7 +426,7 @@ class OutageCounter:
     def outages(self, b_values: Sequence[float]) -> list[OutageEstimate]:
         """``[d.outage(b, rate_nats) for b in b_values]``, counted.  Each
         ``b`` is checked as ``d.outage`` checks it, and a ``b`` with an
-        imaginary part is read by ``d.outage`` whole."""
+        imaginary part is read whole (:meth:`_whole`)."""
         values = [_check_coefficient(x) for x in b_values]
         b = np.array([x.real for x in values])
         lo, hi = self._lo, self._hi
@@ -449,18 +440,22 @@ class OutageCounter:
         trials = lo.size
         d, redo = self.draw, self._unsure
         estimates = []
-        with _holding(self._end):
-            for i, bi in enumerate(b.tolist()):
-                near = lo_le_w[i] != lo_lt_w[i] or hi_le_w[i] != hi_lt_w[i]
-                if near or not counted[i]:
-                    estimates.append(d.outage(values[i], self.rate))
-                    continue
-                failures = trials - (lo_le[i] - hi_lt[i])
-                if redo.size:
-                    gmi = d._solve(complex(bi), d.v_energy[redo], d.residual[redo], _search_scratch())
-                    failures -= int(np.count_nonzero(gmi >= self.rate))
-                estimates.append(_estimate(failures, trials))
+        for i, bi in enumerate(b.tolist()):
+            near = lo_le_w[i] != lo_lt_w[i] or hi_le_w[i] != hi_lt_w[i]
+            if near or not counted[i]:
+                estimates.append(self._whole(values[i]))
+                continue
+            failures = trials - (lo_le[i] - hi_lt[i])
+            if redo.size:
+                gmi = d._solve(complex(bi), d.v_energy[redo], d.residual[redo], self._end)
+                failures -= int(np.count_nonzero(gmi >= self.rate))
+            estimates.append(_estimate(failures, trials))
         return estimates
+
+    def _whole(self, b: complex) -> OutageEstimate:
+        """``d.outage(b, rate_nats)`` of a checked ``b``, solved for every
+        trial in the scratch after the counter's ends."""
+        return self.draw._outage(b, self.rate, self._end)
 
     def intervals(self) -> tuple[np.ndarray, np.ndarray]:
         """Every trial's feasible interval ``[lo, hi]`` in ``b >= b_min``: the
@@ -475,16 +470,15 @@ class OutageCounter:
             return self._lo, self._hi
         v, y = np.tile(d.v_energy[self._unsure], 2), np.tile(d.residual[self._unsure], 2)
         peak = np.maximum((lmmse_coefficient(d.config).real * v[:n] + y[:n].real) / v[:n], b_min)
-        with _holding(self._end):
-            # a trial infeasible at its peak is feasible at no b
-            ok = d._solve(np.r_[peak, np.full(n, b_min)], v, y, _search_scratch()) >= rate
-            alive, down = ok[:n] & (peak > b_min), ok[n:]
-            inside, outside = np.r_[peak, peak], np.r_[np.full(n, b_min), peak * (peak / b_min)]
-            for _ in range(math.ceil(math.log2(max(math.log(peak.max() / b_min), 1.0))) + 40):
-                mid = np.sqrt(inside) * np.sqrt(outside)
-                ok = d._solve(mid, v, y, _search_scratch()) >= rate
-                np.copyto(inside, mid, where=ok)
-                np.copyto(outside, mid, where=~ok)
+        # a trial infeasible at its peak is feasible at no b
+        ok = d._solve(np.r_[peak, np.full(n, b_min)], v, y, self._end) >= rate
+        alive, down = ok[:n] & (peak > b_min), ok[n:]
+        inside, outside = np.r_[peak, peak], np.r_[np.full(n, b_min), peak * (peak / b_min)]
+        for _ in range(math.ceil(math.log2(max(math.log(peak.max() / b_min), 1.0))) + 40):
+            mid = np.sqrt(inside) * np.sqrt(outside)
+            ok = d._solve(mid, v, y, self._end) >= rate
+            np.copyto(inside, mid, where=ok)
+            np.copyto(outside, mid, where=~ok)
         lo = np.where(alive, np.where(down, 0.0, inside[:n]), np.inf)
         hi = np.where(alive, inside[n:], np.inf)
         # the re-solved trials' inf ends are the last sorted; a stable sort
@@ -492,6 +486,61 @@ class OutageCounter:
         keep = self._lo.size - n
         return (np.sort(np.r_[self._lo[:keep], lo], kind="stable"),
                 np.sort(np.r_[self._hi[:keep], hi], kind="stable"))
+
+    def _sweep(self, low: float, high: float) -> tuple[np.ndarray, np.ndarray, int]:
+        """The outage over ``b`` in ``[low, high]``, ``0 <= low <= high``, as a
+        step function ``(starts, p_hat)``, ``p_hat[k]`` from ``starts[k]``
+        to ``starts[k + 1]`` (the last to ``high``), each step a change;
+        and the index of its first step of least outage.
+
+        It counts the outage between consecutive ends of
+        :meth:`intervals` from ``max(low, b_min)`` on; a domain wholly
+        below ``b_min`` is one step, read whole at its midpoint.  Its
+        arrays, 25 bytes an end, are views of the kept scratch after the
+        counter's ends, so only ``starts`` and ``p_hat``, 16 bytes a step,
+        are new."""
+        if high <= self.b_min:
+            return np.array([low]), np.array([self._whole(complex(0.5 * low + 0.5 * high)).p_hat]), 0
+        start = max(low, self.b_min)
+        lo, hi = self.intervals()
+        i, i_end = np.searchsorted(lo, start, "right"), np.searchsorted(lo, high, "left")
+        j, j_end = np.searchsorted(hi, start, "right"), np.searchsorted(hi, high, "left")
+        ends = 1 + (i_end - i) + (j_end - j)
+        # every end lies above start > 0, so the bits of start and of the
+        # ends, shifted up one with a low bit 1 for an upper end, sort as
+        # their values do, start first and a lower end before an equal upper
+        # one: the order of a stable sort of start, the lower and the upper
+        # ends, sorted in place with no index array
+        arena = _search_scratch(self._end)
+        key, one = arena.take(ends, dtype=np.uint64), np.uint64(1)
+        key[0] = np.float64(start).view(np.uint64) << one
+        np.left_shift(lo[i:i_end].view(np.uint64), one, out=key[1 : 1 + i_end - i])
+        upper = key[1 + i_end - i :]
+        np.bitwise_or(np.left_shift(hi[j:j_end].view(np.uint64), one, out=upper), one, out=upper)
+        key.sort(kind="stable")
+        # just above start #{lo <= start} - #{hi <= start} trials are
+        # feasible; each lower end passed adds one, each upper end takes one
+        # away
+        steps = arena.take(ends, dtype=np.int64)
+        np.bitwise_and(key, one, out=steps.view(np.uint64))
+        np.subtract(np.left_shift(steps, 1, out=steps), 1, out=steps)
+        steps[0] = lo.size - i + j
+        # into a second array: an accumulate in place may copy its input
+        failures = np.cumsum(steps, out=arena.take(ends, dtype=np.int64))
+        starts = np.right_shift(key, one, out=key).view(np.float64)
+        # a step starts after the last of equal ends, where the outage
+        # changes; equal ends are rare, and only they allocate here
+        step = arena.take(ends, dtype=np.bool_)
+        step[-1] = True
+        if not np.not_equal(starts[1:], starts[:-1], out=step[:-1]).all():
+            starts, failures = starts[step], failures[step]
+            step = step[: starts.size]
+        step[0] = True
+        np.not_equal(failures[1:], failures[:-1], out=step[1:])
+        # the first least count starts a step
+        best = int(np.count_nonzero(step[: int(np.argmin(failures))]))
+        # the steps' starts are copied out before p_hat overwrites them
+        return starts[step], np.divide(failures, lo.size, out=starts)[step], best
 
 
 def _sample(n_r: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

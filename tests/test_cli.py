@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import lsrsim.cli
-from lsrsim import build_channel_config, draw, read_results
+from lsrsim import (ExperimentConfig, SearchSpec, build_channel_config, draw, emit_results, read_results,
+                    run_experiment)
 from lsrsim.channel import gram_variances
 from lsrsim.cli import main
 
@@ -132,6 +133,23 @@ class TestFormatsAndCommands:
         assert len(rows) == 2
         assert rows[0]["n_r"] == 4
 
+    def test_search_domain_from_the_config_file(self, tmp_path):
+        # the README's search block, on a domain that leaves out the default
+        # domain's optimum: the table is run_experiment's with that SearchSpec
+        search = {"ratio_low": 0.9, "ratio_high": 1.5}
+        for name, domain in (("domain", search), ("default", {})):
+            cfg = write_config(tmp_path, f"{name}.json", search=domain)
+            assert main(["outage-curve", "--config", str(cfg), "--seed", "3",
+                         "--out", str(tmp_path / f"{name}.csv")]) == 0
+        expected = run_experiment(ExperimentConfig(
+            kind="outage_curve", snr_db=[4.0, 5.0], n_r_list=[4], rate_bits=1.0, trials=1500, seed=3,
+            search=SearchSpec(**search)))
+        emit_results(expected, tmp_path / "expected.csv")
+        assert (tmp_path / "domain.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        rows, default = (read_results(tmp_path / f"{name}.csv").rows for name in ("domain", "default"))
+        assert all(r["b_star"] >= 0.9 * r["b_lmmse"] for r in rows)
+        assert [r["b_star"] for r in rows] != [r["b_star"] for r in default]
+
     def test_b_sweep_command(self, tmp_path):
         cfg = write_config(tmp_path, snr_db=[5.0], b_over_a=[0.5, 1.0])
         out = tmp_path / "r.csv"
@@ -234,6 +252,10 @@ class TestConfigBoundary:
             ("outage-curve", {"b_scale": "x"}, "b_scale"),
             ("outage-curve", {"b_over_a": "junk"}, "b_over_a"),
             ("outage-curve", {"b_over_a": [float("nan")]}, "b_over_a[0]"),
+            ("outage-curve", {"rate_bits": 1100}, "rate_bits"),
+            ("outage-curve", {"n_r_list": [4, 8], "rate_bits": [1.0, 1100]}, "rate_bits[1]"),
+            ("outage-curve", {"search": None}, "search"),
+            ("outage-curve", {"search": {"ratio": 1}}, "search.ratio"),
         ],
     )
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, command, overrides, path):

@@ -168,14 +168,14 @@ def assert_intervals_match(counter: OutageCounter, b_values) -> None:
 
 
 def spy_whole_reads(monkeypatch) -> list[float]:
-    """The ``b`` of every ``Draw.outage`` call from now on."""
-    calls, outage = [], Draw.outage
+    """The ``b`` of every whole read of a counter from now on."""
+    calls, whole = [], OutageCounter._whole
 
-    def spy(self, b, rate_nats):
+    def spy(self, b):
         calls.append(b)
-        return outage(self, b, rate_nats)
+        return whole(self, b)
 
-    monkeypatch.setattr(Draw, "outage", spy)
+    monkeypatch.setattr(OutageCounter, "_whole", spy)
     return calls
 
 

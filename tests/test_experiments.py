@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 from concurrent.futures import ProcessPoolExecutor
@@ -21,6 +22,7 @@ from lsrsim import (
     emit_results,
     gmi_histogram,
     gmi_samples_multi_b,
+    lmmse_coefficient,
     optimize_b,
     philox_key,
     rate_bits_to_nats,
@@ -132,6 +134,12 @@ class TestConfigValidation:
             })
 
 
+    @pytest.mark.parametrize("search", [{"ratio_low": 0.5}, None, "x"])
+    def test_search_must_be_a_search_spec(self, search):
+        with pytest.raises(ConfigError) as exc:
+            small_cfg(search=search)
+        assert exc.value.path == "search"
+
     @pytest.mark.parametrize(
         "overrides, path",
         [
@@ -205,6 +213,35 @@ class TestConfigValidation:
             with pytest.raises(ConfigError) as exc:
                 pool.submit(philox_key, -1).result()
         assert exc.value.path == "seed" and str(exc.value).startswith("seed: ")
+
+
+class TestRateCap:
+    """A rate above ln of the largest float64, 709.78 nats (1,024 bits),
+    where exp(rate) overflows, is refused; one at or below it reads
+    certain outage everywhere."""
+
+    def test_rate_at_or_below_the_cap_reads_certain_outage(self):
+        cfg = build_channel_config(6.0, 8)
+        d = draw(cfg, 2000, 1)
+        a = abs(lmmse_coefficient(cfg))
+        for rate in (709.7, rate_bits_to_nats(1024)):
+            opt = optimize_b(d, rate)
+            assert opt.outage.p_hat == opt.at_a.p_hat == d.outage(a, rate).p_hat == 1.0
+            assert [e.p_hat for e in OutageCounter(d, rate).outages([0.5 * a, a])] == [1.0, 1.0]
+        for kind in ("outage_curve", "b_sweep"):
+            table = run_experiment(small_cfg(kind=kind, rate_bits=1024, b_over_a=[0.5, 1.0]))
+            assert {r[c] for r in table.rows for c in ("p_lmmse", "p_lsr", "p_hat") if c in r} == {1.0}
+
+    def test_rate_above_the_cap_is_refused(self):
+        d = draw(build_channel_config(6.0, 8), 100, 1)
+        for rate in (709.8, math.nextafter(rate_bits_to_nats(1024), math.inf)):
+            for call in (lambda: d.outage(1.0, rate), lambda: optimize_b(d, rate), lambda: OutageCounter(d, rate)):
+                with pytest.raises(ConfigError) as exc:
+                    call()
+                assert exc.value.path == "rate_nats"
+        with pytest.raises(ConfigError) as exc:
+            small_cfg(rate_bits=math.nextafter(1024.0, math.inf))
+        assert exc.value.path == "rate_bits"
 
 
 class TestRunOutageCurve:
@@ -526,6 +563,17 @@ class TestSnrGain:
         curve = [(0.0, 0.1), (1.0, 0.01), (2.0, 0.001)]
         assert snr_gain(curve, curve, 0.01) == 0.0
 
+    def test_exact_hits_without_a_bracketing_segment(self):
+        # a curve that starts at the target, one that meets it only at its
+        # last point, after a zero estimate, and a one-point curve
+        starts = [(1.0, 0.01), (2.0, 0.001)]
+        assert snr_gain([(0.0, 0.0), (3.0, 0.01)], starts, 0.01) == 2.0
+        assert snr_gain([(5.0, 0.01)], starts, 0.01) == 4.0
+
+    def test_empty_curve_raises(self):
+        with pytest.raises(NotBracketedError, match="empty curve"):
+            snr_gain([], [(0.0, 0.5), (2.0, 0.001)], 0.01)
+
     def test_unbracketed_raises(self):
         curve = [(0.0, 0.5), (2.0, 0.2)]
         with pytest.raises(NotBracketedError):
@@ -586,6 +634,19 @@ class TestEmitResults:
         for a, b in zip(table.rows, back.rows):
             for col in table.columns:
                 assert a[col] == b[col]
+
+    @pytest.mark.parametrize("overrides, column", [
+        (dict(kind="gmi_histogram", snr_db=[5.0], bins=4, trials=500), "receiver"),
+        (dict(kind="asymptotic_scan", snr_db=[0.0], n_r_list=[4, 32], trials=400), "b_rule"),
+    ], ids=["gmi-hist", "asymptotic-scan"])
+    def test_json_string_cells(self, tmp_path, overrides, column):
+        table = run_experiment(small_cfg(**overrides))
+        for fmt in ("csv", "json"):
+            emit_results(table, tmp_path / f"t.{fmt}", fmt)
+        rows = json.loads((tmp_path / "t.json").read_text(encoding="utf-8"))
+        assert [r[column] for r in rows] == [r[column] for r in table.rows]
+        assert {type(r[column]) for r in rows} == {str}
+        assert read_results(tmp_path / "t.json", "json") == read_results(tmp_path / "t.csv", "csv")
 
     def test_empty_table(self, tmp_path):
         table = ResultTable(columns=["x", "y"], rows=[])

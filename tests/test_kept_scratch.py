@@ -199,15 +199,15 @@ class TestKeptScratch:
 
     @pytest.mark.parametrize("rate", [1.0, 2.0 * math.log(2.0)])
     def test_counter_in_scratch_survives_its_whole_reads(self, rate):
-        # a b <= 0, a complex b and a b at an end are read whole, by
-        # d.outage, whose solve carves the scratch after the counter's ends
+        # a b <= 0, a complex b and a b at an end are read whole, solved
+        # in the scratch after the counter's ends
         cfg = complex_pilot(6.0, 8)
         d = draw(cfg, 10_000, 5)
         a = lmmse_coefficient(cfg)
         ends = [e for e in OutageCounter(d, rate)._lo if 0.0 < e < math.inf][::500]
         b_values = [0.0, -abs(a), a, *ends, abs(a)]
         expected = [d.outage(b, rate) for b in b_values]
-        counter = OutageCounter._in_scratch(d, rate, outage._search_scratch())
+        counter = OutageCounter._in_scratch(d, rate)
         lo, hi = counter._lo.copy(), counter._hi.copy()
         for _ in range(2):
             assert counter.outages(b_values) == expected

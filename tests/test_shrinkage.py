@@ -12,6 +12,7 @@ from lsrsim import (
     lmmse_coefficient,
     optimize_b,
 )
+from lsrsim.outage import OutageCounter
 
 
 def perfect_pilot_config(power=10.0, n_r=1):
@@ -114,6 +115,18 @@ class TestOptimizeB:
         assert opt.b_star == 0.5 * starts[k] + 0.5 * end
         assert opt.outage.p_hat == p_hat[k]
         assert np.all(p_hat[1:] != p_hat[:-1]) and np.all(starts[1:] > starts[:-1])
+
+    def test_falls_back_to_a_when_a_reads_fewer_failures(self, monkeypatch):
+        # a sweep stubbed to one step over [0, a] puts b_star at a / 2,
+        # which reads 95 failures against a's 33, so the search keeps a
+        cfg = build_channel_config(6.0, 8)
+        d, rate = draw(cfg, 2000, 1), 2.0 * math.log(2.0)
+        a = abs(lmmse_coefficient(cfg))
+        monkeypatch.setattr(OutageCounter, "_sweep", lambda self, low, high: (np.array([low]), np.array([0.5]), 0))
+        assert (d.outage(0.5 * a, rate).failures, d.outage(a, rate).failures) == (95, 33)
+        opt = optimize_b(d, rate, SearchSpec(0.0, 1.0))
+        assert opt.b_star == a
+        assert opt.outage == opt.at_a == d.outage(a, rate)
 
     def test_equal_ends_step_once(self):
         # every trial twice: each end comes in equal pairs, so the sweep
