@@ -344,7 +344,9 @@ def _feasible_ends(kappa, kappa_err, rate: float, arena: _Arena | None = None):
     error, in ``p`` and in ``b = (rho / V) p``, and ``slope`` bounds
     ``|dGMI / dlog b|`` there from below.  Each end is the cubic of its
     cell of :func:`_end_tables` at the trial's ``t``: a gather of the
-    cell's row and a Horner sum, with no evaluation of the curve.
+    cell's row and a Horner sum, with no evaluation of the curve
+    (:func:`_end_cells`); ``err`` and ``slope`` are read from the same
+    cell (:func:`_end_bounds`).
 
     Why ``err`` bounds the error: the table's ``err`` is the sum of
     (i) the Hermite interpolation error, ``p''''(t) step^4 (f (1 - f))^2 /
@@ -361,18 +363,29 @@ def _feasible_ends(kappa, kappa_err, rate: float, arena: _Arena | None = None):
     Against 64 halvings of ``kappa(s)`` in extended precision the error
     reads under a third of ``err`` (``tests/test_end_table.py``).
     """
+    ends = _end_cells(kappa, rate, arena or _Arena(np.empty(0, np.uint8)))
+    return (ends[0], *_end_bounds(ends, kappa_err, rate))
+
+
+def _end_cells(kappa, rate: float, arena: _Arena):
+    """Each trial's cell of :func:`_end_tables` and its ends:
+    ``(p, t, frac, index, rows)``.  ``p`` holds the ends of
+    :func:`_feasible_ends`; ``t = sqrt(kappa_max - kappa)``; ``frac`` is
+    the place ``f`` of ``t`` in its cell and ``index`` the cell's column of
+    the table, both of shape ``(2, kappa.size)``; ``rows`` is the
+    ``(4, 2, kappa.size)`` scratch whose last row holds ``p`` and whose
+    first three :func:`_end_bounds` reuses.  Every array is carved from
+    ``arena``."""
     kappa_max, scale, table = _end_tables(rate)
     cells = _END_TABLE_CELLS
-    arena = arena or _Arena(np.empty(0, np.uint8))
     n = kappa.size
     t = np.subtract(kappa_max, kappa, out=arena.take(n))
     np.sqrt(np.fmax(t, 0.0, out=t), out=t)
     frac = np.multiply(t, scale, out=arena.take(2, n))
-    # the cells' rows are gathered in three groups into five rows: the
-    # cubic's four into rows 1-4, err and gain into rows 0-1, the slope's
-    # three into rows 1-3; "clip" skips numpy's check of the indices, all in
-    # range, and lets take write straight into its out
-    rows = arena.take(5, 2, n)
+    # the cubic's four coefficients are gathered into the four rows, the
+    # first of which held the cell's number; "clip" skips numpy's check of
+    # the indices, all in range, and lets take write straight into its out
+    rows = arena.take(4, 2, n)
     cell = np.floor(frac, out=rows[0])
     np.minimum(cell, cells - 1.0, out=cell)
     np.subtract(frac, cell, out=frac)
@@ -380,14 +393,24 @@ def _feasible_ends(kappa, kappa_err, rate: float, arena: _Arena | None = None):
     np.copyto(index, cell, casting="unsafe")
     index[1] += cells
     with np.errstate(divide="ignore", invalid="ignore"):
-        spread = np.divide(np.add(kappa_err, 4.0 * _EPS * kappa_max, out=rows[0, 0]), t, out=t)
-        c0, c1, c2, c3 = table[:4].take(index, axis=1, mode="clip", out=rows[1:])
+        c0, c1, c2, c3 = table[:4].take(index, axis=1, mode="clip", out=rows)
         p = np.add(np.multiply(c3, frac, out=c3), c2, out=c3)
         p = np.add(np.multiply(p, frac, out=p), c1, out=p)
         p = np.add(np.multiply(p, frac, out=p), c0, out=p)
-        err, gain = table[4:6].take(index, axis=1, mode="clip", out=rows[:2])
-        err = np.add(err, np.multiply(gain, spread, out=gain), out=err)
-        slope0, slope1, slope2 = table[6:].take(index, axis=1, mode="clip", out=rows[1:4])
+    return p, t, frac, index, rows
+
+
+def _end_bounds(ends, kappa_err, rate: float):
+    """``(err, slope)`` of :func:`_feasible_ends` at the ends that
+    :func:`_end_cells` read (its result ``ends``), gathered from the same
+    cells into the first three rows of its scratch; ``t`` is overwritten."""
+    _, t, frac, index, rows = ends
+    kappa_max, _, table = _end_tables(rate)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = np.divide(np.add(kappa_err, 4.0 * _EPS * kappa_max, out=rows[0, 0]), t, out=t)
+        slope0, slope1, slope2 = table[6:].take(index, axis=1, mode="clip", out=rows[:3])
         slope = np.add(np.multiply(slope2, frac, out=slope2), slope1, out=slope2)
         slope = np.add(np.multiply(slope, frac, out=slope), slope0, out=slope)
-        return p, err, slope
+        err, gain = table[4:6].take(index, axis=1, mode="clip", out=rows[:2])
+        err = np.add(err, np.multiply(gain, spread, out=gain), out=err)
+    return err, slope

@@ -32,6 +32,7 @@ numbers.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ import numpy as np
 
 from .channel import (ChannelConfig, ConfigError, _check, _check_bins, _check_integer, _check_rate, _check_trials,
                       gram_variances, lmmse_coefficient)
-from .gmi import _EPS, _Arena, _feasible_ends, _solve_theta
+from .gmi import _END_TABLE_CELLS, _EPS, _Arena, _end_cells, _end_tables, _feasible_ends, _solve_theta
 from .streams import CHUNK_TRIALS, BlockSampler
 
 __all__ = [
@@ -223,21 +224,36 @@ _GMI_MARGIN = 1e-12
 # largest first-order relative error of a trial's kappa (from cancellation
 # in Re and Im of s^H v) for which the counter certifies its ends
 _KAPPA_ERROR = 1e-13
-# most trials per block of the counter's build.  A block's temporaries take
-# 207 bytes a trial of it, all carved from the kept scratch, so the block
-# size is set by the scratch: smaller blocks pay numpy's per-call overhead,
-# about 0.1 ms a block, more often.  At 10,000 trials (5 SNR points, n_r 8,
-# 2 bits, interleaved medians on a 2-core x86-64 VM) a build took 2.30 ms in
-# blocks of 1,024, 1.58 ms in blocks of 2,048, 1.34 ms in 3 blocks (at most
-# 4,096), 1.22 ms in 2 blocks (at most 6,144) and 1.13 ms in one block
+# the largest relative error of a trial's kappa that the build's short pass
+# vouches for without forming it, 512 eps (5.7e-14).  With a real and
+# positive, a trial whose rho = V a + Re Y is at least V a / 16 has no
+# cancellation: rho's rounding bound is at most 124 eps of it, Im(s^H v) =
+# Im Y is exact, and the rule's rel reads at most 264 eps, below both _R0
+# and _KAPPA_ERROR
+_R0 = 512 * _EPS
+# most trials per block of the build's short pass and of its per-trial rule
+# (OutageCounter._short and _ends), whose temporaries take _SHORT_BYTES and
+# _ENDS_BYTES a trial of a block, all carved from the kept scratch; a trial
+# that a short-pass block gathers for the rule takes 40 bytes more.  Every
+# run of blocks is the fewest evenly sized ones that fit what the scratch
+# has left, but none smaller than _GMI_FLOOR: smaller blocks pay numpy's
+# per-call overhead, about 0.1 ms a short-pass block, more often.  At
+# 10,000 trials (5 SNR points, n_r 8, 2 bits, interleaved medians on a
+# 2-core x86-64 VM) a build took 0.96 ms in short-pass blocks of 1,024,
+# 0.70 ms in blocks of 2,048, 0.60 ms in 3 blocks (at most 4,096), 0.55 ms
+# in 2 blocks (at most 6,144) and 0.52 ms in one block; the per-trial rule
+# in 2 blocks of at most 6,144 took 0.87-0.90 ms
+_SHORT_BLOCK = 10_240
 _COUNT_BLOCK = 6144
-# bytes of each thread's kept scratch, 1.5 MiB: a block's 207 bytes a
-# trial and room for the ends.  A counter built for optimize_b carves from
-# it its sorted ends, 16 bytes a trial, then the build's temporaries, and
-# after the build its sweep's arrays, 25 bytes an end, and its solves, each
-# after its ends; so a search of up to about 20,000 trials allocates only
-# its results, and a larger one allocates what does not fit.  Draw.gmi
-# solves in it too, from its start
+_SHORT_BYTES = 134
+_ENDS_BYTES = 191
+# bytes of each thread's kept scratch, 1.5 MiB: a short-pass block of
+# 10,240 trials, 134 bytes each, and room for the ends.  A counter built for
+# optimize_b carves from it its sorted ends, 16 bytes a trial, then the
+# build's temporaries, and after the build its sweep's arrays, 25 bytes an
+# end, and its solves, each after its ends; so a search of up to about
+# 20,000 trials allocates only its results, and a larger one allocates what
+# does not fit.  Draw.gmi solves in it too, from its start
 _SCRATCH_BYTES = 256 * _COUNT_BLOCK
 # most trials per block of Draw.gmi's solve, whose temporaries take 114 bytes
 # a trial of a block: one block, 1.45 MiB, fits the scratch.  On a 2-core
@@ -247,7 +263,7 @@ _SCRATCH_BYTES = 256 * _COUNT_BLOCK
 # n_r 128, one block, 43.7-46.2 ns (42.6-53.5 ns)
 _GMI_BLOCK = 13_312
 # bytes of the solve's temporaries a trial of a block, and the fewest trials
-# a block holds.  A solve behind a counter's ends in the scratch (16 bytes a
+# a block of the solve or of the counter's build holds.  A solve behind a counter's ends in the scratch (16 bytes a
 # trial) takes a block that fits the room they leave, 11,000 trials behind
 # 20,000 ends, and allocates its block only behind more than about 91,000
 _GMI_BYTES = 114
@@ -272,6 +288,72 @@ def _search_scratch(start: int = 0) -> _Arena:
 _TINY_C = 1e-290
 
 
+# the short pass runs on a draw whose V a and V sigma^2 / P lie in
+# [1 / _SHORT_RANGE, _SHORT_RANGE] and whose |Re Y| and |Im Y| are at most
+# _SHORT_RANGE: there every product and quotient of the per-trial rule is a
+# finite normal float, or a small term it adds to a normal one
+_SHORT_RANGE = 1e100
+
+
+def _rule(rate: float) -> tuple[float, float, float]:
+    """``(kappa_max, tol, margin)`` of the per-trial rule at ``rate``: the
+    peak's ``kappa``, the GMI margin in nats and the relative margin on
+    ``kappa``."""
+    kappa_max = 1.0 / math.expm1(rate)
+    tol = _GMI_MARGIN * (rate + 2.0)
+    return kappa_max, tol, 1e-7 + 4.0 * tol * (1.0 + kappa_max)
+
+
+@functools.lru_cache(maxsize=32)
+def _settled_cells(rate: float) -> np.ndarray:
+    """Whether each cell of ``gmi._end_tables(rate)``, column
+    ``k * _END_TABLE_CELLS + j`` for cell ``j`` of branch ``k``, settles
+    the end of every trial that falls in it with ``kappa < kappa_max`` and
+    a relative error of ``kappa`` of at most ``_R0``: whether the per-trial
+    rule's tests on the end's ``err`` and ``slope`` pass everywhere in the
+    cell with ``rel = _R0``.
+
+    With ``t >= j / scale`` in cell ``j``, the end's ``err`` is at most the
+    cell's ``err + gain (kappa_max _R0 + 4 eps kappa_max) scale / j``, and
+    its slope at least the least of the cell's quadratic over
+    ``0 <= f <= 1``, less 16 ulps of the sum of its coefficients' sizes;
+    each test keeps a relative 1e-6 for the roundings of the rule.  (A
+    trial's ``f`` passes 1 only in the lower branch's last cell below
+    1 nat, beyond its pole, where the rule reads the end at ``b -> 0+``
+    instead.)  Cell 0 of each branch, at the peak, where ``t`` may be 0,
+    never settles, its ``scale / j`` being infinite, nor does any cell if
+    ``_R0`` exceeds ``_KAPPA_ERROR``.  Built from elementwise ufuncs only,
+    once per rate, and shared by every counter of the rate, like the
+    tables.
+    """
+    kappa_max, scale, table = _end_tables(rate)
+    _, tol, _ = _rule(rate)
+    err, gain, s0, s1, s2 = table[4:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = ((kappa_max * _R0 + 4.0 * _EPS * kappa_max) * (scale / np.arange(_END_TABLE_CELLS))).ravel()
+        sure = err + gain * spread + _R0 <= _END_WINDOW / 8.0 * (1.0 - 1e-6)
+        # the quadratic's least on [0, 1]: at f = 0, at f = 1 or at its
+        # vertex -s1 / (2 s2), where a convex one has it inside
+        least = np.fmin(s0, s0 + s1 + s2)
+        vertex = -s1 / (2.0 * s2)
+        inside = (s2 > 0.0) & (vertex > 0.0) & (vertex < 1.0)
+        least = np.where(inside, np.fmin(least, s0 - s1 * s1 / (4.0 * s2)), least)
+        least -= 16.0 * _EPS * (np.abs(s0) + np.abs(s1) + np.abs(s2))
+        sure &= least >= 8.0 * tol / _END_WINDOW * (1.0 + 1e-6)
+    sure &= _R0 <= _KAPPA_ERROR
+    sure.flags.writeable = False
+    return sure
+
+
+def _blocks(trials: int, most: int, per_trial: int, arena: _Arena) -> list[int]:
+    """The bounds of the fewest evenly sized blocks of ``trials`` trials
+    that hold at most ``most`` and, at ``per_trial`` bytes a trial, fit what
+    ``arena`` has left, but hold no fewer than ``_GMI_FLOOR``."""
+    room = (arena.buf.nbytes - arena.used - 32 * 64) // per_trial
+    blocks = -(-trials // min(most, max(room, _GMI_FLOOR)))
+    return [trials * k // blocks for k in range(blocks + 1)]
+
+
 class OutageCounter:
     """Outage of one draw at one rate for any real ``b``, counted from each
     trial's feasible interval in ``b``.
@@ -283,15 +365,25 @@ class OutageCounter:
     ends.  The ends are built once from each trial's ``rho = Re(s^H v)``
     and ``kappa``, read from the per-rate table of ``gmi._end_tables`` and
     kept for the trials that pass the tests on ``rho`` and ``kappa`` below.
-    The build runs in the fewest evenly sized blocks of at most
-    ``_COUNT_BLOCK`` trials, whose temporaries, 207 bytes a trial of a
-    block (1.27 MB at most), are views of a scratch of ``_SCRATCH_BYTES``
-    (1.5 MiB) that each thread allocates once and keeps; so a build
-    allocates only the counter's own 16 bytes per trial, the sorted ends.
-    Every solve the counter runs takes its temporaries from the same
-    scratch, after the counter's ends when they are views of it: the
-    counter passes where its ends stop to each.  Counters may be built and
-    read in several threads at once, each in its own thread's scratch.
+    Those tests, the per-trial rule (:meth:`_ends`), bound the rounding of
+    ``rho`` and ``kappa`` trial by trial.  Where ``a`` is real and positive
+    a short pass (:meth:`_short`) runs first: a trial whose ``rho`` cannot
+    cancel has a relative error of ``kappa`` of at most ``_R0``, and one
+    flag per table cell (:func:`_settled_cells`) says whether the rule's
+    tests on an end in the cell pass with that error; so the pass certifies
+    a trial, or finds it dead, only where the rule would, and gathers the
+    rest, none at the benchmark's curve points, for the rule.  The build
+    runs in the fewest evenly sized blocks that fit the scratch, of at most
+    ``_SHORT_BLOCK`` (short pass, 134 bytes a trial, 1.37 MB at most) or
+    ``_COUNT_BLOCK`` trials (rule, 191 bytes a trial), whose temporaries
+    are views of a scratch of ``_SCRATCH_BYTES`` (1.5 MiB) that each thread
+    allocates once and keeps; so a build allocates only the counter's own
+    16 bytes per trial, the sorted ends, and the offsets of the trials
+    that the rule reads or re-solves.  Every solve the counter runs takes
+    its temporaries from the same scratch, after the counter's ends when
+    they are views of it: the counter passes where its ends stop to each.
+    Counters may be built and read in several threads at once, each in its
+    own thread's scratch.
 
     A trial's ends are certified when they are known to within a relative
     ``_END_WINDOW / 8`` and its GMI stays ``_GMI_MARGIN (rate + 2)`` nats
@@ -332,31 +424,124 @@ class OutageCounter:
         self._lo, self._hi, self._end = lo, hi, arena.used
         lo.fill(0.0 if self.rate == 0.0 else np.inf)  # a GMI is never below 0
         hi.fill(np.inf)
+        v_min = float(d.v_energy.min())
         unsure = [np.zeros(0, dtype=np.intp)]
         if self.rate > 0.0:
-            # the fewest blocks of at most _COUNT_BLOCK trials, evenly sized;
             # an uncertified trial keeps ends of inf, which sort last.  Each
             # block's temporaries are carved afresh after what the arena holds
-            blocks = -(-trials // _COUNT_BLOCK)
-            bounds = [trials * k // blocks for k in range(blocks + 1)]
+            short = self._short_applies(v_min)
+            ends = self._short if short else self._ends
+            most, per_trial = (_SHORT_BLOCK, _SHORT_BYTES) if short else (_COUNT_BLOCK, _ENDS_BYTES)
+            bounds = _blocks(trials, most, per_trial, arena)
             for start, stop in zip(bounds, bounds[1:]):
-                unsure.append(self._ends(start, stop, _Arena(arena.buf, arena.used)) + start)
+                block = d.v_energy[start:stop], d.residual[start:stop], lo[start:stop], hi[start:stop]
+                unsure.append(ends(*block, _Arena(arena.buf, arena.used)) + start)
         self._unsure = np.concatenate(unsure)
         lo.sort()
         hi.sort()
-        v_min = float(d.v_energy.min())
         # the smallest b counted from the ends
         self.b_min = math.sqrt(_TINY_C / v_min) if v_min > 0.0 else math.inf
 
-    def _ends(self, start: int, stop: int, arena: _Arena) -> np.ndarray:
-        """Write the ends of the certified trials among ``start..stop-1``
-        into the same entries of ``_lo`` and ``_hi``, and return the offsets
-        from ``start`` of the trials left to re-solve.  Every temporary is
-        carved from ``arena``."""
+    def _short_applies(self, v_min: float) -> bool:
+        """Whether the build runs the short pass: ``a`` real and positive,
+        a rate above the rule's GMI margin, and the draw's numbers inside
+        ``_SHORT_RANGE``, its ``Y`` read as one contiguous array."""
+        d, rate = self.draw, self.rate
+        a, noise = lmmse_coefficient(d.config), d.config.noise_var / d.config.power
+        if not (a.imag == 0.0 and a.real > 0.0 and rate > _rule(rate)[1] and d.residual.flags.c_contiguous):
+            return False
+        y = d.residual.view(np.float64)
+        v_max = float(d.v_energy.max())
+        return (v_min * min(a.real, noise) >= 1.0 / _SHORT_RANGE and v_max * max(a.real, noise) <= _SHORT_RANGE
+                and -_SHORT_RANGE <= float(y.min()) and float(y.max()) <= _SHORT_RANGE)
+
+    def _short(self, v: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray, arena: _Arena) -> np.ndarray:
+        """:meth:`_ends` of the trials ``(v, y)``, into ``lo`` and ``hi``,
+        with the same result bit for bit: a trial is certified where the
+        rule would certify it with any ``rel <= _R0`` and dead where the
+        rule finds it dead, and only the rest are gathered for the rule
+        (:meth:`_settle`).  Needs ``a`` real and positive.
+
+        Every test of the rule is monotone in ``rel``, and so is every
+        rounding, so reading ``_R0`` for a ``rel`` known to be at most
+        ``_R0`` only makes a test stricter: a trial with no cancellation
+        (``rho >= V a / 16``) whose cells :func:`_settled_cells` flags and
+        whose ``kappa (1 + _R0)`` passes the rule's test on the peak is
+        certified by the rule.  Dead, as the rule finds them, are a trial
+        with ``rho < -V a / 16``, negative well beyond its rounding, and one
+        with ``|rho| >= V a / 2^20``, whose ``rho`` the rule so knows to
+        within 1e-9 relative, and a ``kappa`` a relative 1e-8 past the
+        rule's bound.  ``rho``, ``kappa`` and the ends are formed by the
+        rule's own operations, so they have its bits."""
+        d, rate = self.draw, self.rate
+        a = lmmse_coefficient(d.config).real
+        kappa_max, tol, margin = _rule(rate)
+        n, used = v.size, arena.used
+        rho, kappa, w = (arena.take(n) for _ in range(3))
+        sure, dead, ok, zero = (arena.take(n, dtype=np.bool_) for _ in range(4))
+        settled = arena.take(2, n, dtype=np.bool_)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            va = np.multiply(v, a, out=w)
+            np.add(va, y.real, out=rho)
+            # rho >= V a / 16: no cancellation; rho < -V a / 16: dead;
+            # |rho| >= V a / 2^20: rho known to 1e-9 relative
+            sixteenth = np.multiply(va, 0.0625, out=kappa)
+            np.greater_equal(rho, sixteenth, out=sure)
+            np.less(np.add(rho, sixteenth, out=kappa), 0.0, out=dead)
+            known = np.greater_equal(np.multiply(np.abs(rho, out=kappa), 2.0**20, out=kappa), va, out=zero)
+            noise = np.multiply(v, d.config.noise_var / d.config.power, out=w)
+            np.add(np.multiply(y.imag, y.imag, out=kappa), noise, out=kappa)
+            np.divide(kappa, np.multiply(rho, rho, out=w), out=kappa)
+            past = np.greater(kappa, kappa_max * (1.0 + margin) * (1.0 + 1e-8), out=ok)
+            np.logical_or(dead, np.logical_and(known, past, out=ok), out=dead)
+            np.multiply(kappa, 1.0 + _R0, out=w)
+            np.logical_and(sure, np.less(w, kappa_max * (1.0 - margin), out=ok), out=sure)
+
+            p, t, _, index, _ = _end_cells(kappa, rate, arena)
+            _settled_cells(rate).take(index, mode="clip", out=settled)
+            # the rule's test of a lower end at b -> 0+, with _R0 for rel
+            if 1.0 / rate - 1.0 >= 0.0:
+                to_zero = np.less_equal(kappa, 1.0 / rate - 1.0, out=ok)
+                np.copyto(p[0], 0.0, where=to_zero)
+                np.add(np.add(kappa, 1.0, out=t), np.multiply(kappa, _R0, out=w), out=t)
+                np.multiply(t, rate + 2.0 * tol, out=t)
+                np.copyto(settled[0], np.less_equal(t, 1.0, out=zero), where=to_zero)
+            np.logical_and(sure, settled[0], out=sure)
+            np.logical_and(sure, settled[1], out=sure)
+            np.multiply(p, np.divide(rho, v, out=w), out=p)
+            np.copyto(lo, p[0], where=sure)
+            np.copyto(hi, p[1], where=sure)
+        rest = np.flatnonzero(np.logical_not(np.logical_or(sure, dead, out=dead), out=dead))
+        return self._settle(v, y, rest, lo, hi, _Arena(arena.buf, used)) if rest.size else rest
+
+    def _settle(self, v: np.ndarray, y: np.ndarray, rest: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                arena: _Arena) -> np.ndarray:
+        """:meth:`_ends` of the trials ``rest`` of ``(v, y)``, gathered into
+        ``arena`` in the fewest evenly sized pieces that fit it, and their
+        ends put back into ``lo`` and ``hi``; returns those of ``rest`` left
+        to re-solve."""
+        bounds = _blocks(rest.size, _COUNT_BLOCK, _ENDS_BYTES + 40, arena)
+        unsure = []
+        for start, stop in zip(bounds, bounds[1:]):
+            part, m, scratch = rest[start:stop], stop - start, _Arena(arena.buf, arena.used)
+            v_part, lo_part, hi_part = scratch.take(m), scratch.take(m), scratch.take(m)
+            y_part = np.take(y, part, mode="clip", out=scratch.take(m, dtype=np.complex128))
+            np.take(v, part, mode="clip", out=v_part)
+            lo_part.fill(np.inf)
+            hi_part.fill(np.inf)
+            unsure.append(part[self._ends(v_part, y_part, lo_part, hi_part, scratch)])
+            np.put(lo, part, lo_part, mode="clip")
+            np.put(hi, part, hi_part, mode="clip")
+        return np.concatenate(unsure)
+
+    def _ends(self, v: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray, arena: _Arena) -> np.ndarray:
+        """The per-trial rule: write the ends of the certified trials among
+        ``(v, y)``, a block's ``V`` and ``Y``, into the same entries of
+        ``lo`` and ``hi``, and return the offsets of the trials left to
+        re-solve.  Every temporary is carved from ``arena``."""
         d, rate = self.draw, self.rate
         a = lmmse_coefficient(d.config)
-        n = stop - start
-        v, y = d.v_energy[start:stop], d.residual[start:stop]
+        n = v.size
         rho, im, rho_err, im_err, noise, kappa, rel, k_err, w1, w2 = (arena.take(n) for _ in range(10))
         certified, ok, dead = (arena.take(n, dtype=np.bool_) for _ in range(3))
         sure, sure_hi = (arena.take(2, n, dtype=np.bool_) for _ in range(2))
@@ -377,9 +562,7 @@ class OutageCounter:
             # a peak GMI log1p(1 / kappa) a margin below the rate, or rho < 0
             # (a GMI of 0), is an outage at every b; one a margin above it
             # has an interval with two ends
-            kappa_max = 1.0 / math.expm1(rate)
-            tol = _GMI_MARGIN * (rate + 2.0)
-            margin = 1e-7 + 4.0 * tol * (1.0 + kappa_max)
+            kappa_max, tol, margin = _rule(rate)
             np.greater(rho, 0.0, out=certified)
             np.logical_and(certified, np.less_equal(rel, _KAPPA_ERROR, out=ok), out=certified)
             np.multiply(kappa, np.add(rel, 1.0, out=w1), out=w1)
@@ -402,8 +585,8 @@ class OutageCounter:
             np.logical_and(certified, np.logical_and(sure[0], sure[1], out=ok), out=certified)
             # b = (rho / V) p, with rho / V the peak
             np.multiply(p, np.divide(rho, v, out=w1), out=p)
-            np.copyto(self._lo[start:stop], p[0], where=certified)
-            np.copyto(self._hi[start:stop], p[1], where=certified)
+            np.copyto(lo, p[0], where=certified)
+            np.copyto(hi, p[1], where=certified)
 
             # the rest are re-solved, but for the dead: rho < 0 beyond its
             # rounding, or kappa at its least a margin past the peak's

@@ -17,8 +17,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lsrsim import ChannelConfig, Draw, build_channel_config, draw, lmmse_coefficient, optimize_b
+from lsrsim import (ChannelConfig, Draw, ExperimentConfig, build_channel_config, draw, lmmse_coefficient,
+                    optimize_b, run_experiment)
 from lsrsim import outage
+from lsrsim.gmi import _END_TABLE_CELLS, _Arena, _end_cells, _end_tables, _feasible_ends
 from lsrsim.outage import OutageCounter
 from oracles import RATES, literal_gmi_of_draw
 
@@ -218,9 +220,9 @@ class TestOutageCounter:
         # certified ends before the sort; counters on uneven pieces of the
         # draw, one of them a single trial, hold the same sorted ends and
         # re-solve the same trials, bit for bit
-        d = draw(pilot(snr_db, 8), 2 * outage._COUNT_BLOCK + 3, 22)
+        d = draw(pilot(snr_db, 8), 2 * outage._SHORT_BLOCK + 3, 22)
         whole = OutageCounter(d, rate)
-        bounds = [0, 1, 700, 701, outage._COUNT_BLOCK + 5, d.v_energy.size]
+        bounds = [0, 1, 700, 701, outage._COUNT_BLOCK + 5, outage._SHORT_BLOCK + 5, d.v_energy.size]
         pieces = [OutageCounter(Draw(d.config, d.v_energy[lo:hi], d.residual[lo:hi]), rate)
                   for lo, hi in zip(bounds, bounds[1:])]
         for name in ("_lo", "_hi"):
@@ -322,3 +324,136 @@ class TestOutageCounter:
         cfg = complex_pilot(5.0, 4)
         d = draw(cfg, 500, 17)
         assert_counts_match(d, [0.5], [-abs(lmmse_coefficient(cfg)), -1e-3])
+
+
+def per_trial_reference(counter: OutageCounter) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The counter's sorted ends and re-solved trials as the per-trial rule
+    finds them, run once on the whole draw with arrays of its own."""
+    d = counter.draw
+    lo, hi = np.full(d.v_energy.size, math.inf), np.full(d.v_energy.size, math.inf)
+    unsure = counter._ends(d.v_energy, d.residual, lo, hi, _Arena(np.empty(0, np.uint8)))
+    return np.sort(lo), np.sort(hi), unsure
+
+
+def spy_per_trial_rule(monkeypatch) -> list[int]:
+    """The number of trials of every call of the per-trial rule from now on."""
+    sizes, ends = [], OutageCounter._ends
+
+    def spy(self, v, y, lo, hi, arena):
+        sizes.append(v.size)
+        return ends(self, v, y, lo, hi, arena)
+
+    monkeypatch.setattr(OutageCounter, "_ends", spy)
+    return sizes
+
+
+SHORT_RATES = [0.3, math.log(2.0), 1.0, 2.0 * math.log(2.0), 4.0 * math.log(2.0), 8.0 * math.log(2.0)]
+
+
+class TestShortPass:
+    """The build's short pass vouches for a trial from one flag per table
+    cell and leaves the rest to the per-trial rule: the ends and the
+    re-solved trials are the rule's, bit for bit."""
+
+    @pytest.mark.parametrize("snr_db", [-5.0, 0.0, 6.0, 15.0, 30.0, 60.0])
+    @pytest.mark.parametrize("pilot", [build_channel_config, complex_pilot])
+    def test_matches_the_per_trial_rule(self, pilot, snr_db):
+        for n_r in (1, 2, 8, 64, 1024):
+            d = draw(pilot(snr_db, n_r), 4097, 23)
+            for rate in SHORT_RATES:
+                counter = OutageCounter(d, rate)
+                lo, hi, unsure = per_trial_reference(counter)
+                assert counter._lo.tobytes() == lo.tobytes(), (n_r, rate)
+                assert counter._hi.tobytes() == hi.tobytes(), (n_r, rate)
+                assert counter._unsure.tobytes() == unsure.tobytes(), (n_r, rate)
+
+    @pytest.mark.parametrize("rate", SHORT_RATES)
+    def test_matches_the_per_trial_rule_over_two_blocks(self, rate, monkeypatch):
+        d = draw(build_channel_config(3.0, 8), outage._SHORT_BLOCK + 3, 24)
+        blocks = []
+        short = OutageCounter._short
+
+        def spy(self, v, *args):
+            blocks.append(v.size)
+            return short(self, v, *args)
+
+        monkeypatch.setattr(OutageCounter, "_short", spy)
+        counter = OutageCounter(d, rate)
+        assert len(blocks) == 2
+        lo, hi, unsure = per_trial_reference(counter)
+        assert (counter._lo.tobytes(), counter._hi.tobytes()) == (lo.tobytes(), hi.tobytes())
+        assert counter._unsure.tobytes() == unsure.tobytes()
+
+    @pytest.mark.parametrize("rate", SHORT_RATES)
+    def test_settled_cells_pass_the_rule(self, rate):
+        # in every settled cell a kappa at its edges and middle, known to
+        # _R0 relative, passes the rule's tests on its end
+        kappa_max, scale, _ = _end_tables(rate)
+        _, tol, _ = outage._rule(rate)
+        flags = outage._settled_cells(rate)
+        assert 0 < np.count_nonzero(flags) < flags.size
+        assert not flags[0] and not flags[_END_TABLE_CELLS]
+        for upper in (0, 1):
+            cells = np.flatnonzero(flags[upper * _END_TABLE_CELLS:(upper + 1) * _END_TABLE_CELLS])
+            places = np.array([1e-9, 0.5, 1.0 - 1e-9])
+            t = ((cells[:, None] + places) / scale[upper, 0]).ravel()
+            kappa = kappa_max - t * t
+            pole = 0.0 if upper or rate > 1.0 else 1.0 / rate - 1.0
+            inside = kappa > pole
+            kappa, column = kappa[inside], np.repeat(cells, places.size)[inside] + upper * _END_TABLE_CELLS
+            read = _end_cells(kappa, rate, _Arena(np.empty(0, np.uint8)))[3][upper]
+            assert np.mean(read == column) > 0.99
+            kappa = kappa[read == column]
+            _, err, slope = (row[upper] for row in _feasible_ends(kappa, kappa * outage._R0, rate))
+            assert np.all(err + outage._R0 <= outage._END_WINDOW / 8.0)
+            assert np.all(slope * outage._END_WINDOW >= 8.0 * tol)
+
+    @pytest.mark.parametrize("snr_db,trials,seed", [(3.0 + 1.5 * k, 10_000, seed) for seed in (20240, 8191)
+                                                    for k in range(5)]
+                             + [(3.0 + 0.5 * k, 100_000, 20240) for k in range(13)])
+    def test_the_curve_points_need_no_per_trial_rule(self, snr_db, trials, seed, monkeypatch):
+        # the benchmark's curve (n_r 8, 2 bits, 3-9 dB, 10,000 trials, at
+        # its two seeds) and acceptance criterion 4's (3-9 dB in steps of
+        # 0.5, 1e5 trials): the short pass settles every trial of each point
+        sizes = spy_per_trial_rule(monkeypatch)
+        run_experiment(ExperimentConfig(kind="outage_curve", snr_db=[snr_db], n_r_list=[8], rate_bits=2.0,
+                                        trials=trials, seed=seed))
+        assert sum(sizes) == 0
+
+    def test_cancelling_trials_are_left_to_the_rule(self):
+        # hand-made trials whose rho = V a + Re Y cancels to 2^-44 .. 2^-22
+        # of V a, with a kappa a hair past the rule's bound: the rule cannot
+        # call the most cancelled ones dead and re-solves them, and the short
+        # pass leaves every one to it
+        cfg = build_channel_config(150.0, 8)
+        a, noise_ratio = lmmse_coefficient(cfg).real, cfg.noise_var / cfg.power
+        rate = 2.0 * math.log(2.0)
+        kappa_max, _, margin = outage._rule(rate)
+        v = 1e30
+        y = []
+        for shift in (2.0**-44, 2.0**-36, 2.0**-28, 2.0**-22):
+            for excess in (1.5e-8, 3e-8, 1e-6, 1e-4):
+                y_re = -v * a * (1.0 - shift)
+                rho = v * a + y_re
+                y.append(complex(y_re, math.sqrt(kappa_max * (1.0 + margin) * (1.0 + excess) * rho * rho
+                                                  - v * noise_ratio)))
+        counter = OutageCounter(Draw(cfg, np.full(len(y), v), np.array(y)), rate)
+        lo, hi, unsure = per_trial_reference(counter)
+        assert 0 < unsure.size < len(y)
+        assert counter._unsure.tobytes() == unsure.tobytes()
+        assert (counter._lo.tobytes(), counter._hi.tobytes()) == (lo.tobytes(), hi.tobytes())
+
+    def test_numbers_beyond_the_range_are_left_to_the_rule(self):
+        # a hand-made trial with an infinite Re Y has rho = inf and kappa = 0,
+        # whose ends the cells would settle; the rule, whose rounding bound on
+        # rho is then inf, re-solves it, and so does the counter
+        cfg = build_channel_config(6.0, 8)
+        d = draw(cfg, 300, 25)
+        y = d.residual.copy()
+        y[7] = complex(math.inf, y[7].imag)
+        for rate in (0.3, 2.0 * math.log(2.0)):
+            counter = OutageCounter(Draw(cfg, d.v_energy, y), rate)
+            lo, hi, unsure = per_trial_reference(counter)
+            assert 7 in unsure
+            assert counter._unsure.tobytes() == unsure.tobytes()
+            assert (counter._lo.tobytes(), counter._hi.tobytes()) == (lo.tobytes(), hi.tobytes())
