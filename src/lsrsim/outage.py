@@ -119,23 +119,39 @@ class Draw:
 
     Entry ``i`` of each array is trial ``i`` of the module's stream
     contract: ``v_energy = V = ||v||^2`` and ``residual = Y = (s - a v)^H v``
-    with ``a = lmmse_coefficient(config)``.  Built by :func:`draw`.
+    with ``a = lmmse_coefficient(config)``.  Built by :func:`draw`.  A
+    draw built by hand is refused, with a :class:`ConfigError` naming the
+    array, unless ``v_energy`` is a 1-d float64 array of at least one
+    ``V >= 0`` and ``residual`` a complex128 array of its shape, neither
+    with a NaN; ``inf`` is accepted.
     """
 
     config: ChannelConfig
     v_energy: np.ndarray
     residual: np.ndarray  # complex
 
+    def __post_init__(self):
+        v, y = self.v_energy, self.residual
+        _check(isinstance(v, np.ndarray) and v.dtype == np.float64 and v.ndim == 1 and v.size > 0, "v_energy",
+               "must be a nonempty 1-d float64 array")
+        _check(isinstance(y, np.ndarray) and y.dtype == np.complex128 and y.shape == v.shape, "residual",
+               "must be a complex128 array of v_energy's shape")
+        _check(v.min() >= 0.0, "v_energy", "must hold no V < 0 and no NaN")
+        # a NaN min reads a NaN anywhere; Y's float64 view needs Y contiguous
+        nan = np.isnan(y.view(np.float64).min()) if y.flags.c_contiguous else np.isnan(y).any()
+        _check(not nan, "residual", "must hold no NaN")
+
     def gmi(self, b: complex) -> np.ndarray:
         """Per-trial GMI (nats) of the decoder scaled by ``b``; shape ``(trials,)``.
 
-        The trials are solved in blocks of at most ``_GMI_BLOCK``, whose
-        temporaries, 114 bytes a trial of a block, are views of the calling
-        thread's kept scratch (``_search_scratch``), carved from its start,
-        so a call allocates only its result.  The counter's solves, which
-        carve after its ends, take smaller blocks that fit the room left.
-        Threads, one draw's included, each solve in their own scratch.  The
-        block size never changes a result.
+        The trials are solved in the fewest evenly sized blocks that fit
+        the calling thread's kept scratch (``_search_scratch``, 1.5 MiB),
+        114 bytes a trial of a block (:func:`_blocks`), so 13,779 trials
+        from its start; their temporaries are views of it, so a call
+        allocates only its result.  The counter's solves, which carve after
+        its ends, take smaller blocks that fit the room left.  Threads, one
+        draw's included, each solve in their own scratch.  The block size
+        never changes a result.
         """
         return self._solve(_check_coefficient(b), self.v_energy, self.residual)
 
@@ -154,18 +170,15 @@ class Draw:
         power, noise_var = self.config.power, self.config.noise_var
         trials = v_energy.size
         gmi = np.zeros(trials)
-        # a block that fits what the arena has left, each of the three views
-        # aligned to 64 bytes, but no smaller than _GMI_FLOOR
-        room = (arena.buf.nbytes - arena.used - 3 * 64) // _GMI_BYTES
-        m = min(max(trials, 1), _GMI_BLOCK, max(room, _GMI_FLOOR))
+        bounds = _blocks(trials, _GMI_BYTES, arena)
         # z forms Re(b Y); rows 0-2 hold c, r and d and rows 3-11 are
         # _solve_theta's scratch, where rows 3 and 4 first hold Re and Im of
-        # e = (conj(b) - conj(a)) V - Y and row 11 (Im e)^2
-        z, rows, flags = arena.take(m, dtype=np.complex128), arena.take(12, m), arena.take(2, m, dtype=np.bool_)
-        for lo in range(0, trials, m):
-            hi = min(lo + m, trials)
-            if hi - lo < m:
-                z, rows, flags = z[: hi - lo], rows[:, : hi - lo], flags[:, : hi - lo]
+        # e = (conj(b) - conj(a)) V - Y and row 11 (Im e)^2.  They are carved
+        # once, for the last block, the largest, and each block slices its own
+        m = bounds[-1] - bounds[-2]
+        z_m, rows_m, flags_m = arena.take(m, dtype=np.complex128), arena.take(12, m), arena.take(2, m, dtype=np.bool_)
+        for lo, hi in zip(bounds, bounds[1:]):
+            z, rows, flags = z_m[: hi - lo], rows_m[:, : hi - lo], flags_m[:, : hi - lo]
             c, r, d, e_re, e_im = rows[:5]
             v, y = v_energy[lo:hi], residual[lo:hi]
             bk = b[lo:hi] if per_trial else b
@@ -231,42 +244,29 @@ _KAPPA_ERROR = 1e-13
 # Im Y is exact, and the rule's rel reads at most 264 eps, below both _R0
 # and _KAPPA_ERROR
 _R0 = 512 * _EPS
-# most trials per block of the build's short pass and of its per-trial rule
-# (OutageCounter._short and _ends), whose temporaries take _SHORT_BYTES and
-# _ENDS_BYTES a trial of a block, all carved from the kept scratch; a trial
-# that a short-pass block gathers for the rule takes 40 bytes more.  Every
-# run of blocks is the fewest evenly sized ones that fit what the scratch
-# has left, but none smaller than _GMI_FLOOR: smaller blocks pay numpy's
-# per-call overhead, about 0.1 ms a short-pass block, more often.  At
-# 10,000 trials (5 SNR points, n_r 8, 2 bits, interleaved medians on a
-# 2-core x86-64 VM) a build took 0.96 ms in short-pass blocks of 1,024,
-# 0.70 ms in blocks of 2,048, 0.60 ms in 3 blocks (at most 4,096), 0.55 ms
-# in 2 blocks (at most 6,144) and 0.52 ms in one block; the per-trial rule
-# in 2 blocks of at most 6,144 took 0.87-0.90 ms
-_SHORT_BLOCK = 10_240
-_COUNT_BLOCK = 6144
-_SHORT_BYTES = 134
-_ENDS_BYTES = 191
-# bytes of each thread's kept scratch, 1.5 MiB: a short-pass block of
-# 10,240 trials, 134 bytes each, and room for the ends.  A counter built for
+# bytes of each thread's kept scratch, 1.5 MiB.  A counter built for
 # optimize_b carves from it its sorted ends, 16 bytes a trial, then the
 # build's temporaries, and after the build its sweep's arrays, 25 bytes an
 # end, and its solves, each after its ends; so a search of up to about
 # 20,000 trials allocates only its results, and a larger one allocates what
 # does not fit.  Draw.gmi solves in it too, from its start
-_SCRATCH_BYTES = 256 * _COUNT_BLOCK
-# most trials per block of Draw.gmi's solve, whose temporaries take 114 bytes
-# a trial of a block: one block, 1.45 MiB, fits the scratch.  On a 2-core
-# x86-64 VM (medians of 60 calls in each of 4 processes, interleaved with
-# the 32,768-trial blocks of the earlier per-draw workspace) 1e5 trials at
-# n_r 8 took 31.2-32.5 ns a trial (31.5-36.9 ns before) and 5,000 trials at
-# n_r 128, one block, 43.7-46.2 ns (42.6-53.5 ns)
-_GMI_BLOCK = 13_312
-# bytes of the solve's temporaries a trial of a block, and the fewest trials
-# a block of the solve or of the counter's build holds.  A solve behind a counter's ends in the scratch (16 bytes a
-# trial) takes a block that fits the room they leave, 11,000 trials behind
-# 20,000 ends, and allocates its block only behind more than about 91,000
+_SCRATCH_BYTES = 3 * 2**19
+# bytes a trial of a block of each kernel that runs in the scratch, all in
+# the blocks of _blocks: the build's short pass (OutageCounter._short), its
+# per-trial rule (_ends; a trial that a short-pass block gathers for the
+# rule takes 40 bytes more) and Draw.gmi's solve
+_SHORT_BYTES = 134
+_ENDS_BYTES = 191
 _GMI_BYTES = 114
+# the fewest trials a block holds.  Blocks are as large as the scratch
+# allows: smaller ones pay numpy's per-call overhead, about 0.1 ms a
+# short-pass block, more often.  At 10,000 trials (5 SNR points, n_r 8, 2
+# bits, interleaved medians on a 2-core x86-64 VM) a build took 0.96 ms in
+# short-pass blocks of 1,024, 0.70 ms in blocks of 2,048, 0.60 ms in 3
+# blocks (at most 4,096), 0.55 ms in 2 blocks (at most 6,144) and 0.52 ms
+# in one block.  A solve behind a counter's ends takes a block that fits
+# the room they leave, 11,000 trials behind 20,000 ends, and allocates its
+# block only behind more than about 91,000
 _GMI_FLOOR = 1024
 _KEPT = threading.local()
 
@@ -345,12 +345,15 @@ def _settled_cells(rate: float) -> np.ndarray:
     return sure
 
 
-def _blocks(trials: int, most: int, per_trial: int, arena: _Arena) -> list[int]:
+def _blocks(trials: int, per_trial: int, arena: _Arena) -> list[int]:
     """The bounds of the fewest evenly sized blocks of ``trials`` trials
-    that hold at most ``most`` and, at ``per_trial`` bytes a trial, fit what
-    ``arena`` has left, but hold no fewer than ``_GMI_FLOOR``."""
+    that, at ``per_trial`` bytes a trial and with room to align 32 views,
+    fit what ``arena`` has left, but are sized for no fewer than
+    ``_GMI_FLOOR``; the last block is the largest.  Every kernel that runs
+    in the kept scratch sizes its blocks so, and no block size changes a
+    result."""
     room = (arena.buf.nbytes - arena.used - 32 * 64) // per_trial
-    blocks = -(-trials // min(most, max(room, _GMI_FLOOR)))
+    blocks = -(-trials // max(room, _GMI_FLOOR))
     return [trials * k // blocks for k in range(blocks + 1)]
 
 
@@ -372,16 +375,17 @@ class OutageCounter:
     flag per table cell (:func:`_settled_cells`) says whether the rule's
     tests on an end in the cell pass with that error; so the pass certifies
     a trial, or finds it dead, only where the rule would, and gathers the
-    rest, none at the benchmark's curve points, for the rule.  The build
-    runs in the fewest evenly sized blocks that fit the scratch, of at most
-    ``_SHORT_BLOCK`` (short pass, 134 bytes a trial, 1.37 MB at most) or
-    ``_COUNT_BLOCK`` trials (rule, 191 bytes a trial), whose temporaries
-    are views of a scratch of ``_SCRATCH_BYTES`` (1.5 MiB) that each thread
-    allocates once and keeps; so a build allocates only the counter's own
-    16 bytes per trial, the sorted ends, and the offsets of the trials
-    that the rule reads or re-solves.  Every solve the counter runs takes
-    its temporaries from the same scratch, after the counter's ends when
-    they are views of it: the counter passes where its ends stop to each.
+    rest, none at the benchmark's curve points, for the rule.  Both write
+    a trial's ends, and test a lower end at ``b -> 0+``, through one method
+    (:meth:`_write_ends`).  The build runs in the blocks of :func:`_blocks`,
+    the fewest evenly sized ones that fit the scratch at 134 bytes a trial
+    (short pass) or 191 (rule), whose temporaries are views of a scratch of
+    ``_SCRATCH_BYTES`` (1.5 MiB) that each thread allocates once and keeps;
+    so a build allocates only the counter's own 16 bytes per trial, the
+    sorted ends, and the offsets of the trials that the rule reads or
+    re-solves.  Every solve the counter runs takes its temporaries from the
+    same scratch, after the counter's ends when they are views of it: the
+    counter passes where its ends stop to each.
     Counters may be built and read in several threads at once, each in its
     own thread's scratch.
 
@@ -429,10 +433,8 @@ class OutageCounter:
         if self.rate > 0.0:
             # an uncertified trial keeps ends of inf, which sort last.  Each
             # block's temporaries are carved afresh after what the arena holds
-            short = self._short_applies(v_min)
-            ends = self._short if short else self._ends
-            most, per_trial = (_SHORT_BLOCK, _SHORT_BYTES) if short else (_COUNT_BLOCK, _ENDS_BYTES)
-            bounds = _blocks(trials, most, per_trial, arena)
+            ends, per_trial = (self._short, _SHORT_BYTES) if self._short_applies(v_min) else (self._ends, _ENDS_BYTES)
+            bounds = _blocks(trials, per_trial, arena)
             for start, stop in zip(bounds, bounds[1:]):
                 block = d.v_energy[start:stop], d.residual[start:stop], lo[start:stop], hi[start:stop]
                 unsure.append(ends(*block, _Arena(arena.buf, arena.used)) + start)
@@ -475,7 +477,7 @@ class OutageCounter:
         rule's own operations, so they have its bits."""
         d, rate = self.draw, self.rate
         a = lmmse_coefficient(d.config).real
-        kappa_max, tol, margin = _rule(rate)
+        kappa_max, _, margin = _rule(rate)
         n, used = v.size, arena.used
         rho, kappa, w = (arena.take(n) for _ in range(3))
         sure, dead, ok, zero = (arena.take(n, dtype=np.bool_) for _ in range(4))
@@ -499,18 +501,7 @@ class OutageCounter:
 
             p, t, _, index, _ = _end_cells(kappa, rate, arena)
             _settled_cells(rate).take(index, mode="clip", out=settled)
-            # the rule's test of a lower end at b -> 0+, with _R0 for rel
-            if 1.0 / rate - 1.0 >= 0.0:
-                to_zero = np.less_equal(kappa, 1.0 / rate - 1.0, out=ok)
-                np.copyto(p[0], 0.0, where=to_zero)
-                np.add(np.add(kappa, 1.0, out=t), np.multiply(kappa, _R0, out=w), out=t)
-                np.multiply(t, rate + 2.0 * tol, out=t)
-                np.copyto(settled[0], np.less_equal(t, 1.0, out=zero), where=to_zero)
-            np.logical_and(sure, settled[0], out=sure)
-            np.logical_and(sure, settled[1], out=sure)
-            np.multiply(p, np.divide(rho, v, out=w), out=p)
-            np.copyto(lo, p[0], where=sure)
-            np.copyto(hi, p[1], where=sure)
+            self._write_ends(v, rho, kappa, _R0, p, settled, sure, lo, hi, (t, w), ok)
         rest = np.flatnonzero(np.logical_not(np.logical_or(sure, dead, out=dead), out=dead))
         return self._settle(v, y, rest, lo, hi, _Arena(arena.buf, used)) if rest.size else rest
 
@@ -520,7 +511,7 @@ class OutageCounter:
         ``arena`` in the fewest evenly sized pieces that fit it, and their
         ends put back into ``lo`` and ``hi``; returns those of ``rest`` left
         to re-solve."""
-        bounds = _blocks(rest.size, _COUNT_BLOCK, _ENDS_BYTES + 40, arena)
+        bounds = _blocks(rest.size, _ENDS_BYTES + 40, arena)
         unsure = []
         for start, stop in zip(bounds, bounds[1:]):
             part, m, scratch = rest[start:stop], stop - start, _Arena(arena.buf, arena.used)
@@ -533,6 +524,32 @@ class OutageCounter:
             np.put(lo, part, lo_part, mode="clip")
             np.put(hi, part, hi_part, mode="clip")
         return np.concatenate(unsure)
+
+    def _write_ends(self, v, rho, kappa, rel, p, settled, certified, lo, hi, work, to_zero) -> None:
+        """Write the ends ``b = (rho / V) p`` of the ``certified`` trials
+        whose two ends are ``settled``, ``p`` and ``settled`` one row an end,
+        into the same entries of ``lo`` and ``hi``: the one place where the
+        short pass and the per-trial rule test a lower end at ``b -> 0+``
+        and write an end.  ``rel`` bounds the relative error of ``kappa``,
+        one for every trial or one a trial.  ``p``, ``settled`` and
+        ``certified`` are overwritten, and ``work``, two arrays like
+        ``kappa``, and the mask ``to_zero`` are scratch."""
+        rate, w = self.rate, work[0]
+        # for kappa <= 1/rate - 1 the interval reaches b -> 0+, where the GMI
+        # tends to 1 / (1 + kappa); above 1 nat no kappa >= 0 does.  There
+        # the end is settled if (kappa + 1 + kappa rel)(rate + 2 tol) <= 1
+        if 1.0 / rate - 1.0 >= 0.0:
+            np.less_equal(kappa, 1.0 / rate - 1.0, out=to_zero)
+            np.copyto(p[0], 0.0, where=to_zero)
+            np.add(np.add(kappa, 1.0, out=w), np.multiply(kappa, rel, out=work[1]), out=w)
+            np.multiply(w, rate + 2.0 * _rule(rate)[1], out=w)
+            np.less_equal(w, 1.0, out=settled[0], where=to_zero)
+        np.logical_and(certified, settled[0], out=certified)
+        np.logical_and(certified, settled[1], out=certified)
+        # b = (rho / V) p, with rho / V the peak
+        np.multiply(p, np.divide(rho, v, out=w), out=p)
+        np.copyto(lo, p[0], where=certified)
+        np.copyto(hi, p[1], where=certified)
 
     def _ends(self, v: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray, arena: _Arena) -> np.ndarray:
         """The per-trial rule: write the ends of the certified trials among
@@ -575,18 +592,7 @@ class OutageCounter:
             np.less_equal(np.add(err, rel, out=err), _END_WINDOW / 8.0, out=sure)
             np.greater_equal(np.multiply(slope, _END_WINDOW, out=slope), 8.0 * tol, out=sure_hi)
             np.logical_and(sure, sure_hi, out=sure)
-            # for kappa <= 1/rate - 1 the interval reaches b -> 0+, where the
-            # GMI tends to 1 / (1 + kappa); above 1 nat no kappa >= 0 does
-            if 1.0 / rate - 1.0 >= 0.0:
-                to_zero = np.less_equal(kappa, 1.0 / rate - 1.0, out=ok)
-                np.copyto(p[0], 0.0, where=to_zero)
-                np.multiply(np.add(np.add(kappa, 1.0, out=w1), k_err, out=w1), rate + 2.0 * tol, out=w1)
-                np.copyto(sure[0], np.less_equal(w1, 1.0, out=dead), where=to_zero)
-            np.logical_and(certified, np.logical_and(sure[0], sure[1], out=ok), out=certified)
-            # b = (rho / V) p, with rho / V the peak
-            np.multiply(p, np.divide(rho, v, out=w1), out=p)
-            np.copyto(lo, p[0], where=certified)
-            np.copyto(hi, p[1], where=certified)
+            self._write_ends(v, rho, kappa, rel, p, sure, certified, lo, hi, (w1, k_err), ok)
 
             # the rest are re-solved, but for the dead: rho < 0 beyond its
             # rounding, or kappa at its least a margin past the peak's

@@ -43,8 +43,10 @@ class BOptimum:
     """The minimizer, its outage estimate, the outage as a step function
     ``sweep = (b, p_hat)``: ``p_hat[k]`` holds from ``b[k]`` to ``b[k + 1]``
     (the last to the domain's end), and each step changes it; and the
-    outage ``at_a`` of the LMMSE coefficient ``b = a``, in the domain or
-    not, which the search reads to compare with ``b_star``."""
+    outage ``at_a`` at ``b = |a|``, the LMMSE coefficient's magnitude, in
+    the domain or not, which the search reads to compare with ``b_star``.
+    ``at_a`` is the LMMSE receiver's outage only where ``a`` is real and
+    positive, as for every config the CLI builds."""
 
     b_star: float
     outage: OutageEstimate
@@ -60,11 +62,14 @@ def optimize_b(d: Draw, rate_nats: float, spec: SearchSpec = SearchSpec()) -> BO
     sorted ends and sweep live in the calling thread's kept scratch, so a
     search of up to about 20,000 trials allocates only its results).
     ``b_star`` is the midpoint of the leftmost step of least outage, or
-    ``a`` when ``a`` lies in the domain and reads fewer failures: with
-    ratio 1 in the domain the optimum is never worse than the LMMSE point.
+    ``|a|`` when ``|a|`` lies in the domain and reads fewer failures: with
+    ratio 1 in the domain the optimum is never worse than ``b = |a|``.
     ``outage`` equals ``d.outage(b_star, rate_nats)`` and ``at_a`` equals
-    ``d.outage(a, rate_nats)``, failure for failure.  Searches may run in
-    several threads at once.
+    ``d.outage(abs(a), rate_nats)``, failure for failure.  Only real ``b``
+    are searched, so where ``a`` is not real and positive ``b = |a|`` is not
+    the LMMSE receiver, and ``b_star`` may read more outage than
+    ``d.outage(a, rate_nats)``.  Searches may run in several threads at
+    once.
     """
     a = abs(lmmse_coefficient(d.config))
     low, high = spec.ratio_low * a, spec.ratio_high * a

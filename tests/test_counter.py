@@ -48,6 +48,16 @@ def one_trial(d: Draw, i: int) -> Draw:
     return Draw(d.config, d.v_energy[i : i + 1], d.residual[i : i + 1])
 
 
+def block_limit(per_trial: int) -> int:
+    """The most trials that one block of the build holds at ``per_trial``
+    bytes a trial, for a counter whose ends are its own: the largest count
+    that ``outage._blocks`` runs in one block of an empty kept scratch."""
+    n = outage._SCRATCH_BYTES // per_trial
+    while len(outage._blocks(n, per_trial, outage._search_scratch())) > 2:
+        n -= 1
+    return n
+
+
 def gmi_of_q(q: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     """``sup_{x > 0} [log(1 + x) - x (1 - 2q + x A) / (1 + x)]`` with
     ``A = (1 - q)^2 + kappa q^2``, maximized in closed form: the stationary
@@ -220,9 +230,10 @@ class TestOutageCounter:
         # certified ends before the sort; counters on uneven pieces of the
         # draw, one of them a single trial, hold the same sorted ends and
         # re-solve the same trials, bit for bit
-        d = draw(pilot(snr_db, 8), 2 * outage._SHORT_BLOCK + 3, 22)
+        short, rule = block_limit(outage._SHORT_BYTES), block_limit(outage._ENDS_BYTES)
+        d = draw(pilot(snr_db, 8), 2 * short + 3, 22)
         whole = OutageCounter(d, rate)
-        bounds = [0, 1, 700, 701, outage._COUNT_BLOCK + 5, outage._SHORT_BLOCK + 5, d.v_energy.size]
+        bounds = [0, 1, 700, 701, rule + 5, short + 5, d.v_energy.size]
         pieces = [OutageCounter(Draw(d.config, d.v_energy[lo:hi], d.residual[lo:hi]), rate)
                   for lo, hi in zip(bounds, bounds[1:])]
         for name in ("_lo", "_hi"):
@@ -369,7 +380,7 @@ class TestShortPass:
 
     @pytest.mark.parametrize("rate", SHORT_RATES)
     def test_matches_the_per_trial_rule_over_two_blocks(self, rate, monkeypatch):
-        d = draw(build_channel_config(3.0, 8), outage._SHORT_BLOCK + 3, 24)
+        d = draw(build_channel_config(3.0, 8), block_limit(outage._SHORT_BYTES) + 1, 24)
         blocks = []
         short = OutageCounter._short
 
@@ -457,3 +468,34 @@ class TestShortPass:
             assert 7 in unsure
             assert counter._unsure.tobytes() == unsure.tobytes()
             assert (counter._lo.tobytes(), counter._hi.tobytes()) == (lo.tobytes(), hi.tobytes())
+
+
+class TestStridedDraw:
+    """A hand-built draw of every other trial, whose ``Y`` is strided: the
+    short pass, which reads ``Y`` as one contiguous array, does not run on
+    it, and the draw's NaN check reads ``Y`` through ``np.isnan``."""
+
+    @pytest.mark.parametrize("snr_db", [0.0, 3.0, 6.0])
+    def test_counts_as_its_contiguous_copy(self, snr_db, monkeypatch):
+        cfg = build_channel_config(snr_db, 8)
+        full = draw(cfg, 8001, 26)
+        strided = Draw(cfg, full.v_energy[::2], full.residual[::2])
+        copy = Draw(cfg, full.v_energy[::2].copy(), full.residual[::2].copy())
+        assert not strided.residual.flags.c_contiguous and copy.residual.flags.c_contiguous
+        rate = 2.0 * math.log(2.0)
+        a = abs(lmmse_coefficient(cfg))
+        assert_counts_match(strided, [0.3, rate], np.linspace(0.0, 2.0 * a, 21))
+        blocks, short = [], OutageCounter._short
+
+        def spy(self, v, *args):
+            blocks.append(v.size)
+            return short(self, v, *args)
+
+        monkeypatch.setattr(OutageCounter, "_short", spy)
+        one = optimize_b(strided, rate)
+        assert blocks == []
+        two = optimize_b(copy, rate)
+        assert blocks == [copy.v_energy.size]
+        assert one.b_star == two.b_star
+        assert (one.outage, one.at_a) == (two.outage, two.at_a)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(one.sweep, two.sweep))

@@ -11,6 +11,7 @@ import lsrsim.experiments
 from lsrsim import (
     BlockSampler,
     ConfigError,
+    Draw,
     ExperimentConfig,
     NotBracketedError,
     ResultTable,
@@ -158,6 +159,9 @@ class TestConfigValidation:
     def test_library_arguments_raise_the_one_config_error(self, tmp_path):
         config = build_channel_config(0.0, 2)
         d = draw(config, 10, 1)
+        v, y = d.v_energy, d.residual
+        nan_v, nan_y = v.copy(), y.copy()
+        nan_v[3], nan_y[4] = math.nan, complex(0.0, math.nan)
         stats = GmiStatistics(s_energy=1.0, csi_energy=0.0, cross=0j, mismatch=1.0, error_cross=0j)
         table = ResultTable(columns=[], rows=[])
         calls = [
@@ -191,6 +195,16 @@ class TestConfigValidation:
             ("b", lambda: OutageCounter(d, 0.5).outages(["1"])),
             ("b", lambda: OutageCounter(d, 0.5).outages([True])),
             ("b_values", lambda: gmi_samples_multi_b(config, [], 10, 1)),
+            ("v_energy", lambda: Draw(config, nan_v, y)),
+            ("v_energy", lambda: Draw(config, -v, y)),
+            ("v_energy", lambda: Draw(config, v[:0], y[:0])),
+            ("v_energy", lambda: Draw(config, v.astype(np.float32), y)),
+            ("v_energy", lambda: Draw(config, list(v), y)),
+            ("v_energy", lambda: Draw(config, v.reshape(2, 5), y.reshape(2, 5))),
+            ("residual", lambda: Draw(config, v, nan_y)),
+            ("residual", lambda: Draw(config, v[::2], nan_y[::2])),
+            ("residual", lambda: Draw(config, v, y[:9])),
+            ("residual", lambda: Draw(config, v, y.astype(np.complex64))),
             ("include_lsr", lambda: run_experiment(
                 small_cfg(kind="b_sweep", b_over_a=[1.0]), include_lsr=False)),
             ("target_outage", lambda: snr_gain([(0, 0.5)], [(0, 0.5)], 1.0)),

@@ -21,7 +21,8 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from lsrsim import SearchSpec, build_channel_config, draw, lmmse_coefficient, optimize_b
+from lsrsim import (Draw, ExperimentConfig, SearchSpec, build_channel_config, draw, lmmse_coefficient, optimize_b,
+                    run_experiment)
 from lsrsim import outage
 from lsrsim.outage import OutageCounter
 
@@ -215,3 +216,44 @@ class TestKeptScratch:
         # a domain wholly below b_min is read whole, and a, outside it, after
         opt = optimize_b(d, rate, SearchSpec(0.0, 1e-160))
         assert opt.at_a == d.outage(abs(a), rate) and opt.outage == d.outage(opt.b_star, rate)
+
+
+class TestBenchmarkTraffic:
+    """The blocks that the benchmark's two workloads run in the scratch,
+    pinned: a change to the block rule that split them would add numpy
+    calls to every point."""
+
+    @pytest.mark.parametrize("seed", [20240, 8191])
+    def test_each_curve_point_runs_one_short_pass(self, seed, monkeypatch):
+        # curve_n8: n_r 8, 2 bits, 3-9 dB, 10,000 trials a point; the
+        # short pass holds each point's draw in one block
+        sizes, short = [], OutageCounter._short
+
+        def spy(self, v, *args):
+            sizes.append(v.size)
+            return short(self, v, *args)
+
+        monkeypatch.setattr(OutageCounter, "_short", spy)
+        run_experiment(ExperimentConfig(kind="outage_curve", snr_db=[3.0, 4.5, 6.0, 7.5, 9.0], n_r_list=[8],
+                                        rate_bits=2.0, trials=10_000, seed=seed))
+        assert sizes == [10_000] * 5
+
+    @pytest.mark.parametrize("seed", [20240, 8191])
+    def test_each_scan_solve_runs_in_one_block(self, seed, monkeypatch):
+        # scan_massive: 0 dB, n_r 128-1024, 1 bit, 5,000 trials, b_scale 2
+        solves, blocks = [], []
+        solve, solve_theta = Draw._solve, outage._solve_theta
+
+        def spy_solve(self, b, v, *args):
+            solves.append(v.size)
+            return solve(self, b, v, *args)
+
+        def spy_block(c, *args):
+            blocks.append(c.size)
+            return solve_theta(c, *args)
+
+        monkeypatch.setattr(Draw, "_solve", spy_solve)
+        monkeypatch.setattr(outage, "_solve_theta", spy_block)
+        run_experiment(ExperimentConfig(kind="asymptotic_scan", snr_db=[0.0], n_r_list=[128, 256, 512, 1024],
+                                        rate_bits=1.0, trials=5_000, seed=seed, b_scale=2.0))
+        assert len(solves) >= 8 and blocks == solves == [5_000] * len(solves)

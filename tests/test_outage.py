@@ -352,15 +352,19 @@ class TestLawAgreement:
 class TestBlocks:
     """The solve runs in fixed blocks; no block size changes a bit."""
 
-    @pytest.mark.parametrize("block", [7, None])
-    def test_gmi_matches_whole_array_formula(self, monkeypatch, block):
-        # trials = 2 blocks + 1, so the last block holds one trial
-        if block is None:
-            block = outage._GMI_BLOCK
-        else:
-            monkeypatch.setattr(outage, "_GMI_BLOCK", block)
+    @pytest.mark.parametrize("forced", [True, False], ids=["forced", "scratch"])
+    def test_gmi_matches_whole_array_formula(self, monkeypatch, forced):
+        # blocks of unequal size, the last the largest: 5, 5 and 6 trials
+        # where a forced rule fits 7 a block, and at the scratch's own rule
+        # three blocks of 9,999 to 10,000
+        if forced:
+            monkeypatch.setattr(outage, "_GMI_BYTES", outage._SCRATCH_BYTES // 8)
+            monkeypatch.setattr(outage, "_GMI_FLOOR", 1)
+        trials = 16 if forced else 29_999
+        sizes = np.diff(outage._blocks(trials, outage._GMI_BYTES, outage._search_scratch()))
+        assert sizes.size == 3 and sizes[0] < sizes[-1] == sizes.max()
         cfg = complex_pilot_config(n_r=1)
-        d = draw(cfg, 2 * block + 1, 3)
+        d = draw(cfg, trials, 3)
         a = lmmse_coefficient(cfg)
         for b in (a, 0.7 * a, -a, 1.3 * a * 1j, 0.0, 1e6 * a):
             got = d.gmi(b)
