@@ -49,14 +49,26 @@ def _check(ok: bool, path: str, message: str) -> None:
 
 
 def _check_real(path: str, value, low: float | None = None) -> None:
-    """``value`` must be a finite int or float, not a bool, and ``>= low``."""
+    """``value`` must be a finite int or float, not a bool (``np.bool_``
+    included), and ``>= low``."""
     try:
-        ok = not isinstance(value, bool) and math.isfinite(value)
+        ok = not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
     except (TypeError, OverflowError):
         ok = False
     if not (ok and (low is None or value >= low)):
         bound = "" if low is None else f" >= {low}"
         raise ConfigError(path, f"must be a finite number{bound}, got {value!r}")
+
+
+def _check_complex(path: str, value) -> complex:
+    """``value`` as a finite complex number; a str or a bool (``np.bool_``
+    included), which ``complex`` would read as a number, is refused."""
+    try:
+        number = cmath.nan if isinstance(value, (str, bool, np.bool_)) else complex(value)
+    except (TypeError, ValueError):
+        number = cmath.nan
+    _check(cmath.isfinite(number), path, f"must be finite and a number, not a str or bool, got {value!r}")
+    return number
 
 
 def _check_integer(path: str, value, low: int = 0) -> int:
@@ -157,15 +169,13 @@ class ChannelConfig:
 
     def __post_init__(self):
         self.n_r = _check_antennas("n_r", self.n_r)
-        # NaN fails every comparison, so each check is written as what must hold
         for name in ("power", "noise_var", "fading_var"):
             value = getattr(self, name)
-            _check(0 < value < math.inf, name, f"must be finite and positive, got {value}")
-        _check(0 <= self.pilot_noise_var < math.inf, "pilot_noise_var",
-               f"must be finite and nonnegative, got {self.pilot_noise_var}")
-        self.pilot = complex(self.pilot)
-        _check(cmath.isfinite(self.pilot) and self.pilot != 0, "pilot",
-               f"must be finite and nonzero, got {self.pilot}")
+            _check_real(name, value)
+            _check(value > 0, name, f"must be positive, got {value!r}")
+        _check_real("pilot_noise_var", self.pilot_noise_var, 0)
+        self.pilot = _check_complex("pilot", self.pilot)
+        _check(self.pilot != 0, "pilot", "must be nonzero")
 
 
 def lmmse_coefficient(config: ChannelConfig) -> complex:

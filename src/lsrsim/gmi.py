@@ -320,8 +320,8 @@ class _Arena:
 
     __slots__ = ("buf", "used")
 
-    def __init__(self, buf: np.ndarray, used: int = 0):
-        self.buf, self.used = buf, used
+    def __init__(self, buf: np.ndarray):
+        self.buf, self.used = buf, 0
 
     def take(self, *shape: int, dtype=np.float64) -> np.ndarray:
         start = -(-self.used // 64) * 64

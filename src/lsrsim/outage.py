@@ -31,7 +31,6 @@ numbers.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import threading
@@ -40,8 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import (ChannelConfig, ConfigError, _check, _check_bins, _check_integer, _check_rate, _check_trials,
-                      gram_variances, lmmse_coefficient)
+from .channel import (ChannelConfig, ConfigError, _check, _check_bins, _check_complex, _check_integer, _check_rate,
+                      _check_trials, gram_variances, lmmse_coefficient)
 from .gmi import _END_TABLE_CELLS, _EPS, _Arena, _end_cells, _end_tables, _feasible_ends, _solve_theta
 from .streams import CHUNK_TRIALS, BlockSampler
 
@@ -102,17 +101,6 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     return min(max(0.0, center - half), p), max(min(1.0, center + half), p)
 
 
-def _check_coefficient(b) -> complex:
-    """``b`` as a finite complex number; a str or a bool, which ``complex``
-    would read as a number, is refused."""
-    try:
-        value = cmath.nan if isinstance(b, (str, bool, np.bool_)) else complex(b)
-    except (TypeError, ValueError):
-        value = cmath.nan
-    _check(cmath.isfinite(value), "b", f"must be finite and a number, not a str or bool, got {b!r}")
-    return value
-
-
 @dataclass(frozen=True, eq=False)
 class Draw:
     """Per-trial statistics of trials ``0..trials-1`` of one run.
@@ -146,31 +134,28 @@ class Draw:
 
         The trials are solved in the fewest evenly sized blocks that fit
         the calling thread's kept scratch (``_search_scratch``, 1.5 MiB),
-        114 bytes a trial of a block (:func:`_blocks`), so 13,779 trials
-        from its start; their temporaries are views of it, so a call
-        allocates only its result.  The counter's solves, which carve after
-        its ends, take smaller blocks that fit the room left.  Threads, one
-        draw's included, each solve in their own scratch.  The block size
-        never changes a result.
+        114 bytes a trial of a block (:func:`_blocks`), so 13,779 trials a
+        block; their temporaries are views of it, carved from its start, so
+        a call allocates only its result.  The counter's solves run the
+        same way.  Threads, one draw's included, each solve in their own
+        scratch.  The block size never changes a result.
         """
-        return self._solve(_check_coefficient(b), self.v_energy, self.residual)
+        return self._solve(_check_complex("b", b), self.v_energy, self.residual)
 
-    def _solve(self, b: complex | np.ndarray, v_energy: np.ndarray, residual: np.ndarray,
-               start: int = 0) -> np.ndarray:
+    def _solve(self, b: complex | np.ndarray, v_energy: np.ndarray, residual: np.ndarray) -> np.ndarray:
         """:meth:`gmi` of the trials ``(v_energy, residual)``, any subset of
         this draw's, each bit-identical to its value in ``gmi(b)``.  ``b`` may
         also hold one real coefficient per trial: the same operations with
         ``Im b = 0``, whose terms drop out exactly, give trial ``i`` the bits
         of ``gmi(b[i])``.  The temporaries of a block are carved once from
-        the thread's kept scratch, from byte ``start`` on, and every block
-        reuses them."""
-        arena = _search_scratch(start)
+        the thread's kept scratch, and every block reuses them."""
+        arena = _search_scratch()
         a = lmmse_coefficient(self.config)
         per_trial = isinstance(b, np.ndarray)
         power, noise_var = self.config.power, self.config.noise_var
         trials = v_energy.size
         gmi = np.zeros(trials)
-        bounds = _blocks(trials, _GMI_BYTES, arena)
+        bounds = _blocks(trials, _GMI_BYTES)
         # z forms Re(b Y); rows 0-2 hold c, r and d and rows 3-11 are
         # _solve_theta's scratch, where rows 3 and 4 first hold Re and Im of
         # e = (conj(b) - conj(a)) V - Y and row 11 (Im e)^2.  They are carved
@@ -207,12 +192,7 @@ class Draw:
         count an outage (the GMI is nonnegative).
         """
         _check_rate("rate_nats", rate_nats)
-        return self._outage(_check_coefficient(b), rate_nats)
-
-    def _outage(self, b: complex, rate_nats: float, start: int = 0) -> OutageEstimate:
-        """:meth:`outage` of a checked ``b`` and rate, solved in the kept
-        scratch from byte ``start`` on."""
-        gmi = self._solve(b, self.v_energy, self.residual, start)
+        gmi = self.gmi(b)
         return _estimate(int(np.count_nonzero(gmi < rate_nats)), gmi.size)
 
 
@@ -244,12 +224,11 @@ _KAPPA_ERROR = 1e-13
 # Im Y is exact, and the rule's rel reads at most 264 eps, below both _R0
 # and _KAPPA_ERROR
 _R0 = 512 * _EPS
-# bytes of each thread's kept scratch, 1.5 MiB.  A counter built for
-# optimize_b carves from it its sorted ends, 16 bytes a trial, then the
-# build's temporaries, and after the build its sweep's arrays, 25 bytes an
-# end, and its solves, each after its ends; so a search of up to about
-# 20,000 trials allocates only its results, and a larger one allocates what
-# does not fit.  Draw.gmi solves in it too, from its start
+# bytes of each thread's kept scratch, 1.5 MiB.  Every kernel that runs in
+# it carves its temporaries from its start, and nothing stays in it from one
+# kernel to the next: the build's blocks, every solve, Draw.gmi's included,
+# and a counter's sweep, 25 bytes an end, so that a sweep of more than about
+# 62,000 ends allocates what does not fit
 _SCRATCH_BYTES = 3 * 2**19
 # bytes a trial of a block of each kernel that runs in the scratch, all in
 # the blocks of _blocks: the build's short pass (OutageCounter._short), its
@@ -258,29 +237,18 @@ _SCRATCH_BYTES = 3 * 2**19
 _SHORT_BYTES = 134
 _ENDS_BYTES = 191
 _GMI_BYTES = 114
-# the fewest trials a block holds.  Blocks are as large as the scratch
-# allows: smaller ones pay numpy's per-call overhead, about 0.1 ms a
-# short-pass block, more often.  At 10,000 trials (5 SNR points, n_r 8, 2
-# bits, interleaved medians on a 2-core x86-64 VM) a build took 0.96 ms in
-# short-pass blocks of 1,024, 0.70 ms in blocks of 2,048, 0.60 ms in 3
-# blocks (at most 4,096), 0.55 ms in 2 blocks (at most 6,144) and 0.52 ms
-# in one block.  A solve behind a counter's ends takes a block that fits
-# the room they leave, 11,000 trials behind 20,000 ends, and allocates its
-# block only behind more than about 91,000
-_GMI_FLOOR = 1024
 _KEPT = threading.local()
 
 
-def _search_scratch(start: int = 0) -> _Arena:
+def _search_scratch() -> _Arena:
     """An arena over this thread's kept scratch, allocated on its first use
-    and kept for the thread's life, that carves from byte ``start`` on.  Its
-    views are valid until the scratch is carved there again in the same
-    thread.  Only this module carves it: a counter in the scratch passes
-    the end of its ends to every solve it runs."""
+    and kept for the thread's life, that carves from its start.  Its views
+    are valid until the next arena of the same thread carves the scratch
+    again; only this module carves it."""
     buf = getattr(_KEPT, "buf", None)
     if buf is None:
         buf = _KEPT.buf = np.empty(_SCRATCH_BYTES, np.uint8)
-    return _Arena(buf, start)
+    return _Arena(buf)
 
 
 # smallest b^2 min(V) the counter reads from its ends; below it c = b^2 V
@@ -345,15 +313,14 @@ def _settled_cells(rate: float) -> np.ndarray:
     return sure
 
 
-def _blocks(trials: int, per_trial: int, arena: _Arena) -> list[int]:
+def _blocks(trials: int, per_trial: int) -> list[int]:
     """The bounds of the fewest evenly sized blocks of ``trials`` trials
     that, at ``per_trial`` bytes a trial and with room to align 32 views,
-    fit what ``arena`` has left, but are sized for no fewer than
-    ``_GMI_FLOOR``; the last block is the largest.  Every kernel that runs
-    in the kept scratch sizes its blocks so, and no block size changes a
+    fit the kept scratch; the last block is the largest.  Every kernel that
+    runs in the scratch sizes its blocks so, and no block size changes a
     result."""
-    room = (arena.buf.nbytes - arena.used - 32 * 64) // per_trial
-    blocks = -(-trials // max(room, _GMI_FLOOR))
+    room = (_SCRATCH_BYTES - 32 * 64) // per_trial
+    blocks = -(-trials // room)
     return [trials * k // blocks for k in range(blocks + 1)]
 
 
@@ -381,13 +348,12 @@ class OutageCounter:
     the fewest evenly sized ones that fit the scratch at 134 bytes a trial
     (short pass) or 191 (rule), whose temporaries are views of a scratch of
     ``_SCRATCH_BYTES`` (1.5 MiB) that each thread allocates once and keeps;
-    so a build allocates only the counter's own 16 bytes per trial, the
-    sorted ends, and the offsets of the trials that the rule reads or
-    re-solves.  Every solve the counter runs takes its temporaries from the
-    same scratch, after the counter's ends when they are views of it: the
-    counter passes where its ends stop to each.
-    Counters may be built and read in several threads at once, each in its
-    own thread's scratch.
+    so a build allocates only the counter's own sorted ends, 16 bytes a
+    trial, and the offsets of the trials that the rule reads or re-solves.
+    Every solve and sweep the counter runs carves its temporaries from the
+    same scratch's start, as every kernel does: nothing of the counter is
+    kept there.  Counters may be built and read in several threads at
+    once, each in its own thread's scratch.
 
     A trial's ends are certified when they are known to within a relative
     ``_END_WINDOW / 8`` and its GMI stays ``_GMI_MARGIN (rate + 2)`` nats
@@ -404,40 +370,21 @@ class OutageCounter:
     """
 
     def __init__(self, d: Draw, rate_nats: float):
-        trials = d.v_energy.size
-        self._build(d, rate_nats, np.empty(trials), np.empty(trials), _search_scratch())
-
-    @classmethod
-    def _in_scratch(cls, d: Draw, rate_nats: float) -> OutageCounter:
-        """A counter whose sorted ends are views carved from the front of
-        the thread's kept scratch, in front of the build's own temporaries
-        and of every later solve and sweep of the counter: valid until
-        anything else carves the scratch from its start again, as
-        ``Draw.gmi`` does.  :func:`~lsrsim.shrinkage.optimize_b` builds its
-        counter so."""
-        counter, arena, trials = cls.__new__(cls), _search_scratch(), d.v_energy.size
-        counter._build(d, rate_nats, arena.take(trials), arena.take(trials), arena)
-        return counter
-
-    def _build(self, d: Draw, rate_nats: float, lo: np.ndarray, hi: np.ndarray, arena: _Arena) -> None:
         _check_rate("rate_nats", rate_nats)
         self.draw, self.rate = d, float(rate_nats)
         trials = d.v_energy.size
-        # where the ends stop in the scratch, 0 for ends of their own: the
-        # counter's solves and its sweep carve after them
-        self._lo, self._hi, self._end = lo, hi, arena.used
-        lo.fill(0.0 if self.rate == 0.0 else np.inf)  # a GMI is never below 0
-        hi.fill(np.inf)
+        self._lo = lo = np.full(trials, 0.0 if self.rate == 0.0 else np.inf)  # a GMI is never below 0
+        self._hi = hi = np.full(trials, np.inf)
         v_min = float(d.v_energy.min())
         unsure = [np.zeros(0, dtype=np.intp)]
         if self.rate > 0.0:
             # an uncertified trial keeps ends of inf, which sort last.  Each
-            # block's temporaries are carved afresh after what the arena holds
+            # block carves its temporaries afresh from the scratch's start
             ends, per_trial = (self._short, _SHORT_BYTES) if self._short_applies(v_min) else (self._ends, _ENDS_BYTES)
-            bounds = _blocks(trials, per_trial, arena)
+            bounds = _blocks(trials, per_trial)
             for start, stop in zip(bounds, bounds[1:]):
                 block = d.v_energy[start:stop], d.residual[start:stop], lo[start:stop], hi[start:stop]
-                unsure.append(ends(*block, _Arena(arena.buf, arena.used)) + start)
+                unsure.append(ends(*block, _search_scratch()) + start)
         self._unsure = np.concatenate(unsure)
         lo.sort()
         hi.sort()
@@ -478,7 +425,7 @@ class OutageCounter:
         d, rate = self.draw, self.rate
         a = lmmse_coefficient(d.config).real
         kappa_max, _, margin = _rule(rate)
-        n, used = v.size, arena.used
+        n = v.size
         rho, kappa, w = (arena.take(n) for _ in range(3))
         sure, dead, ok, zero = (arena.take(n, dtype=np.bool_) for _ in range(4))
         settled = arena.take(2, n, dtype=np.bool_)
@@ -503,18 +450,17 @@ class OutageCounter:
             _settled_cells(rate).take(index, mode="clip", out=settled)
             self._write_ends(v, rho, kappa, _R0, p, settled, sure, lo, hi, (t, w), ok)
         rest = np.flatnonzero(np.logical_not(np.logical_or(sure, dead, out=dead), out=dead))
-        return self._settle(v, y, rest, lo, hi, _Arena(arena.buf, used)) if rest.size else rest
+        return self._settle(v, y, rest, lo, hi) if rest.size else rest
 
-    def _settle(self, v: np.ndarray, y: np.ndarray, rest: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                arena: _Arena) -> np.ndarray:
+    def _settle(self, v: np.ndarray, y: np.ndarray, rest: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """:meth:`_ends` of the trials ``rest`` of ``(v, y)``, gathered into
-        ``arena`` in the fewest evenly sized pieces that fit it, and their
-        ends put back into ``lo`` and ``hi``; returns those of ``rest`` left
-        to re-solve."""
-        bounds = _blocks(rest.size, _ENDS_BYTES + 40, arena)
+        the kept scratch in the fewest evenly sized pieces that fit it, and
+        their ends put back into ``lo`` and ``hi``; returns those of
+        ``rest`` left to re-solve."""
+        bounds = _blocks(rest.size, _ENDS_BYTES + 40)
         unsure = []
         for start, stop in zip(bounds, bounds[1:]):
-            part, m, scratch = rest[start:stop], stop - start, _Arena(arena.buf, arena.used)
+            part, m, scratch = rest[start:stop], stop - start, _search_scratch()
             v_part, lo_part, hi_part = scratch.take(m), scratch.take(m), scratch.take(m)
             y_part = np.take(y, part, mode="clip", out=scratch.take(m, dtype=np.complex128))
             np.take(v, part, mode="clip", out=v_part)
@@ -616,7 +562,7 @@ class OutageCounter:
         """``[d.outage(b, rate_nats) for b in b_values]``, counted.  Each
         ``b`` is checked as ``d.outage`` checks it, and a ``b`` with an
         imaginary part is read whole (:meth:`_whole`)."""
-        values = [_check_coefficient(x) for x in b_values]
+        values = [_check_complex("b", x) for x in b_values]
         b = np.array([x.real for x in values])
         lo, hi = self._lo, self._hi
         w_lo, w_hi = b * (1.0 - 2.0 * _END_WINDOW), b * (1.0 + 2.0 * _END_WINDOW)
@@ -636,15 +582,14 @@ class OutageCounter:
                 continue
             failures = trials - (lo_le[i] - hi_lt[i])
             if redo.size:
-                gmi = d._solve(complex(bi), d.v_energy[redo], d.residual[redo], self._end)
+                gmi = d._solve(complex(bi), d.v_energy[redo], d.residual[redo])
                 failures -= int(np.count_nonzero(gmi >= self.rate))
             estimates.append(_estimate(failures, trials))
         return estimates
 
     def _whole(self, b: complex) -> OutageEstimate:
-        """``d.outage(b, rate_nats)`` of a checked ``b``, solved for every
-        trial in the scratch after the counter's ends."""
-        return self.draw._outage(b, self.rate, self._end)
+        """``d.outage(b, rate_nats)``, solved for every trial."""
+        return self.draw.outage(b, self.rate)
 
     def intervals(self) -> tuple[np.ndarray, np.ndarray]:
         """Every trial's feasible interval ``[lo, hi]`` in ``b >= b_min``: the
@@ -660,12 +605,12 @@ class OutageCounter:
         v, y = np.tile(d.v_energy[self._unsure], 2), np.tile(d.residual[self._unsure], 2)
         peak = np.maximum((lmmse_coefficient(d.config).real * v[:n] + y[:n].real) / v[:n], b_min)
         # a trial infeasible at its peak is feasible at no b
-        ok = d._solve(np.r_[peak, np.full(n, b_min)], v, y, self._end) >= rate
+        ok = d._solve(np.r_[peak, np.full(n, b_min)], v, y) >= rate
         alive, down = ok[:n] & (peak > b_min), ok[n:]
         inside, outside = np.r_[peak, peak], np.r_[np.full(n, b_min), peak * (peak / b_min)]
         for _ in range(math.ceil(math.log2(max(math.log(peak.max() / b_min), 1.0))) + 40):
             mid = np.sqrt(inside) * np.sqrt(outside)
-            ok = d._solve(mid, v, y, self._end) >= rate
+            ok = d._solve(mid, v, y) >= rate
             np.copyto(inside, mid, where=ok)
             np.copyto(outside, mid, where=~ok)
         lo = np.where(alive, np.where(down, 0.0, inside[:n]), np.inf)
@@ -685,9 +630,9 @@ class OutageCounter:
         It counts the outage between consecutive ends of
         :meth:`intervals` from ``max(low, b_min)`` on; a domain wholly
         below ``b_min`` is one step, read whole at its midpoint.  Its
-        arrays, 25 bytes an end, are views of the kept scratch after the
-        counter's ends, so only ``starts`` and ``p_hat``, 16 bytes a step,
-        are new."""
+        arrays, 25 bytes an end, are views of the kept scratch, carved from
+        its start, so only ``starts`` and ``p_hat``, 16 bytes a step, are
+        new."""
         if high <= self.b_min:
             return np.array([low]), np.array([self._whole(complex(0.5 * low + 0.5 * high)).p_hat]), 0
         start = max(low, self.b_min)
@@ -700,7 +645,7 @@ class OutageCounter:
         # their values do, start first and a lower end before an equal upper
         # one: the order of a stable sort of start, the lower and the upper
         # ends, sorted in place with no index array
-        arena = _search_scratch(self._end)
+        arena = _search_scratch()
         key, one = arena.take(ends, dtype=np.uint64), np.uint64(1)
         key[0] = np.float64(start).view(np.uint64) << one
         np.left_shift(lo[i:i_end].view(np.uint64), one, out=key[1 : 1 + i_end - i])

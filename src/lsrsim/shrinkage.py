@@ -59,8 +59,9 @@ def optimize_b(d: Draw, rate_nats: float, spec: SearchSpec = SearchSpec()) -> BO
 
     The outage counter of ``d`` at ``rate_nats`` sweeps the domain for the
     outage's step function (:class:`~lsrsim.outage.OutageCounter`, whose
-    sorted ends and sweep live in the calling thread's kept scratch, so a
-    search of up to about 20,000 trials allocates only its results).
+    build and sweep run in the calling thread's kept scratch, so a search
+    of up to about 30,000 trials allocates only the counter's sorted ends,
+    16 bytes a trial, freed on return, and its results).
     ``b_star`` is the midpoint of the leftmost step of least outage, or
     ``|a|`` when ``|a|`` lies in the domain and reads fewer failures: with
     ratio 1 in the domain the optimum is never worse than ``b = |a|``.
@@ -69,11 +70,12 @@ def optimize_b(d: Draw, rate_nats: float, spec: SearchSpec = SearchSpec()) -> BO
     are searched, so where ``a`` is not real and positive ``b = |a|`` is not
     the LMMSE receiver, and ``b_star`` may read more outage than
     ``d.outage(a, rate_nats)``.  Searches may run in several threads at
-    once.
+    once.  A ``spec`` that is not a :class:`SearchSpec` is refused.
     """
+    _check(isinstance(spec, SearchSpec), "spec", f"must be a SearchSpec, got {spec!r}")
     a = abs(lmmse_coefficient(d.config))
     low, high = spec.ratio_low * a, spec.ratio_high * a
-    counter = OutageCounter._in_scratch(d, rate_nats)
+    counter = OutageCounter(d, rate_nats)
     starts, p_hat, best = counter._sweep(low, high)
     end = starts[best + 1] if best + 1 < starts.size else high
     b_star = 0.5 * float(starts[best]) + 0.5 * float(end)

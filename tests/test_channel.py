@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lsrsim import ChannelConfig, lmmse_coefficient
+from lsrsim import ChannelConfig, ConfigError, lmmse_coefficient
 from oracles import ChannelRealization, sample_realization, statistics, substream
 
 
@@ -47,11 +47,19 @@ class TestChannelConfig:
             ("fading_var", math.inf),
             ("pilot", math.nan),
             ("pilot", complex(1.0, math.inf)),
+            *((field, value) for field in ("power", "noise_var", "fading_var", "pilot_noise_var")
+              for value in ("3", None, 1 + 0j, [1.0], np.True_)),
+            ("power", True),
+            ("pilot_noise_var", False),
+            ("pilot", "2"),
+            ("pilot", True),
+            ("pilot", np.True_),
         ],
     )
     def test_invalid_configs_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ConfigError, match=field) as exc:
             make_config(**{field: value})
+        assert exc.value.path == field
 
     def test_realization_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -50,10 +50,10 @@ def one_trial(d: Draw, i: int) -> Draw:
 
 def block_limit(per_trial: int) -> int:
     """The most trials that one block of the build holds at ``per_trial``
-    bytes a trial, for a counter whose ends are its own: the largest count
-    that ``outage._blocks`` runs in one block of an empty kept scratch."""
+    bytes a trial: the largest count that ``outage._blocks`` runs in one
+    block of the kept scratch."""
     n = outage._SCRATCH_BYTES // per_trial
-    while len(outage._blocks(n, per_trial, outage._search_scratch())) > 2:
+    while len(outage._blocks(n, per_trial)) > 2:
         n -= 1
     return n
 

@@ -164,6 +164,7 @@ class TestConfigValidation:
         nan_v[3], nan_y[4] = math.nan, complex(0.0, math.nan)
         stats = GmiStatistics(s_energy=1.0, csi_energy=0.0, cross=0j, mismatch=1.0, error_cross=0j)
         table = ResultTable(columns=[], rows=[])
+        fields = dict(n_r=2, power=1.0, noise_var=1.0, pilot_noise_var=1.0, fading_var=1.0, pilot=1.0)
         calls = [
             ("trials", lambda: draw(config, 2**64, 1)),
             ("seed", lambda: philox_key(-1)),
@@ -187,6 +188,18 @@ class TestConfigValidation:
             ("rate_nats", lambda: d.outage(1.0, True)),
             ("rate_nats", lambda: d.outage(1.0, "1")),
             ("rate_nats", lambda: optimize_b(d, True)),
+            ("rate_nats", lambda: optimize_b(d, np.True_)),
+            ("rate_nats", lambda: d.outage(1.0, np.True_)),
+            ("search.ratio_low", lambda: SearchSpec(np.False_, 2.0)),
+            ("spec", lambda: optimize_b(d, 1.0, {"ratio_low": 0})),
+            ("spec", lambda: optimize_b(d, 1.0, None)),
+            *((field, lambda field=field, value=value: ChannelConfig(**{**fields, field: value}))
+              for field in ("power", "noise_var", "fading_var", "pilot_noise_var")
+              for value in ("3", None, 1 + 0j, [1.0])),
+            ("power", lambda: ChannelConfig(**{**fields, "power": True})),
+            ("pilot_noise_var", lambda: ChannelConfig(**{**fields, "pilot_noise_var": False})),
+            ("pilot", lambda: ChannelConfig(**{**fields, "pilot": "2"})),
+            ("pilot", lambda: ChannelConfig(**{**fields, "pilot": True})),
             ("gmi", lambda: gmi_histogram(np.array([]), 5)),
             ("gmi", lambda: gmi_histogram(np.array([0.5, math.nan]), 5)),
             ("gmi", lambda: gmi_histogram(["x"], 5)),

@@ -359,9 +359,8 @@ class TestBlocks:
         # three blocks of 9,999 to 10,000
         if forced:
             monkeypatch.setattr(outage, "_GMI_BYTES", outage._SCRATCH_BYTES // 8)
-            monkeypatch.setattr(outage, "_GMI_FLOOR", 1)
         trials = 16 if forced else 29_999
-        sizes = np.diff(outage._blocks(trials, outage._GMI_BYTES, outage._search_scratch()))
+        sizes = np.diff(outage._blocks(trials, outage._GMI_BYTES))
         assert sizes.size == 3 and sizes[0] < sizes[-1] == sizes.max()
         cfg = complex_pilot_config(n_r=1)
         d = draw(cfg, trials, 3)
