@@ -114,7 +114,7 @@ def main(argv=None) -> int:
     try:
         table = run_experiment(cfg, include_lsr=not args.lmmse_only)
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}; lower trials", file=sys.stderr)
+        print(f"error: out of memory: {exc}; lower trials or bins", file=sys.stderr)
         return 3
 
     for row in table.rows:

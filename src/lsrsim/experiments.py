@@ -453,6 +453,7 @@ def snr_gain(
     ``(snr_db, log10 outage)`` on the first bracketing segment.  Raises
     :class:`NotBracketedError` when a curve never crosses the target.
     """
+    _check_real("target_outage", target_outage)
     _check(0 < target_outage < 1, "target_outage", f"must be in (0, 1), got {target_outage}")
     return _crossing_snr(curve_a, target_outage) - _crossing_snr(curve_b, target_outage)
 

@@ -234,7 +234,7 @@ def _end_tables(rate: float):
     curve at its node; at the peak, where ``dt/ds`` is 0/0, from the
     curve's expansion ``p = 1 -+ sqrt(1 + e^-rate) t``.  The curve at three
     more points of each cell gives ``err`` and the slope bound (see
-    :func:`_feasible_ends`).  A cell whose numbers are not finite has
+    :func:`_end_bounds`).  A cell whose numbers are not finite has
     ``err = inf``.  The build uses elementwise ufuncs and row-wise ``max``
     and ``sum`` only, no BLAS or LAPACK, whose rounding may differ from one
     numpy build to the next.
@@ -333,49 +333,21 @@ class _Arena:
         return view
 
 
-def _feasible_ends(kappa, kappa_err, rate: float, arena: _Arena | None = None):
-    """Both ends of each trial's feasible interval, as their ``p = 1/q``:
-    ``(p, err, slope)``, each of shape ``(2, kappa.size)``, row 0 the lower
-    end (``p < 1``) and row 1 the upper one (``p > 1``).
-
-    A ``kappa`` (with absolute error ``kappa_err``) in
-    ``(max(1/rate - 1, 0), 1 / expm1(rate))`` has both ends; for any other
-    the lower row holds no meaning.  ``err`` bounds the end's relative
-    error, in ``p`` and in ``b = (rho / V) p``, and ``slope`` bounds
-    ``|dGMI / dlog b|`` there from below.  Each end is the cubic of its
-    cell of :func:`_end_tables` at the trial's ``t``: a gather of the
-    cell's row and a Horner sum, with no evaluation of the curve
-    (:func:`_end_cells`); ``err`` and ``slope`` are read from the same
-    cell (:func:`_end_bounds`).
-
-    Why ``err`` bounds the error: the table's ``err`` is the sum of
-    (i) the Hermite interpolation error, ``p''''(t) step^4 (f (1 - f))^2 /
-    24``, measured at three points of the cell against the curve, scaled
-    by its ``(f (1 - f))^2`` shape to the cell's largest and taken four
-    times over; (ii) twice the error of the node values, the Newton
-    residual and ``kappa(s)``'s rounding at each node carried to ``p`` by
-    ``|dlog q / dt|``; (iii) the rounding of the Horner sum, 8 ulps of the
-    sum of its terms; and (iv) that of ``t``, 4 ulps.  A ``kappa`` error
-    ``dk``, the trial's ``kappa_err`` plus ``4 eps kappa_max`` from
-    forming ``kappa_max - kappa``, moves ``t`` by ``dk / (2 t)`` to first
-    order and the end by ``|dlog q / dt|`` times that, with 1.25 times the
-    largest ``|dlog q / dt|`` the build saw in the cell: ``gain dk / t``.
-    Against 64 halvings of ``kappa(s)`` in extended precision the error
-    reads under a third of ``err`` (``tests/test_end_table.py``).
-    """
-    ends = _end_cells(kappa, rate, arena or _Arena(np.empty(0, np.uint8)))
-    return (ends[0], *_end_bounds(ends, kappa_err, rate))
-
-
 def _end_cells(kappa, rate: float, arena: _Arena):
     """Each trial's cell of :func:`_end_tables` and its ends:
-    ``(p, t, frac, index, rows)``.  ``p`` holds the ends of
-    :func:`_feasible_ends`; ``t = sqrt(kappa_max - kappa)``; ``frac`` is
-    the place ``f`` of ``t`` in its cell and ``index`` the cell's column of
-    the table, both of shape ``(2, kappa.size)``; ``rows`` is the
-    ``(4, 2, kappa.size)`` scratch whose last row holds ``p`` and whose
-    first three :func:`_end_bounds` reuses.  Every array is carved from
-    ``arena``."""
+    ``(p, t, frac, index, rows)``.
+
+    ``p`` holds both ends of each trial's feasible interval as their
+    ``p = 1/q``, row 0 the lower end (``p < 1``) and row 1 the upper one
+    (``p > 1``).  A ``kappa`` in ``(max(1/rate - 1, 0), 1 / expm1(rate))``
+    has both ends; for any other the lower row holds no meaning.  Each end
+    is the cubic of its cell at the trial's ``t``: a gather of the cell's
+    row and a Horner sum, with no evaluation of the curve.
+    ``t = sqrt(kappa_max - kappa)``; ``frac`` is the place ``f`` of ``t``
+    in its cell and ``index`` the cell's column of the table, both of shape
+    ``(2, kappa.size)``; ``rows`` is the ``(4, 2, kappa.size)`` scratch
+    whose last row holds ``p`` and whose first three :func:`_end_bounds`
+    reuses.  Every array is carved from ``arena``."""
     kappa_max, scale, table = _end_tables(rate)
     cells = _END_TABLE_CELLS
     n = kappa.size
@@ -401,9 +373,28 @@ def _end_cells(kappa, rate: float, arena: _Arena):
 
 
 def _end_bounds(ends, kappa_err, rate: float):
-    """``(err, slope)`` of :func:`_feasible_ends` at the ends that
-    :func:`_end_cells` read (its result ``ends``), gathered from the same
-    cells into the first three rows of its scratch; ``t`` is overwritten."""
+    """``(err, slope)`` at the ends that :func:`_end_cells` read (its result
+    ``ends``), for trials whose ``kappa`` has absolute error ``kappa_err``,
+    gathered from the same cells into the first three rows of its scratch;
+    ``t`` is overwritten.  ``err`` bounds the end's relative error, in
+    ``p`` and in ``b = (rho / V) p``, and ``slope`` bounds
+    ``|dGMI / dlog b|`` there from below.
+
+    Why ``err`` bounds the error: the table's ``err`` is the sum of
+    (i) the Hermite interpolation error, ``p''''(t) step^4 (f (1 - f))^2 /
+    24``, measured at three points of the cell against the curve, scaled
+    by its ``(f (1 - f))^2`` shape to the cell's largest and taken four
+    times over; (ii) twice the error of the node values, the Newton
+    residual and ``kappa(s)``'s rounding at each node carried to ``p`` by
+    ``|dlog q / dt|``; (iii) the rounding of the Horner sum, 8 ulps of the
+    sum of its terms; and (iv) that of ``t``, 4 ulps.  A ``kappa`` error
+    ``dk``, the trial's ``kappa_err`` plus ``4 eps kappa_max`` from
+    forming ``kappa_max - kappa``, moves ``t`` by ``dk / (2 t)`` to first
+    order and the end by ``|dlog q / dt|`` times that, with 1.25 times the
+    largest ``|dlog q / dt|`` the build saw in the cell: ``gain dk / t``.
+    Against 64 halvings of ``kappa(s)`` in extended precision the error
+    reads under a third of ``err`` (``tests/test_end_table.py``).
+    """
     _, t, frac, index, rows = ends
     kappa_max, _, table = _end_tables(rate)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -39,9 +39,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import (ChannelConfig, ConfigError, _check, _check_bins, _check_complex, _check_integer, _check_rate,
+from .channel import (ChannelConfig, _check, _check_bins, _check_complex, _check_integer, _check_rate,
                       _check_trials, gram_variances, lmmse_coefficient)
-from .gmi import _END_TABLE_CELLS, _EPS, _Arena, _end_cells, _end_tables, _feasible_ends, _solve_theta
+from .gmi import _END_TABLE_CELLS, _EPS, _Arena, _end_bounds, _end_cells, _end_tables, _solve_theta
 from .streams import CHUNK_TRIALS, BlockSampler
 
 __all__ = [
@@ -111,7 +111,9 @@ class Draw:
     draw built by hand is refused, with a :class:`ConfigError` naming the
     array, unless ``v_energy`` is a 1-d float64 array of at least one
     ``V >= 0`` and ``residual`` a complex128 array of its shape, neither
-    with a NaN; ``inf`` is accepted.
+    with a NaN; ``inf`` is accepted.  A strided ``residual`` is kept as a
+    contiguous copy, so that every draw reads ``Y`` in one memory layout;
+    :func:`draw`'s is contiguous and kept as it is.
     """
 
     config: ChannelConfig
@@ -125,9 +127,11 @@ class Draw:
         _check(isinstance(y, np.ndarray) and y.dtype == np.complex128 and y.shape == v.shape, "residual",
                "must be a complex128 array of v_energy's shape")
         _check(v.min() >= 0.0, "v_energy", "must hold no V < 0 and no NaN")
-        # a NaN min reads a NaN anywhere; Y's float64 view needs Y contiguous
-        nan = np.isnan(y.view(np.float64).min()) if y.flags.c_contiguous else np.isnan(y).any()
-        _check(not nan, "residual", "must hold no NaN")
+        # a strided Y is kept as a contiguous copy, so that its float64 view
+        # reads Re Y and Im Y; a NaN min reads a NaN anywhere
+        y = np.ascontiguousarray(y)
+        object.__setattr__(self, "residual", y)
+        _check(not np.isnan(y.view(np.float64).min()), "residual", "must hold no NaN")
 
     def gmi(self, b: complex) -> np.ndarray:
         """Per-trial GMI (nats) of the decoder scaled by ``b``; shape ``(trials,)``.
@@ -388,16 +392,21 @@ class OutageCounter:
         self._unsure = np.concatenate(unsure)
         lo.sort()
         hi.sort()
-        # the smallest b counted from the ends
-        self.b_min = math.sqrt(_TINY_C / v_min) if v_min > 0.0 else math.inf
+        # the smallest b counted from the ends, sqrt(_TINY_C / min V); where
+        # that quotient is below the least normal float, 2^-1022, the root is
+        # taken of each side so that it keeps its digits.  A min V of 0 or
+        # inf reads inf, and every b is read whole
+        tiny = _TINY_C / v_min if 0.0 < v_min < math.inf else math.inf
+        self.b_min = math.sqrt(tiny) if tiny >= 2.0**-1022 else math.sqrt(_TINY_C) / math.sqrt(v_min)
 
     def _short_applies(self, v_min: float) -> bool:
         """Whether the build runs the short pass: ``a`` real and positive,
         a rate above the rule's GMI margin, and the draw's numbers inside
-        ``_SHORT_RANGE``, its ``Y`` read as one contiguous array."""
+        ``_SHORT_RANGE``, read from ``V`` and from the float64 view of its
+        contiguous ``Y``."""
         d, rate = self.draw, self.rate
         a, noise = lmmse_coefficient(d.config), d.config.noise_var / d.config.power
-        if not (a.imag == 0.0 and a.real > 0.0 and rate > _rule(rate)[1] and d.residual.flags.c_contiguous):
+        if not (a.imag == 0.0 and a.real > 0.0 and rate > _rule(rate)[1]):
             return False
         y = d.residual.view(np.float64)
         v_max = float(d.v_energy.max())
@@ -501,7 +510,9 @@ class OutageCounter:
         """The per-trial rule: write the ends of the certified trials among
         ``(v, y)``, a block's ``V`` and ``Y``, into the same entries of
         ``lo`` and ``hi``, and return the offsets of the trials left to
-        re-solve.  Every temporary is carved from ``arena``."""
+        re-solve, those neither certified nor dead.  Every trial's ends,
+        and its dead test, are read in the rows that hold its numbers, with
+        no gather; every temporary is carved from ``arena``."""
         d, rate = self.draw, self.rate
         a = lmmse_coefficient(d.config)
         n = v.size
@@ -534,29 +545,24 @@ class OutageCounter:
             # every trial's ends are read, the few uncertified ones' unused:
             # cheaper than gathering the rest
             np.multiply(kappa, rel, out=k_err)
-            p, err, slope = _feasible_ends(kappa, k_err, rate, arena)
+            ends = _end_cells(kappa, rate, arena)
+            err, slope = _end_bounds(ends, k_err, rate)
             np.less_equal(np.add(err, rel, out=err), _END_WINDOW / 8.0, out=sure)
             np.greater_equal(np.multiply(slope, _END_WINDOW, out=slope), 8.0 * tol, out=sure_hi)
             np.logical_and(sure, sure_hi, out=sure)
-            self._write_ends(v, rho, kappa, rel, p, sure, certified, lo, hi, (w1, k_err), ok)
+            self._write_ends(v, rho, kappa, rel, ends[0], sure, certified, lo, hi, (w1, k_err), ok)
 
             # the rest are re-solved, but for the dead: rho < 0 beyond its
-            # rounding, or kappa at its least a margin past the peak's
-            rest = np.flatnonzero(np.logical_not(certified, out=ok))
-            m = rest.size
-            if not m:
-                return rest
-            rho, rho_err, im, im_err, noise = (
-                np.take(x, rest, mode="clip", out=w[:m])
-                for x, w in ((rho, kappa), (rho_err, rel), (im, k_err), (im_err, w1), (noise, w2)))
+            # rounding, or kappa at its least a margin past the peak's.  The
+            # test runs on every trial, in the rows that hold its numbers
             low = np.maximum(np.subtract(np.abs(im, out=im), im_err, out=im), 0.0, out=im)
             np.add(np.multiply(low, low, out=low), noise, out=low)
-            dead = np.less(rho, np.negative(rho_err, out=im_err), out=dead[:m])
+            np.less(rho, np.negative(rho_err, out=im_err), out=dead)
             np.logical_and(dead, rate > tol, out=dead)
             high = np.add(np.abs(rho, out=rho), rho_err, out=rho)
             np.divide(low, np.multiply(high, high, out=high), out=low)
-            np.logical_or(dead, np.greater(low, kappa_max * (1.0 + margin), out=ok[:m]), out=dead)
-        return rest[np.logical_not(dead, out=dead)]
+            np.logical_or(dead, np.greater(low, kappa_max * (1.0 + margin), out=ok), out=dead)
+        return np.flatnonzero(np.logical_not(np.logical_or(certified, dead, out=dead), out=dead))
 
     def outages(self, b_values: Sequence[float]) -> list[OutageEstimate]:
         """``[d.outage(b, rate_nats) for b in b_values]``, counted.  Each
@@ -779,14 +785,18 @@ def gmi_histogram(gmi: np.ndarray, bins: int) -> GmiHistogram:
     """Equal-width histogram of per-trial GMI values over ``[0, max]`` plus moments.
 
     When every trial yields zero GMI the bin range degenerates; a unit upper
-    edge is used so all mass lands in the first bin.  An empty ``gmi``, or
-    one with an entry that is not finite, is refused.
+    edge is used so all mass lands in the first bin.  An empty ``gmi``, one
+    with an entry that is not finite, and one whose dtype is not integer or
+    float (strs, bools and complex numbers, which numpy would read as real
+    numbers) are refused.
     """
     bins = _check_bins("bins", bins)
     try:
-        gmi = np.asarray(gmi, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError("gmi", f"must be an array of real numbers, got {gmi!r}") from None
+        array = np.asarray(gmi)
+    except (TypeError, ValueError):  # a ragged list
+        array = np.asarray(None)
+    _check(array.dtype.kind in "iuf", "gmi", f"must be an array of real numbers, got {gmi!r}")
+    gmi = array.astype(float, copy=False)
     _check(gmi.size > 0, "gmi", "must hold at least one value")
     _check(bool(np.isfinite(gmi).all()), "gmi", "must hold finite values only")
     top = float(gmi.max())

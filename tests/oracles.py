@@ -15,6 +15,9 @@ way round:
   brute-force maximum over an explicit theta grid;
 * :func:`literal_gmi` and :func:`literal_gmi_of_draw` evaluate the literal
   functional at 50 digits, from ``(s, v)`` and from ``(V, Y)``.
+
+:func:`feasible_ends` is no oracle: it reads the library's end tables for
+the tests that check them.
 """
 
 from __future__ import annotations
@@ -26,10 +29,17 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from lsrsim.channel import ChannelConfig, _check, _check_integer
-from lsrsim.gmi import _solve_theta
+from lsrsim.gmi import _Arena, _end_bounds, _end_cells, _solve_theta
 
 # the code rates, in nats, at which the outage counter is checked
 RATES = [0.0, 0.3, math.log(2.0), 1.0, 2.0 * math.log(2.0), 3.0 * math.log(2.0)]
+
+
+def feasible_ends(kappa, kappa_err, rate: float):
+    """``(p, err, slope)`` of each trial's ends, as ``gmi._end_cells`` and
+    ``gmi._end_bounds`` read them, in arrays of their own."""
+    ends = _end_cells(kappa, rate, _Arena(np.empty(0, np.uint8)))
+    return (ends[0], *_end_bounds(ends, kappa_err, rate))
 
 
 def substream(seed: int, index: int) -> np.random.Generator:

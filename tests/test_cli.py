@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -288,6 +289,17 @@ class TestConfigBoundary:
         assert run(tmp_path, "outage-curve", "--lmmse-only", snr_db=[150]) == 0
         assert read_results(tmp_path / "r.csv").rows[0]["p_lmmse"] == 0
 
+    def test_asymptotic_regime_searches_as_draw_outage_reads(self, tmp_path):
+        # 2**64 - 1 antennas at 150 dB: min V is about 1.8e34, where the
+        # counter's b floor once read 0 and the search raised OverflowError
+        n_r = 2**64 - 1
+        cfg = write_config(tmp_path, snr_db=[150], n_r_list=[n_r], rate_bits=112, trials=200)
+        out = tmp_path / "r.csv"
+        assert main(["outage-curve", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
+        (row,) = read_results(out).rows
+        d = draw(build_channel_config(150.0, n_r), 200, 1)
+        assert row["p_lsr"] == d.outage(row["b_star"], 112 * math.log(2.0)).p_hat
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -332,6 +344,17 @@ class TestConfigBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: ") and err.count("\n") == 1
         assert "trials" in err and "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_out_of_memory_names_bins_too(self, tmp_path, capsys, monkeypatch):
+        # gmi-hist's bins, as well as trials, set what a run allocates
+        def run_experiment(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(lsrsim.cli, "run_experiment", run_experiment)
+        assert run(tmp_path, "gmi-hist", bins=100_000_000_000) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.endswith("; lower trials or bins\n")
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1", "18446744073709551616"])

@@ -20,9 +20,9 @@ import pytest
 from lsrsim import (ChannelConfig, Draw, ExperimentConfig, build_channel_config, draw, lmmse_coefficient,
                     optimize_b, run_experiment)
 from lsrsim import outage
-from lsrsim.gmi import _END_TABLE_CELLS, _Arena, _end_cells, _end_tables, _feasible_ends
+from lsrsim.gmi import _END_TABLE_CELLS, _Arena, _end_cells, _end_tables
 from lsrsim.outage import OutageCounter
-from oracles import RATES, literal_gmi_of_draw
+from oracles import RATES, feasible_ends, literal_gmi_of_draw
 
 
 def complex_pilot(snr_db: float, n_r: int) -> ChannelConfig:
@@ -415,7 +415,7 @@ class TestShortPass:
             read = _end_cells(kappa, rate, _Arena(np.empty(0, np.uint8)))[3][upper]
             assert np.mean(read == column) > 0.99
             kappa = kappa[read == column]
-            _, err, slope = (row[upper] for row in _feasible_ends(kappa, kappa * outage._R0, rate))
+            _, err, slope = (row[upper] for row in feasible_ends(kappa, kappa * outage._R0, rate))
             assert np.all(err + outage._R0 <= outage._END_WINDOW / 8.0)
             assert np.all(slope * outage._END_WINDOW >= 8.0 * tol)
 
@@ -471,9 +471,9 @@ class TestShortPass:
 
 
 class TestStridedDraw:
-    """A hand-built draw of every other trial, whose ``Y`` is strided: the
-    short pass, which reads ``Y`` as one contiguous array, does not run on
-    it, and the draw's NaN check reads ``Y`` through ``np.isnan``."""
+    """A hand-built draw of every other trial, given a strided ``Y``: the
+    draw keeps a contiguous copy of it, so the short pass runs on it once,
+    as on its copy, and counts as the copy does, bit for bit."""
 
     @pytest.mark.parametrize("snr_db", [0.0, 3.0, 6.0])
     def test_counts_as_its_contiguous_copy(self, snr_db, monkeypatch):
@@ -481,7 +481,7 @@ class TestStridedDraw:
         full = draw(cfg, 8001, 26)
         strided = Draw(cfg, full.v_energy[::2], full.residual[::2])
         copy = Draw(cfg, full.v_energy[::2].copy(), full.residual[::2].copy())
-        assert not strided.residual.flags.c_contiguous and copy.residual.flags.c_contiguous
+        assert strided.residual.flags.c_contiguous and not np.shares_memory(strided.residual, full.residual)
         rate = 2.0 * math.log(2.0)
         a = abs(lmmse_coefficient(cfg))
         assert_counts_match(strided, [0.3, rate], np.linspace(0.0, 2.0 * a, 21))
@@ -493,9 +493,65 @@ class TestStridedDraw:
 
         monkeypatch.setattr(OutageCounter, "_short", spy)
         one = optimize_b(strided, rate)
-        assert blocks == []
+        assert blocks == [strided.v_energy.size]
         two = optimize_b(copy, rate)
-        assert blocks == [copy.v_energy.size]
+        assert blocks == [strided.v_energy.size, copy.v_energy.size]
         assert one.b_star == two.b_star
         assert (one.outage, one.at_a) == (two.outage, two.at_a)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(one.sweep, two.sweep))
+
+
+def extreme_cases(seed: int, count: int = 100):
+    """``count`` configs with a real pilot and every other number
+    log-uniform in ``[1e-30, 1e30]``, each with a trial count, a rate from
+    1e-300 to 50 nats and a draw seed."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        power, noise_var, pilot_noise_var, fading_var, pilot = 10.0 ** rng.uniform(-30.0, 30.0, 5)
+        cfg = ChannelConfig(int(rng.choice([1, 2, 8, 64])), power, noise_var, pilot_noise_var, fading_var, pilot)
+        yield cfg, int(rng.integers(1, 601)), 10.0 ** rng.uniform(-300.0, math.log10(50.0)), int(rng.integers(2**32))
+
+
+class TestExtremeConfigs:
+    """The counter and the search read as ``Draw.outage`` does across the
+    whole range of configs: ``min V`` runs from about 1e-28 to 1e87, and in
+    about half the cases ``_TINY_C / min V`` is subnormal or 0."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_counts_and_search_match_draw_outage(self, seed):
+        wrong = []
+        for cfg, trials, rate, draw_seed in extreme_cases(seed):
+            d = draw(cfg, trials, draw_seed)
+            a = lmmse_coefficient(cfg).real
+            b_values = [1e-200 * a, 0.3 * a, a, 2.0 * a]
+            opt = optimize_b(d, rate)
+            if (OutageCounter(d, rate).outages(b_values) != [d.outage(b, rate) for b in b_values]
+                    or opt.outage != d.outage(opt.b_star, rate) or opt.at_a != d.outage(a, rate)):
+                wrong.append((cfg, trials, rate, draw_seed))
+        assert wrong == []
+
+    def test_b_floor_of_a_huge_antenna_count(self):
+        # 2**64 - 1 antennas at 150 dB: min V is about 1.8e34, where
+        # _TINY_C / min V reads 0; a b floor of 0 once counted no failure
+        # at these b, where every trial fails
+        cfg = build_channel_config(150.0, 2**64 - 1)
+        d = draw(cfg, 200, 1)
+        a = lmmse_coefficient(cfg).real
+        b_values = [1e-200 * a, 1e-170 * a]
+        counted = OutageCounter(d, math.log(2.0)).outages(b_values)
+        assert counted == [d.outage(b, math.log(2.0)) for b in b_values]
+        assert [e.failures for e in counted] == [200, 200]
+
+    @pytest.mark.parametrize("v", [1e-300, 1.0, 1e270, 4.4e17, 5e17, 1e40, 1e300, math.inf])
+    def test_b_min(self, v):
+        # sqrt(_TINY_C / min V) wherever the quotient is a normal float, its
+        # two roots' quotient beyond, and inf at min V = inf
+        d = Draw(build_channel_config(0.0, 1), np.array([v, 2.0 * v]), np.zeros(2, complex))
+        b_min = OutageCounter(d, 1.0).b_min
+        if v == math.inf:
+            assert b_min == math.inf
+        elif outage._TINY_C / v >= np.finfo(np.float64).tiny:
+            assert b_min == math.sqrt(outage._TINY_C / v)
+        else:
+            assert 0.0 < b_min and b_min == math.sqrt(outage._TINY_C) / math.sqrt(v)
+            assert math.isclose(b_min * (b_min * v), outage._TINY_C, rel_tol=1e-15)

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from lsrsim import build_channel_config, draw
-from lsrsim.gmi import _END_TABLE_CELLS, _end_curve, _end_kappa, _end_tables, _feasible_ends
+from lsrsim.gmi import _END_TABLE_CELLS, _end_curve, _end_kappa, _end_tables
 from lsrsim.outage import _END_WINDOW, OutageCounter
-from oracles import RATES
+from oracles import RATES, feasible_ends
 
 
 def bisected_ends(kappa: np.ndarray, rate: float, upper: int) -> tuple[np.ndarray, np.ndarray]:
@@ -57,7 +57,7 @@ def kappas_in_every_cell(rate: float, upper: int, per_cell: int = 4) -> np.ndarr
 @pytest.mark.parametrize("rate", RATES[1:])
 def test_table_ends_and_slopes_against_bisection(rate, upper):
     kappa = kappas_in_every_cell(rate, upper)
-    p, err, slope = (row[upper] for row in _feasible_ends(kappa, np.zeros_like(kappa), rate))
+    p, err, slope = (row[upper] for row in feasible_ends(kappa, np.zeros_like(kappa), rate))
     p_true, slope_true = bisected_ends(kappa, rate, upper)
     miss = np.abs(p / p_true - 1.0)
     assert np.all((miss <= err) | (err == math.inf)), np.max(miss / err)
@@ -73,7 +73,7 @@ def test_kappa_error_carried_to_the_end(rate, upper):
     # a kappa known to within dk has its true end within err of the one read
     kappa = kappas_in_every_cell(rate, upper, per_cell=1)
     dk = 1e-10 * kappa
-    p, err, _ = (row[upper] for row in _feasible_ends(kappa, dk, rate))
+    p, err, _ = (row[upper] for row in feasible_ends(kappa, dk, rate))
     for shifted in (kappa - dk, kappa + dk):
         p_true, _ = bisected_ends(shifted, rate, upper)
         miss = np.abs(p / p_true - 1.0)

@@ -203,6 +203,11 @@ class TestConfigValidation:
             ("gmi", lambda: gmi_histogram(np.array([]), 5)),
             ("gmi", lambda: gmi_histogram(np.array([0.5, math.nan]), 5)),
             ("gmi", lambda: gmi_histogram(["x"], 5)),
+            ("gmi", lambda: gmi_histogram(["1.5", "2"], 5)),
+            ("gmi", lambda: gmi_histogram([True, False], 5)),
+            ("gmi", lambda: gmi_histogram(np.array([0.5, 1.0 + 2.0j]), 5)),
+            ("gmi", lambda: gmi_histogram([[0.5], [0.5, 1.0]], 5)),
+            ("gmi", lambda: gmi_histogram([0.5, None], 5)),
             ("bins", lambda: gmi_histogram(np.array([0.5]), 2**62)),
             ("bins", lambda: gmi_histogram(np.array([0.5]), 2**64 - 1)),
             ("b", lambda: OutageCounter(d, 0.5).outages(["1"])),
@@ -221,6 +226,8 @@ class TestConfigValidation:
             ("include_lsr", lambda: run_experiment(
                 small_cfg(kind="b_sweep", b_over_a=[1.0]), include_lsr=False)),
             ("target_outage", lambda: snr_gain([(0, 0.5)], [(0, 0.5)], 1.0)),
+            ("target_outage", lambda: snr_gain([(0, 0.5)], [(0, 0.5)], "0.1")),
+            ("target_outage", lambda: snr_gain([(0, 0.5)], [(0, 0.5)], True)),
             ("format", lambda: emit_results(table, tmp_path / "x", "yaml")),
             ("format", lambda: read_results(tmp_path / "x", "yaml")),
         ]
