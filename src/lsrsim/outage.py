@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -113,12 +113,16 @@ class Draw:
     ``V >= 0`` and ``residual`` a complex128 array of its shape, neither
     with a NaN; ``inf`` is accepted.  A strided ``residual`` is kept as a
     contiguous copy, so that every draw reads ``Y`` in one memory layout;
-    :func:`draw`'s is contiguous and kept as it is.
+    :func:`draw`'s is contiguous and kept as it is.  The least ``V`` and the
+    least of ``Re Y`` and ``Im Y``, which the checks reduce, are kept for the
+    outage counter; a draw's arrays are not to change once it is built.
     """
 
     config: ChannelConfig
     v_energy: np.ndarray
     residual: np.ndarray  # complex
+    _v_min: float = field(init=False, repr=False)
+    _y_min: float = field(init=False, repr=False)
 
     def __post_init__(self):
         v, y = self.v_energy, self.residual
@@ -126,12 +130,14 @@ class Draw:
                "must be a nonempty 1-d float64 array")
         _check(isinstance(y, np.ndarray) and y.dtype == np.complex128 and y.shape == v.shape, "residual",
                "must be a complex128 array of v_energy's shape")
-        _check(v.min() >= 0.0, "v_energy", "must hold no V < 0 and no NaN")
+        object.__setattr__(self, "_v_min", float(v.min()))
+        _check(self._v_min >= 0.0, "v_energy", "must hold no V < 0 and no NaN")
         # a strided Y is kept as a contiguous copy, so that its float64 view
         # reads Re Y and Im Y; a NaN min reads a NaN anywhere
         y = np.ascontiguousarray(y)
         object.__setattr__(self, "residual", y)
-        _check(not np.isnan(y.view(np.float64).min()), "residual", "must hold no NaN")
+        object.__setattr__(self, "_y_min", float(y.view(np.float64).min()))
+        _check(not math.isnan(self._y_min), "residual", "must hold no NaN")
 
     def gmi(self, b: complex) -> np.ndarray:
         """Per-trial GMI (nats) of the decoder scaled by ``b``; shape ``(trials,)``.
@@ -242,6 +248,11 @@ _SHORT_BYTES = 134
 _ENDS_BYTES = 191
 _GMI_BYTES = 114
 _KEPT = threading.local()
+# upper ends a piece of the search's ranks (OutageCounter._least), 32 kB,
+# and the ranks 0..piece-1 that each piece subtracts from its own
+_RANK_PIECE = 4096
+_RANKS = np.arange(_RANK_PIECE)
+_RANKS.flags.writeable = False
 
 
 def _search_scratch() -> _Arena:
@@ -356,7 +367,10 @@ class OutageCounter:
     trial, and the offsets of the trials that the rule reads or re-solves.
     Every solve and sweep the counter runs carves its temporaries from the
     same scratch's start, as every kernel does: nothing of the counter is
-    kept there.  Counters may be built and read in several threads at
+    kept there.  The search reads its first least step from the sorted
+    ends with :meth:`_least`, which builds no step function; :meth:`_sweep`
+    builds the whole one, and :meth:`_least` defers to it where ends tie
+    at its pick.  Counters may be built and read in several threads at
     once, each in its own thread's scratch.
 
     A trial's ends are certified when they are known to within a relative
@@ -379,12 +393,12 @@ class OutageCounter:
         trials = d.v_energy.size
         self._lo = lo = np.full(trials, 0.0 if self.rate == 0.0 else np.inf)  # a GMI is never below 0
         self._hi = hi = np.full(trials, np.inf)
-        v_min = float(d.v_energy.min())
+        v_min = d._v_min
         unsure = [np.zeros(0, dtype=np.intp)]
         if self.rate > 0.0:
             # an uncertified trial keeps ends of inf, which sort last.  Each
             # block carves its temporaries afresh from the scratch's start
-            ends, per_trial = (self._short, _SHORT_BYTES) if self._short_applies(v_min) else (self._ends, _ENDS_BYTES)
+            ends, per_trial = (self._short, _SHORT_BYTES) if self._short_applies() else (self._ends, _ENDS_BYTES)
             bounds = _blocks(trials, per_trial)
             for start, stop in zip(bounds, bounds[1:]):
                 block = d.v_energy[start:stop], d.residual[start:stop], lo[start:stop], hi[start:stop]
@@ -399,19 +413,18 @@ class OutageCounter:
         tiny = _TINY_C / v_min if 0.0 < v_min < math.inf else math.inf
         self.b_min = math.sqrt(tiny) if tiny >= 2.0**-1022 else math.sqrt(_TINY_C) / math.sqrt(v_min)
 
-    def _short_applies(self, v_min: float) -> bool:
+    def _short_applies(self) -> bool:
         """Whether the build runs the short pass: ``a`` real and positive,
         a rate above the rule's GMI margin, and the draw's numbers inside
         ``_SHORT_RANGE``, read from ``V`` and from the float64 view of its
-        contiguous ``Y``."""
+        contiguous ``Y``; their least values are the draw's own."""
         d, rate = self.draw, self.rate
         a, noise = lmmse_coefficient(d.config), d.config.noise_var / d.config.power
         if not (a.imag == 0.0 and a.real > 0.0 and rate > _rule(rate)[1]):
             return False
-        y = d.residual.view(np.float64)
         v_max = float(d.v_energy.max())
-        return (v_min * min(a.real, noise) >= 1.0 / _SHORT_RANGE and v_max * max(a.real, noise) <= _SHORT_RANGE
-                and -_SHORT_RANGE <= float(y.min()) and float(y.max()) <= _SHORT_RANGE)
+        return (d._v_min * min(a.real, noise) >= 1.0 / _SHORT_RANGE and v_max * max(a.real, noise) <= _SHORT_RANGE
+                and -_SHORT_RANGE <= d._y_min and float(d.residual.view(np.float64).max()) <= _SHORT_RANGE)
 
     def _short(self, v: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray, arena: _Arena) -> np.ndarray:
         """:meth:`_ends` of the trials ``(v, y)``, into ``lo`` and ``hi``,
@@ -627,6 +640,54 @@ class OutageCounter:
         return (np.sort(np.r_[self._lo[:keep], lo], kind="stable"),
                 np.sort(np.r_[self._hi[:keep], hi], kind="stable"))
 
+    def _window(self, low: float, high: float) -> tuple[float, np.ndarray, np.ndarray, int]:
+        """The ends of :meth:`intervals` inside ``(start, high)``, ``start =
+        max(low, b_min)`` and ``b_min < high``: ``(start, lower, upper,
+        failures)``, the sorted lower and upper ends as views, and the
+        failures just above ``start``, ``#{lo > start} + #{hi <= start}``."""
+        start = max(low, self.b_min)
+        lo, hi = self.intervals()
+        i, i_end = np.searchsorted(lo, start, "right"), np.searchsorted(lo, high, "left")
+        j, j_end = np.searchsorted(hi, start, "right"), np.searchsorted(hi, high, "left")
+        return start, lo[i:i_end], hi[j:j_end], lo.size - i + j
+
+    def _least(self, low: float, high: float) -> float:
+        """The midpoint of the first step of least outage of :meth:`_sweep`
+        over ``[low, high]``, found with no step function.
+
+        Just below the ``k``-th upper end (from 0) the failures are those
+        just above ``start``, plus the ``k`` upper ends passed, less the
+        lower ends passed, ``#{lower <= upper[k]}``: a lower end sorts before
+        an equal upper one.  After the last end they are those plus
+        ``#{upper} - #{lower}``.  The first least of these is the first
+        least of the outage, and its step runs from the end before it to
+        ``upper[k]``, or to ``high``.  The ranks are read ``_RANK_PIECE``
+        upper ends at a time, 8 bytes a rank, so that a search allocates
+        no array that grows with its trials.  Where that step has no width,
+        the end before it being equal to ``upper[k]``, the step function
+        tells which step is least, and :meth:`_sweep` is read instead."""
+        if high <= self.b_min:
+            return 0.5 * low + 0.5 * high
+        start, lower, upper, _ = self._window(low, high)
+        # failures less those just above start: k - #{lower <= upper[k]}
+        least, pick = math.inf, 0
+        for first in range(0, upper.size, _RANK_PIECE):
+            delta = np.searchsorted(lower, upper[first : first + _RANK_PIECE], "right")
+            np.subtract(_RANKS[: delta.size], delta, out=delta)
+            k = int(delta.argmin())
+            if delta[k] + first < least:
+                least, pick = int(delta[k]) + first, first + k
+        if upper.size - lower.size < least:
+            last = max(lower[-1] if lower.size else start, upper[-1] if upper.size else start)
+            return 0.5 * float(last) + 0.5 * high
+        passed = pick - least
+        before = max(lower[passed - 1] if passed else start, upper[pick - 1] if pick else start)
+        if before == upper[pick]:
+            starts, _, best = self._sweep(low, high)
+            after = starts[best + 1] if best + 1 < starts.size else high
+            return 0.5 * float(starts[best]) + 0.5 * float(after)
+        return 0.5 * float(before) + 0.5 * float(upper[pick])
+
     def _sweep(self, low: float, high: float) -> tuple[np.ndarray, np.ndarray, int]:
         """The outage over ``b`` in ``[low, high]``, ``0 <= low <= high``, as a
         step function ``(starts, p_hat)``, ``p_hat[k]`` from ``starts[k]``
@@ -641,11 +702,8 @@ class OutageCounter:
         new."""
         if high <= self.b_min:
             return np.array([low]), np.array([self._whole(complex(0.5 * low + 0.5 * high)).p_hat]), 0
-        start = max(low, self.b_min)
-        lo, hi = self.intervals()
-        i, i_end = np.searchsorted(lo, start, "right"), np.searchsorted(lo, high, "left")
-        j, j_end = np.searchsorted(hi, start, "right"), np.searchsorted(hi, high, "left")
-        ends = 1 + (i_end - i) + (j_end - j)
+        start, lower, upper, above = self._window(low, high)
+        ends = 1 + lower.size + upper.size
         # every end lies above start > 0, so the bits of start and of the
         # ends, shifted up one with a low bit 1 for an upper end, sort as
         # their values do, start first and a lower end before an equal upper
@@ -654,17 +712,16 @@ class OutageCounter:
         arena = _search_scratch()
         key, one = arena.take(ends, dtype=np.uint64), np.uint64(1)
         key[0] = np.float64(start).view(np.uint64) << one
-        np.left_shift(lo[i:i_end].view(np.uint64), one, out=key[1 : 1 + i_end - i])
-        upper = key[1 + i_end - i :]
-        np.bitwise_or(np.left_shift(hi[j:j_end].view(np.uint64), one, out=upper), one, out=upper)
+        np.left_shift(lower.view(np.uint64), one, out=key[1 : 1 + lower.size])
+        tagged = key[1 + lower.size :]
+        np.bitwise_or(np.left_shift(upper.view(np.uint64), one, out=tagged), one, out=tagged)
         key.sort(kind="stable")
-        # just above start #{lo <= start} - #{hi <= start} trials are
-        # feasible; each lower end passed adds one, each upper end takes one
-        # away
+        # just above start #{lo > start} + #{hi <= start} trials fail; each
+        # lower end passed takes one away, each upper end adds one
         steps = arena.take(ends, dtype=np.int64)
         np.bitwise_and(key, one, out=steps.view(np.uint64))
         np.subtract(np.left_shift(steps, 1, out=steps), 1, out=steps)
-        steps[0] = lo.size - i + j
+        steps[0] = above
         # into a second array: an accumulate in place may copy its input
         failures = np.cumsum(steps, out=arena.take(ends, dtype=np.int64))
         starts = np.right_shift(key, one, out=key).view(np.float64)
@@ -680,7 +737,7 @@ class OutageCounter:
         # the first least count starts a step
         best = int(np.count_nonzero(step[: int(np.argmin(failures))]))
         # the steps' starts are copied out before p_hat overwrites them
-        return starts[step], np.divide(failures, lo.size, out=starts)[step], best
+        return starts[step], np.divide(failures, self._lo.size, out=starts)[step], best
 
 
 def _sample(n_r: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

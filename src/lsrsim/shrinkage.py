@@ -2,15 +2,18 @@
 
 Every ``b`` reads the same :class:`~lsrsim.outage.Draw`, so the Monte Carlo
 outage is a step function of ``b`` that steps at the ends of the trials'
-feasible intervals.  One :class:`~lsrsim.outage.OutageCounter` sweeps its
-sorted ends for that step function, and :func:`optimize_b` chooses ``b*``
-from it: the exact minimizer, the sample-average-approximation optimum
-(Kleywegt, Shapiro & Homem-de-Mello, SIAM J. Optim. 12(2), 2002).
+feasible intervals.  :func:`optimize_b` reads the first step of least
+outage from one :class:`~lsrsim.outage.OutageCounter`'s sorted ends, each
+upper end ranked among the lower ends, and chooses ``b*`` from it: the exact
+minimizer, the sample-average-approximation optimum (Kleywegt, Shapiro &
+Homem-de-Mello, SIAM J. Optim. 12(2), 2002).  The whole step function is
+built from the same ends only when it is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,28 +43,42 @@ class SearchSpec:
 
 @dataclass(eq=False)
 class BOptimum:
-    """The minimizer, its outage estimate, the outage as a step function
-    ``sweep = (b, p_hat)``: ``p_hat[k]`` holds from ``b[k]`` to ``b[k + 1]``
-    (the last to the domain's end), and each step changes it; and the
-    outage ``at_a`` at ``b = |a|``, the LMMSE coefficient's magnitude, in
-    the domain or not, which the search reads to compare with ``b_star``.
-    ``at_a`` is the LMMSE receiver's outage only where ``a`` is real and
-    positive, as for every config the CLI builds."""
+    """The minimizer, its outage estimate and the outage ``at_a`` at
+    ``b = |a|``, the LMMSE coefficient's magnitude, in the domain or not,
+    which the search reads to compare with ``b_star``.  ``at_a`` is the
+    LMMSE receiver's outage only where ``a`` is real and positive, as for
+    every config the CLI builds.
+
+    :attr:`sweep` is the outage over the domain as a step function, built
+    on its first read from the search's counter and kept."""
 
     b_star: float
     outage: OutageEstimate
-    sweep: tuple[np.ndarray, np.ndarray]
     at_a: OutageEstimate
+    _counter: OutageCounter = field(repr=False)
+    _domain: tuple[float, float] = field(repr=False)
+
+    @functools.cached_property
+    def sweep(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(b, p_hat)``: ``p_hat[k]`` holds from ``b[k]`` to ``b[k + 1]``
+        (the last to the domain's end), and each step changes it; 16 bytes
+        a step, about two steps a trial.  It reads the counter's ends and
+        the draw, which must not have changed since the search."""
+        starts, p_hat, _ = self._counter._sweep(*self._domain)
+        return starts, p_hat
 
 
 def optimize_b(d: Draw, rate_nats: float, spec: SearchSpec = SearchSpec()) -> BOptimum:
     """Minimize the outage of draw ``d`` over real ``b`` in ``[ratio_low, ratio_high] * a``.
 
-    The outage counter of ``d`` at ``rate_nats`` sweeps the domain for the
-    outage's step function (:class:`~lsrsim.outage.OutageCounter`, whose
-    build and sweep run in the calling thread's kept scratch, so a search
-    of up to about 30,000 trials allocates only the counter's sorted ends,
-    16 bytes a trial, freed on return, and its results).
+    The outage counter of ``d`` at ``rate_nats``
+    (:class:`~lsrsim.outage.OutageCounter`, built in the calling thread's
+    kept scratch) ranks each upper end of its trials' feasible intervals in
+    the domain among the lower ends, which reads the outage just below that
+    end with no step function.  So a search allocates only the counter's
+    sorted ends, 16 bytes a trial, which the result keeps for its
+    :attr:`~BOptimum.sweep`, about 64 kB for a piece of 4,096 ranks, and
+    its results.
     ``b_star`` is the midpoint of the leftmost step of least outage, or
     ``|a|`` when ``|a|`` lies in the domain and reads fewer failures: with
     ratio 1 in the domain the optimum is never worse than ``b = |a|``.
@@ -76,10 +93,8 @@ def optimize_b(d: Draw, rate_nats: float, spec: SearchSpec = SearchSpec()) -> BO
     a = abs(lmmse_coefficient(d.config))
     low, high = spec.ratio_low * a, spec.ratio_high * a
     counter = OutageCounter(d, rate_nats)
-    starts, p_hat, best = counter._sweep(low, high)
-    end = starts[best + 1] if best + 1 < starts.size else high
-    b_star = 0.5 * float(starts[best]) + 0.5 * float(end)
+    b_star = counter._least(low, high)
     est, at_a = counter.outages([b_star, a])
     if low <= a <= high and at_a.failures < est.failures:
         b_star, est = a, at_a
-    return BOptimum(b_star=b_star, outage=est, sweep=(starts, p_hat), at_a=at_a)
+    return BOptimum(b_star=b_star, outage=est, at_a=at_a, _counter=counter, _domain=(low, high))

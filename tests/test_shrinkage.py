@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,12 +118,12 @@ class TestOptimizeB:
         assert np.all(p_hat[1:] != p_hat[:-1]) and np.all(starts[1:] > starts[:-1])
 
     def test_falls_back_to_a_when_a_reads_fewer_failures(self, monkeypatch):
-        # a sweep stubbed to one step over [0, a] puts b_star at a / 2,
+        # a search stubbed to pick the one step over [0, a] puts b_star at a / 2,
         # which reads 95 failures against a's 33, so the search keeps a
         cfg = build_channel_config(6.0, 8)
         d, rate = draw(cfg, 2000, 1), 2.0 * math.log(2.0)
         a = abs(lmmse_coefficient(cfg))
-        monkeypatch.setattr(OutageCounter, "_sweep", lambda self, low, high: (np.array([low]), np.array([0.5]), 0))
+        monkeypatch.setattr(OutageCounter, "_least", lambda self, low, high: 0.5 * low + 0.5 * high)
         assert (d.outage(0.5 * a, rate).failures, d.outage(a, rate).failures) == (95, 33)
         opt = optimize_b(d, rate, SearchSpec(0.0, 1.0))
         assert opt.b_star == a
@@ -196,3 +197,82 @@ class TestBSweep:
         p = [d.outage(r * a, 2.0 * math.log(2.0)).p_hat for r in ratios]
         assert min(p) < p[-1]
         assert ratios[p.index(min(p))] < 1.0
+
+
+def b_star_from_sweep(counter, low, high):
+    """The midpoint of the first least step of the full step function."""
+    starts, _, best = counter._sweep(low, high)
+    end = starts[best + 1] if best + 1 < starts.size else high
+    return 0.5 * float(starts[best]) + 0.5 * float(end)
+
+
+# (snr_db, n_r, rate_nats, trials, ratio_low, ratio_high, repeat)
+LEAST_CASES = [
+    pytest.param(6.0, 8, 2.0 * math.log(2.0), 10_000, 0.0, 2.0, 1, id="curve"),
+    pytest.param(5.0, 8, 0.0, 2000, 0.0, 2.0, 1, id="rate0"),
+    pytest.param(5.0, 8, 1.386, 2000, 0.0, math.ulp(0.0), 1, id="below-b_min"),
+    pytest.param(30.0, 8, 1.0, 2000, 0.0, 2.0, 1, id="30dB-1nat-re-solved"),
+    pytest.param(5.0, 8, 1.386, 5000, 1.2, 2.0, 1, id="without-a"),
+    pytest.param(3.0, 4, 0.5, 4097, 0.0, 2.0, 1, id="below-1-nat"),
+    pytest.param(3.0, 8, 1.0, 3000, 0.0, 2.0, 2, id="repeated-twice"),
+    pytest.param(5.0, 2, 0.3, 1500, 0.3, 1.7, 3, id="repeated-thrice"),
+]
+
+
+@pytest.mark.parametrize("snr_db,n_r,rate,trials,ratio_low,ratio_high,repeat", LEAST_CASES)
+def test_least_step_equals_the_full_sweep(snr_db, n_r, rate, trials, ratio_low, ratio_high, repeat):
+    # the search's pick, read with no step function, is the full step
+    # function's, and so are the outages optimize_b reads
+    cfg = build_channel_config(snr_db, n_r)
+    d = draw(cfg, trials, 7)
+    if repeat > 1:
+        d = Draw(cfg, np.repeat(d.v_energy, repeat), np.repeat(d.residual, repeat))
+    a = abs(lmmse_coefficient(cfg))
+    low, high = ratio_low * a, ratio_high * a
+    counter = OutageCounter(d, rate)
+    assert counter._least(low, high) == b_star_from_sweep(counter, low, high)
+    opt = optimize_b(d, rate, SearchSpec(ratio_low, ratio_high))
+    want = b_star_from_sweep(counter, low, high)
+    est, at_a = counter.outages([want, a])
+    if low <= a <= high and at_a.failures < est.failures:
+        want, est = a, at_a
+    assert (opt.b_star, opt.outage, opt.at_a) == (want, est, at_a)
+
+
+def test_tied_pick_reads_the_sweep(monkeypatch):
+    # ends stubbed so that one trial's lower end equals another's upper end
+    # where the outage is least: that pick has no width, and the step
+    # function, read instead, steps once from 0.2 to 0.5 at one failure
+    cfg = build_channel_config(6.0, 8)
+    counter = OutageCounter(draw(cfg, 2, 1), 2.0 * math.log(2.0))
+    counter._lo, counter._hi = np.array([0.2, 0.3]), np.array([0.3, 0.5])
+    calls = []
+    sweep = OutageCounter._sweep
+    monkeypatch.setattr(OutageCounter, "_sweep", lambda self, *args: calls.append(args) or sweep(self, *args))
+    assert counter._least(0.0, 1.0) == 0.5 * 0.2 + 0.5 * 0.5
+    assert calls == [(0.0, 1.0)]
+
+
+class TestLazySweep:
+    def test_a_search_builds_no_step_function(self):
+        # the counter's sorted ends, 16 bytes a trial, and a constant: a
+        # piece of ranks (32 kB), what searchsorted takes for it (about as
+        # much) and small objects; the step function would take about 32
+        # bytes a trial more
+        cfg = build_channel_config(6.0, 8)
+        rate = 2.0 * math.log(2.0)
+        optimize_b(draw(cfg, 10_000, 1), rate)
+        d = draw(cfg, 10_000, 2)
+        tracemalloc.start()
+        try:
+            opt = optimize_b(d, rate)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * d.v_energy.size + 80_000
+        assert "sweep" not in vars(opt)
+
+    def test_sweep_is_built_once(self):
+        opt = optimize_b(draw(build_channel_config(4.0, 4), 3000, 5), math.log(2.0))
+        first, second = opt.sweep, opt.sweep
+        assert first is second and all(x is y for x, y in zip(first, second))
